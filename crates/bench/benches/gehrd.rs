@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ft_bench::{write_bench_json, Record};
-use ft_blas::{active_simd_path, Backend};
+use ft_blas::Backend;
 use ft_fault::FaultPlan;
 use ft_hessenberg::{ft_gehrd_hybrid, gehrd_hybrid, FtConfig, HybridConfig};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
@@ -27,14 +27,7 @@ fn bench_gehrd(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("blocked_nb32", n), &n, |bench, _| {
             bench.iter(|| {
                 let mut w = a.clone();
-                std::hint::black_box(gehrd(
-                    &mut w,
-                    &GehrdConfig {
-                        nb: 32,
-                        nx: 4,
-                        lookahead: false,
-                    },
-                ));
+                std::hint::black_box(gehrd(&mut w, &GehrdConfig { nb: 32, nx: 4 }));
             });
         });
         group.bench_with_input(BenchmarkId::new("hybrid_sim", n), &n, |bench, _| {
@@ -114,7 +107,7 @@ fn bench_ft_backend(c: &mut Criterion) {
     let gflops = |secs: f64| ft_blas::gehrd_gflops(n, secs);
     // All records go through one write: `write_bench_json` replaces the
     // previous records of the same smoke-ness wholesale per call.
-    let mut records = vec![
+    let records = vec![
         Record::new()
             .str("kind", "ft_gehrd_backend")
             .int("n", n as u64)
@@ -127,99 +120,7 @@ fn bench_ft_backend(c: &mut Criterion) {
             .bool("smoke", smoke),
         phase_breakdown_record(&a, n, nb, smoke),
     ];
-    records.extend(lookahead_records(smoke));
     write_bench_json("gehrd", &records);
-}
-
-fn cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|c| c.get() as u64)
-        .unwrap_or(1)
-}
-
-/// Sequential vs lookahead-pipelined schedule of the plain blocked
-/// reduction (`FT_GEHRD_LOOKAHEAD`), one record per size. Wall times are
-/// the min over alternating runs; the overlap decomposition comes from a
-/// separate traced run: `gehrd.overlap` is the slice of the next panel's
-/// factorization hidden under the in-flight far update, `gehrd.panel` the
-/// remainder that had to wait for the token, so
-/// `overlap_efficiency = overlap / (overlap + panel)` is the fraction of
-/// panel time the pipeline hid. DESIGN.md §8.2 bounds the hidden slice
-/// structurally at one column's reduction prefix, and on a single-core
-/// box the far workers and the panel prefix time-slice the same core —
-/// so at `cores: 1` the honest expected reading is parity, not speedup
-/// (same isa/cores-tag convention as BENCH_gemm.json).
-fn lookahead_records(smoke: bool) -> Vec<Record> {
-    let sizes: &[usize] = if smoke { &[128] } else { &[512, 1024] };
-    let rounds = if smoke { 2 } else { 3 };
-    let backend = Backend::Threaded(4);
-    let mut recs = Vec::new();
-    for &n in sizes {
-        let nb = if n >= 512 { 64 } else { 16 };
-        let a = ft_matrix::random::uniform(n, n, 7);
-        let run = |lookahead: bool| {
-            let cfg = GehrdConfig::with_nb(nb).with_lookahead(lookahead);
-            let mut w = a.clone();
-            let t0 = Instant::now();
-            ft_blas::with_backend(backend, || std::hint::black_box(gehrd(&mut w, &cfg)));
-            t0.elapsed().as_secs_f64()
-        };
-        let (mut ts, mut tl) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..rounds {
-            ts = ts.min(run(false));
-            tl = tl.min(run(true));
-        }
-        // Traced (unmeasured) run for the overlap decomposition.
-        let prev_mode = ft_trace::mode();
-        ft_trace::set_mode(ft_trace::TraceMode::Summary);
-        let _ = ft_trace::take_events();
-        run(true);
-        ft_trace::set_mode(prev_mode);
-        let events = ft_trace::take_events();
-        let spans = ft_trace::totals(&events);
-        let ms = |name: &str| {
-            spans
-                .iter()
-                .find(|t| t.name == name)
-                .map(|t| t.total_us / 1e3)
-                .unwrap_or(0.0)
-        };
-        let (overlap, panel) = (ms("gehrd.overlap"), ms("gehrd.panel"));
-        let eff = if overlap + panel > 0.0 {
-            overlap / (overlap + panel)
-        } else {
-            0.0
-        };
-        println!(
-            "gehrd lookahead @ n={n}, nb={nb}: sequential {:.1} ms, lookahead {:.1} ms -> {:.2}x \
-             (overlap efficiency {:.2}, isa {}, {} cores)",
-            ts * 1e3,
-            tl * 1e3,
-            ts / tl,
-            eff,
-            active_simd_path(),
-            cores(),
-        );
-        recs.push(
-            Record::new()
-                .str("kind", "ft_gehrd_lookahead")
-                .int("n", n as u64)
-                .int("nb", nb as u64)
-                .num("sequential_ms", ts * 1e3)
-                .num("lookahead_ms", tl * 1e3)
-                .num("speedup", ts / tl)
-                .num("hidden_panel_ms", overlap)
-                .num("exposed_panel_ms", panel)
-                .num("overlap_efficiency", eff)
-                .num("far_ms", ms("gehrd.far"))
-                .num("near_ms", ms("gehrd.near"))
-                .str("isa", active_simd_path())
-                .int("cores", cores())
-                .int("backend_threads", backend.threads() as u64)
-                .bool("smoke", smoke),
-        );
-    }
-    recs
 }
 
 /// One traced (unmeasured) run of the FT driver under the threaded

@@ -28,10 +28,9 @@
 //!   plain `serial` when only one core is available (so a 1-core box
 //!   never pays threaded dispatch overhead for zero parallelism).
 
-use crate::pool::{self, AsyncHandle, ScopedTask};
+use crate::pool::{self, ScopedTask};
 use ft_matrix::MatViewMut;
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// **The** compute-bound parallel gate: minimum per-kernel work volume
 /// (`m·n·k`-style element-operation count) before the threaded backend
@@ -242,49 +241,6 @@ where
     pool::run_scoped(tasks);
 }
 
-/// Asynchronous analogue of [`for_each_col_chunk`]: splits `b` into up to
-/// `workers` near-equal contiguous column blocks, dispatches **all** of
-/// them onto pool workers (the caller runs none inline — it is expected
-/// to keep working on the critical path), and returns the completion
-/// token. The column partition is identical to [`for_each_col_chunk`]'s,
-/// and `f` must treat columns independently, so the result is
-/// bit-identical to the synchronous and serial schedules no matter when
-/// the token is waited.
-///
-/// The borrow of `b` stays live until the returned [`AsyncHandle`] is
-/// waited or dropped, which is exactly what makes the overlap safe: the
-/// caller can mutate *other* regions of the parent matrix meanwhile, and
-/// the borrow checker re-admits a full borrow only after the handle dies.
-pub fn spawn_col_chunks<'scope, F>(
-    b: MatViewMut<'scope>,
-    workers: usize,
-    f: F,
-) -> AsyncHandle<'scope>
-where
-    F: Fn(usize, MatViewMut<'scope>) + Send + Sync + 'scope,
-{
-    let n = b.cols();
-    if n == 0 {
-        return pool::dispatch_async(Vec::new());
-    }
-    let t = workers.min(n).max(1);
-    let (base, extra) = (n / t, n % t);
-    let shared = Arc::new(f);
-    let mut tasks: Vec<ScopedTask<'scope>> = Vec::with_capacity(t);
-    let mut rest = b;
-    let mut j0 = 0usize;
-    for w in 0..t {
-        let width = base + usize::from(w < extra);
-        let (chunk, tail) = rest.split_at_col(width);
-        let c0 = j0;
-        let fr = Arc::clone(&shared);
-        tasks.push(Box::new(move || fr(c0, chunk)));
-        rest = tail;
-        j0 += width;
-    }
-    pool::dispatch_async(tasks)
-}
-
 /// Row-block analogue of [`for_each_col_chunk`]: `f(first_global_row,
 /// block)` over near-equal contiguous row blocks.
 pub(crate) fn for_each_row_chunk<F>(b: MatViewMut<'_>, workers: usize, f: F)
@@ -448,57 +404,6 @@ mod tests {
             Backend::Threaded(n) => {
                 assert!(n >= 2, "auto must pin a real worker count, got {n}");
                 assert_eq!(n, available_parallelism());
-            }
-        }
-    }
-
-    #[test]
-    fn spawn_col_chunks_covers_exactly_once_and_waits() {
-        for workers in [1usize, 2, 3, 5, 16] {
-            let mut a = Matrix::zeros(7, 11);
-            let handle = spawn_col_chunks(a.as_view_mut(), workers, |j0, mut chunk| {
-                for j in 0..chunk.cols() {
-                    for i in 0..chunk.rows() {
-                        let old = chunk.at(i, j);
-                        chunk.set(i, j, old + (j0 + j + 1) as f64);
-                    }
-                }
-            });
-            handle.wait();
-            for j in 0..11 {
-                for i in 0..7 {
-                    assert_eq!(a[(i, j)], (j + 1) as f64, "workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spawn_col_chunks_empty_matrix_resolves_immediately() {
-        let mut a = Matrix::zeros(4, 0);
-        let handle = spawn_col_chunks(a.as_view_mut(), 3, |_, _| {
-            panic!("no chunk should run on an empty matrix")
-        });
-        assert!(handle.is_resolved());
-        handle.wait();
-    }
-
-    #[test]
-    fn spawn_col_chunks_drop_without_wait_completes_tasks() {
-        let mut a = Matrix::zeros(5, 9);
-        {
-            let _handle = spawn_col_chunks(a.as_view_mut(), 3, |_, mut chunk| {
-                for j in 0..chunk.cols() {
-                    for i in 0..chunk.rows() {
-                        chunk.set(i, j, 1.0);
-                    }
-                }
-            });
-            // Dropped here: the drop must block until every chunk ran.
-        }
-        for j in 0..9 {
-            for i in 0..5 {
-                assert_eq!(a[(i, j)], 1.0);
             }
         }
     }

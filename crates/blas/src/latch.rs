@@ -48,12 +48,6 @@ impl Latch {
         }
     }
 
-    /// `true` once every expected completion has arrived; never blocks
-    /// beyond the internal mutex.
-    pub fn is_resolved(&self) -> bool {
-        *self.remaining.lock().unwrap() == 0
-    }
-
     /// Blocks until every expected completion has arrived.
     pub fn wait(&self) {
         let mut remaining = self.remaining.lock().unwrap();

@@ -38,9 +38,7 @@ pub mod types;
 pub mod workspace;
 
 pub use accurate::{dot_compensated, dot_superblock, sum_compensated, sum_superblock, SumScheme};
-pub use backend::{
-    current_backend, parallel_map_into, set_backend, spawn_col_chunks, with_backend, Backend,
-};
+pub use backend::{current_backend, parallel_map_into, set_backend, with_backend, Backend};
 pub use flops::{
     flop_count, gehrd_gflops, gehrd_nominal_flops, reset_flops, set_flop_counting, FlopGuard,
 };
@@ -51,5 +49,4 @@ pub use level3::{
     gemm_with_algo, simd_available, syrk, trmm, trsm, with_simd_path, AbftError, AbftInject,
     AbftOptions, AbftReport, GemmAlgo, SimdPath, ABFT_BAND,
 };
-pub use pool::AsyncHandle;
 pub use types::{Diag, Side, Trans, Uplo};

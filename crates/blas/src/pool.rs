@@ -37,36 +37,12 @@
 //! kernels (`with_backend(threaded, || …)` inside a chunk, or a kernel
 //! calling another kernel) deadlock-free by construction: blocked waiters
 //! can never exhaust the worker supply.
-//!
-//! # Asynchronous dispatch ([`dispatch_async`])
-//!
-//! The lookahead pipeline in `ft-lapack::gehrd` needs the *caller to keep
-//! computing* while workers apply a far trailing update, so it cannot use
-//! [`run_scoped`]'s dispatch-and-wait shape. [`dispatch_async`] enqueues
-//! every task (the caller runs none inline — continuing on the critical
-//! path is the point) and returns an [`AsyncHandle`] completion token
-//! built on the same [`Latch`]. The token restores the wait-before-return
-//! discipline one frame up: [`AsyncHandle::wait`] blocks until every task
-//! completed and re-raises the first task panic; merely *dropping* the
-//! handle performs the same wait (panics are re-raised unless the thread
-//! is already unwinding), so an early `return` or a panic between
-//! dispatch and wait cannot leave tasks running against dead borrows. The
-//! handle's `'scope` parameter pins the borrows captured by the tasks
-//! until the handle dies, which is what lets the borrow checker order
-//! "wait, then re-borrow the matrix" without unsafe code at the call
-//! site. The one obligation the type system cannot enforce is that the
-//! handle must not be *leaked* (`std::mem::forget`): a leaked handle
-//! skips the wait and the erased borrows would dangle. The handle is
-//! `#[must_use]` and every in-tree caller waits explicitly; the loom
-//! model `tests/loom_async_dispatch.rs` checks the token protocol itself
-//! (completion, panic carry, drop-before-wait).
 
 use crate::latch::Latch;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A type-erased unit of work owned by the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -110,24 +86,6 @@ fn dispatch_counter() -> &'static ft_trace::Counter {
 fn inline_fallback_counter() -> &'static ft_trace::Counter {
     static C: OnceLock<&'static ft_trace::Counter> = OnceLock::new();
     C.get_or_init(|| ft_trace::counter("pool.inline_fallback"))
-}
-
-/// Registry counter `pool.dispatch_async`: tasks handed to workers through
-/// the asynchronous path (monotonic; a subset of `pool.dispatch`). Lets
-/// tests prove the lookahead schedule genuinely overlapped instead of
-/// silently degrading to the synchronous path.
-fn dispatch_async_counter() -> &'static ft_trace::Counter {
-    static C: OnceLock<&'static ft_trace::Counter> = OnceLock::new();
-    C.get_or_init(|| ft_trace::counter("pool.dispatch_async"))
-}
-
-/// Registry gauge `pool.async_inflight`: asynchronously dispatched tasks
-/// currently enqueued or executing. Raised by the full batch size at
-/// dispatch, lowered by one as each task finishes — guaranteed back to
-/// its prior level once the corresponding [`AsyncHandle`] resolves.
-fn async_inflight_gauge() -> &'static ft_trace::Gauge {
-    static G: OnceLock<&'static ft_trace::Gauge> = OnceLock::new();
-    G.get_or_init(|| ft_trace::gauge("pool.async_inflight"))
 }
 
 thread_local! {
@@ -290,120 +248,6 @@ pub(crate) fn run_scoped(tasks: Vec<ScopedTask<'_>>) {
     }
 }
 
-/// Completion token returned by [`dispatch_async`]: once [`AsyncHandle::wait`]
-/// returns (or the handle is dropped), every dispatched task has finished
-/// and its effects are visible to the calling thread.
-///
-/// The `'scope` lifetime ties the handle to the borrows captured by the
-/// dispatched tasks: the borrow checker keeps those borrows live until
-/// the handle dies, and the handle's wait-on-drop makes "dies" imply
-/// "tasks finished". See the module docs for the (single) obligation this
-/// leaves with the caller: the handle must not be leaked.
-#[must_use = "the dispatched tasks run until this handle is waited or dropped; \
-              leaking it would let them outlive their borrows"]
-pub struct AsyncHandle<'scope> {
-    latch: Option<Arc<Latch>>,
-    _borrows: PhantomData<&'scope mut ()>,
-}
-
-impl<'scope> AsyncHandle<'scope> {
-    /// A handle whose tasks already completed (empty or inline dispatch).
-    fn resolved() -> AsyncHandle<'scope> {
-        AsyncHandle {
-            latch: None,
-            _borrows: PhantomData,
-        }
-    }
-
-    /// Blocks until every dispatched task has completed, then re-raises
-    /// the first task panic (if any) on the calling thread.
-    pub fn wait(mut self) {
-        self.finish();
-    }
-
-    /// `true` once every dispatched task has completed; never blocks.
-    pub fn is_resolved(&self) -> bool {
-        match &self.latch {
-            None => true,
-            Some(latch) => latch.is_resolved(),
-        }
-    }
-
-    fn finish(&mut self) {
-        if let Some(latch) = self.latch.take() {
-            latch.wait();
-            if let Some(p) = latch.take_panic() {
-                if !std::thread::panicking() {
-                    resume_unwind(p);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for AsyncHandle<'_> {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
-/// Enqueues every task onto pool workers and returns immediately with an
-/// [`AsyncHandle`] the caller must later wait on (or drop). Unlike
-/// [`run_scoped`], the caller executes *no* chunk inline — the entire
-/// batch runs on workers so the calling thread can keep working on the
-/// critical path (the lookahead panel factorization).
-///
-/// On a pool worker thread, or with an empty batch, the tasks run inline
-/// and the returned handle is already resolved (same re-entrancy guard as
-/// [`run_scoped`]).
-pub(crate) fn dispatch_async<'scope>(tasks: Vec<ScopedTask<'scope>>) -> AsyncHandle<'scope> {
-    if tasks.is_empty() || in_worker() {
-        if !tasks.is_empty() {
-            inline_fallback_counter().incr();
-        }
-        for task in tasks {
-            task();
-        }
-        return AsyncHandle::resolved();
-    }
-    let count = tasks.len();
-    let _span = ft_trace::span!("pool.dispatch", count);
-    let pool = pool();
-    ensure_workers(pool, count);
-    let latch = Arc::new(Latch::new(count));
-    async_inflight_gauge().add(count as u64);
-    // Same context inheritance as `run_scoped`: async batches belong to
-    // the dispatching job until the handle resolves.
-    let trace_ctx = ft_trace::ctx::current();
-    {
-        let mut st = pool.state.lock().unwrap();
-        for task in tasks {
-            let task_latch = Arc::clone(&latch);
-            let job: ScopedTask<'_> = Box::new(move || {
-                let _ctx = ft_trace::ctx::push_opt(trace_ctx);
-                let result = catch_unwind(AssertUnwindSafe(task));
-                async_inflight_gauge().sub(1);
-                task_latch.complete(result.err());
-            });
-            // SAFETY: lifetime erasure of the borrowed task, with the
-            // wait obligation moved into the returned AsyncHandle: its
-            // `wait` and its Drop both block on the latch, and its
-            // `'scope` parameter keeps every borrow inside the task alive
-            // until then. The module docs state the caller's no-leak
-            // obligation; all in-tree callers wait explicitly.
-            let job: Job = unsafe { std::mem::transmute::<ScopedTask<'_>, Job>(job) };
-            st.queue.push_back(job);
-        }
-        dispatch_counter().add(count as u64);
-        dispatch_async_counter().add(count as u64);
-        pool.job_ready.notify_all();
-    }
-    AsyncHandle {
-        latch: Some(latch),
-        _borrows: PhantomData,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,87 +312,6 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
         assert_eq!(spawned_worker_count(), spawned_before);
         assert_eq!(dispatch_count(), dispatched_before);
-    }
-
-    #[test]
-    fn async_dispatch_completes_and_tracks_inflight() {
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<ScopedTask<'_>> = (0..3)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        let before = dispatch_async_counter().get();
-        let handle = dispatch_async(tasks);
-        handle.wait();
-        assert_eq!(counter.load(Ordering::Relaxed), 3);
-        assert_eq!(dispatch_async_counter().get(), before + 3);
-        assert_eq!(
-            async_inflight_gauge().get(),
-            0,
-            "gauge must return to zero once the handle resolves"
-        );
-    }
-
-    #[test]
-    fn async_panic_propagates_on_wait() {
-        let result = catch_unwind(|| {
-            let tasks: Vec<ScopedTask<'_>> =
-                vec![Box::new(|| {}), Box::new(|| panic!("async boom"))];
-            dispatch_async(tasks).wait();
-        });
-        assert!(result.is_err(), "task panic must surface through wait()");
-        // The pool must still be usable afterwards.
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<ScopedTask<'_>> = (0..2)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        dispatch_async(tasks).wait();
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn async_panic_propagates_on_drop() {
-        let result = catch_unwind(|| {
-            let tasks: Vec<ScopedTask<'_>> =
-                vec![Box::new(|| panic!("drop boom")) as ScopedTask<'_>];
-            let _handle = dispatch_async(tasks);
-            // Handle dropped without wait: the drop must still block and
-            // re-raise the task panic.
-        });
-        assert!(result.is_err(), "task panic must surface through drop");
-    }
-
-    #[test]
-    fn async_from_worker_runs_inline() {
-        let outer: Vec<ScopedTask<'_>> = (0..2)
-            .map(|_| {
-                Box::new(|| {
-                    if in_worker() {
-                        let ran = AtomicUsize::new(0);
-                        let inner: Vec<ScopedTask<'_>> = (0..2)
-                            .map(|_| {
-                                Box::new(|| {
-                                    ran.fetch_add(1, Ordering::Relaxed);
-                                }) as ScopedTask<'_>
-                            })
-                            .collect();
-                        let handle = dispatch_async(inner);
-                        // Inline execution: resolved before wait.
-                        assert!(handle.is_resolved());
-                        handle.wait();
-                        assert_eq!(ran.load(Ordering::Relaxed), 2);
-                    }
-                }) as ScopedTask<'_>
-            })
-            .collect();
-        run_scoped(outer);
     }
 
     #[test]

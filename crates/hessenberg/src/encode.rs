@@ -190,7 +190,11 @@ impl ExtMatrix {
     /// columns, whose storage switched to `H`-plus-reflector form).
     pub fn refresh_chk_row(&mut self, c0: usize, c1: usize, frontier: usize) {
         let n = self.n;
-        refresh_chk_row_view(&mut self.data.as_view_mut(), n, c0, c1, frontier);
+        for j in c0..c1.min(n) {
+            let lim = if j < frontier { (j + 2).min(n) } else { n };
+            let s: f64 = self.data.col(j)[..lim].iter().sum();
+            self.data.col_mut(j)[n] = s;
+        }
     }
 
     /// Extracts the final packed `n × n` factorization output.
@@ -201,25 +205,6 @@ impl ExtMatrix {
 
 fn a_square_ext(data: &Matrix) -> bool {
     data.is_square() && data.rows() >= 1
-}
-
-/// The view form of [`ExtMatrix::refresh_chk_row`] — one shared body, so
-/// the two call sites cannot drift. `head` must cover columns `0..c1` and
-/// all `n + 1` rows of the extended storage; this lets the driver refresh
-/// just-finished panel checksums while pool workers own a disjoint view of
-/// the trailing columns (the in-flight far update).
-pub(crate) fn refresh_chk_row_view(
-    head: &mut MatViewMut<'_>,
-    n: usize,
-    c0: usize,
-    c1: usize,
-    frontier: usize,
-) {
-    for j in c0..c1.min(n) {
-        let lim = if j < frontier { (j + 2).min(n) } else { n };
-        let s: f64 = head.col(j)[..lim].iter().sum();
-        head.col_mut(j)[n] = s;
-    }
 }
 
 /// Extends a reflector block `V` (`m × ib`) by one extra row holding its

@@ -74,17 +74,6 @@ pub struct FtConfig {
     /// [`FtReport::online_detections`] only — never results. Default
     /// `false` (the paper's iteration-granularity scheme).
     pub online_abft: bool,
-    /// Overlap each iteration's far (trailing right) update — dispatched
-    /// asynchronously onto pool workers — with the host-side `Q`-checksum
-    /// generation and the finished-panel checksum-row refresh (the paper's
-    /// §IV-E overlap, made real in wall-clock). The far token resolves
-    /// before the left update consumes the trailing columns, so detection
-    /// and recovery semantics are exactly the sequential ones and clean
-    /// runs are bit-identical (see DESIGN.md §8.2). Defaults to the
-    /// `FT_GEHRD_LOOKAHEAD` environment knob. Ignored (sequential
-    /// schedule) when [`FtConfig::online_abft`] is on: the fused-checksum
-    /// kernel verifies whole-update block checksums and is not split.
-    pub lookahead: bool,
 }
 
 impl Default for FtConfig {
@@ -98,7 +87,6 @@ impl Default for FtConfig {
             checksum_scheme: ft_blas::SumScheme::Naive,
             backend: ft_blas::Backend::from_env(),
             online_abft: false,
-            lookahead: ft_lapack::lookahead_from_env(),
         }
     }
 }
@@ -519,8 +507,7 @@ fn run_iteration(
     s1: StreamId,
 ) -> IterArtifacts {
     let m = n - k - 1;
-    let ntrail = n - k - ib; // real trailing columns
-    let ntrail1 = m - ib + 2; // + checksum column
+    let ntrail1 = m - ib + 2; // real trailing columns + checksum column
 
     // Panel to host (line 4).
     ctx.d2h(s0, (n - k) * ib * 8, || ());
@@ -604,139 +591,72 @@ fn run_iteration(
     // the idle host overlapped with the device updates (paper §IV-E), or
     // on the device for the ablation.
     let q_flops = 4.0 * (m * ib) as f64;
-    let _ = ntrail;
 
-    let w_left = if cfg.lookahead && !cfg.online_abft && ax.is_some() {
-        // Lookahead schedule: the far (trailing right) update is
-        // dispatched asynchronously onto pool workers, and the host-side
-        // FT bookkeeping — the Q-checksum GEMVs and the finished-panel
-        // checksum-row refresh, both of which touch only columns left of
-        // `k + ib` — runs behind it as genuine wall-clock overlap. The
-        // token resolves before the left update reads the trailing
-        // columns, so everything downstream (the BeforeDetection fault
-        // hook, `detect`, recovery) sees exactly the sequential state;
-        // the column-chunked GEMM itself is bit-identical to the unsplit
-        // call (see [`crate::reverse::dispatch_right_update_trailing`]).
-        ctx.device(
-            s0,
-            OpClass::DeviceGemm,
-            Work::gemm(n + 1, ntrail1, ib),
-            || (),
-        );
-        let axm = ax.as_mut().unwrap();
-        let workers = ft_blas::current_backend().threads().max(1);
-        {
-            let (mut head, trail) = axm.raw_mut().as_view_mut().split_at_col(k + ib);
-            let handle = {
-                let _span = ft_trace::span!("ft.trailing", k);
-                crate::reverse::dispatch_right_update_trailing(
-                    trail,
-                    ib,
-                    yx.as_ref().unwrap(),
-                    vx.as_ref().unwrap(),
-                    workers,
-                )
-            };
-            if cfg.q_checksums_on_host {
-                ctx.host(OpClass::HostVector, Work::Flops(q_flops), || ());
-            } else {
-                ctx.device(s0, OpClass::DeviceGemv, Work::Flops(q_flops), || ());
-            }
-            {
-                let _span = ft_trace::span!("ft.encode", k);
-                ctx.device(
-                    s0,
-                    OpClass::DeviceVector,
-                    Work::Flops((ib * (k + 2 + ib)) as f64),
-                    || {
-                        crate::encode::refresh_chk_row_view(&mut head, n, k, k + ib, k + ib);
-                    },
-                );
-            }
-            // First trailing-region read is the left update below —
-            // resolve the far token here; the span duration is the
-            // pipeline stall.
-            let _span = ft_trace::span!("ft.trailing", k);
-            handle.wait();
-        }
-        let _span = ft_trace::span!("ft.trailing", k);
-        ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
-            left_update_ext(
-                ax.as_mut().unwrap(),
-                k,
-                ib,
-                vx.as_ref().unwrap(),
-                &panel.as_ref().unwrap().t,
-            )
-        })
-    } else {
-        let _trailing_span = ft_trace::span!("ft.trailing", k);
-        ctx.device(
-            s0,
-            OpClass::DeviceGemm,
-            Work::gemm(n + 1, ntrail1, ib),
-            || {
-                let axm = ax.as_mut().unwrap();
-                if cfg.online_abft {
-                    let r = right_update_trailing_ft(
-                        axm,
-                        k,
-                        ib,
-                        yx.as_ref().unwrap(),
-                        vx.as_ref().unwrap(),
-                        ft_blas::AbftOptions::default(),
-                    );
-                    online_detected += r.detected;
-                    online_corrected += r.corrected;
-                } else {
-                    right_update_trailing(axm, k, ib, yx.as_ref().unwrap(), vx.as_ref().unwrap());
-                }
-            },
-        );
-
-        let w_left = ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
+    let trailing_span = ft_trace::span!("ft.trailing", k);
+    ctx.device(
+        s0,
+        OpClass::DeviceGemm,
+        Work::gemm(n + 1, ntrail1, ib),
+        || {
             let axm = ax.as_mut().unwrap();
-            let t = &panel.as_ref().unwrap().t;
             if cfg.online_abft {
-                let (w, r) = left_update_ext_ft(
+                let r = right_update_trailing_ft(
                     axm,
                     k,
                     ib,
+                    yx.as_ref().unwrap(),
                     vx.as_ref().unwrap(),
-                    t,
                     ft_blas::AbftOptions::default(),
                 );
                 online_detected += r.detected;
                 online_corrected += r.corrected;
-                w
             } else {
-                left_update_ext(axm, k, ib, vx.as_ref().unwrap(), t)
+                right_update_trailing(axm, k, ib, yx.as_ref().unwrap(), vx.as_ref().unwrap());
             }
-        });
-        drop(_trailing_span);
+        },
+    );
 
-        if cfg.q_checksums_on_host {
-            ctx.host(OpClass::HostVector, Work::Flops(q_flops), || ());
-        } else {
-            ctx.device(s0, OpClass::DeviceGemv, Work::Flops(q_flops), || ());
-        }
-
-        // Refresh the column checksums of the just-finished panel columns
-        // from their final H values (their storage switched
-        // representation).
-        {
-            let _span = ft_trace::span!("ft.encode", k);
-            ctx.device(
-                s0,
-                OpClass::DeviceVector,
-                Work::Flops((ib * (k + 2 + ib)) as f64),
-                || {
-                    ax.as_mut().unwrap().refresh_chk_row(k, k + ib, k + ib);
-                },
+    let w_left = ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
+        let axm = ax.as_mut().unwrap();
+        let t = &panel.as_ref().unwrap().t;
+        if cfg.online_abft {
+            let (w, r) = left_update_ext_ft(
+                axm,
+                k,
+                ib,
+                vx.as_ref().unwrap(),
+                t,
+                ft_blas::AbftOptions::default(),
             );
+            online_detected += r.detected;
+            online_corrected += r.corrected;
+            w
+        } else {
+            left_update_ext(axm, k, ib, vx.as_ref().unwrap(), t)
         }
-        w_left
-    };
+    });
+    drop(trailing_span);
+
+    if cfg.q_checksums_on_host {
+        ctx.host(OpClass::HostVector, Work::Flops(q_flops), || ());
+    } else {
+        ctx.device(s0, OpClass::DeviceGemv, Work::Flops(q_flops), || ());
+    }
+
+    // Refresh the column checksums of the just-finished panel columns
+    // from their final H values (their storage switched
+    // representation).
+    {
+        let _span = ft_trace::span!("ft.encode", k);
+        ctx.device(
+            s0,
+            OpClass::DeviceVector,
+            Work::Flops((ib * (k + 2 + ib)) as f64),
+            || {
+                ax.as_mut().unwrap().refresh_chk_row(k, k + ib, k + ib);
+            },
+        );
+    }
 
     IterArtifacts {
         panel,

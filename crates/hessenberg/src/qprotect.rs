@@ -219,14 +219,7 @@ mod tests {
     /// A real packed factorization plus fully-absorbed protection.
     fn protected(n: usize, nb: usize, seed: u64) -> (Matrix, Vec<f64>, QProtection) {
         let mut a = ft_matrix::random::uniform(n, n, seed);
-        let tau = gehrd(
-            &mut a,
-            &GehrdConfig {
-                nb,
-                nx: 1,
-                lookahead: false,
-            },
-        );
+        let tau = gehrd(&mut a, &GehrdConfig { nb, nx: 1 });
         let mut q = QProtection::new(n);
         let mut k = 0;
         while k < n - 2 {

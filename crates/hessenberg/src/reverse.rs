@@ -65,36 +65,6 @@ pub fn right_update_trailing_ft(
     )
 }
 
-/// Dispatches [`right_update_trailing`] asynchronously onto pool workers,
-/// chunked by column. `trail` must be the extended-storage columns
-/// `k+ib ..= n` (all `n + 1` rows) — exactly the region the synchronous
-/// call writes. Bit-identical to the synchronous call: the GEMM's
-/// k-dimension (`ib ≤ nb`) fits one `KC` block, so every output element's
-/// reduction chain is independent of the column partition. The returned
-/// token must resolve before anything reads or writes the far region —
-/// the driver waits before the left update (which consumes the
-/// right-updated trailing columns) and hence before detection.
-pub(crate) fn dispatch_right_update_trailing<'s>(
-    trail: ft_matrix::MatViewMut<'s>,
-    ib: usize,
-    yx: &'s Matrix,
-    vx: &'s Matrix,
-    workers: usize,
-) -> ft_blas::AsyncHandle<'s> {
-    ft_blas::spawn_col_chunks(trail, workers, move |j0, mut chunk| {
-        let w = chunk.cols();
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            -1.0,
-            &yx.as_view(),
-            &vx.view(ib - 1 + j0, 0, w, ib),
-            1.0,
-            &mut chunk,
-        );
-    })
-}
-
 /// The panel-columns half of [`right_update_ext`] alone (Algorithm 3
 /// line 8 — the `M` update restricted to the rows above the panel).
 pub fn right_update_panel_top(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {

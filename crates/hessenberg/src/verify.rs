@@ -51,14 +51,7 @@ mod tests {
         let n = 48;
         let a = ft_matrix::random::uniform(n, n, 71);
         let mut packed = a.clone();
-        let tau = gehrd(
-            &mut packed,
-            &GehrdConfig {
-                nb: 8,
-                nx: 2,
-                lookahead: false,
-            },
-        );
+        let tau = gehrd(&mut packed, &GehrdConfig { nb: 8, nx: 2 });
         let f = HessFactorization { packed, tau };
         let r = ResidualReport::compute(&a, &f.q(), &f.h());
         assert!(r.acceptable(1e-14), "{r:?}");

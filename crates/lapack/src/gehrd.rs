@@ -10,25 +10,10 @@
 //!    Algorithm 1 line 3);
 //! 3. left-update the trailing matrix: `A ← A − V·Tᵀ·Vᵀ·A` (`DLARFB`,
 //!    Algorithm 1 line 4).
-//!
-//! # Lookahead pipeline (`FT_GEHRD_LOOKAHEAD`)
-//!
-//! With [`GehrdConfig::lookahead`] set, steps 2–3 are split at the next
-//! panel's right edge into a *near* update (the next panel's `nb`
-//! columns, applied synchronously — they are the critical path) and a
-//! *far* update (everything to its right), and the far part is dispatched
-//! asynchronously onto pool workers while the calling thread starts the
-//! next panel with [`crate::lahr2::lahr2_prefix`]. The far token is
-//! waited exactly at the next panel's first far-region read (the far
-//! segment of its first `Y` column), after which
-//! [`crate::lahr2::lahr2_finish`] completes the panel. The schedule is
-//! bit-identical to the sequential one by construction — see DESIGN.md
-//! §8.2 for the determinism contract and why the overlap window is
-//! bounded by the panel's own data dependencies.
 
 use crate::householder::{larf, ReflectSide};
-use crate::lahr2::{lahr2, lahr2_finish, lahr2_prefix, Panel};
-use ft_blas::{gemm, spawn_col_chunks, Side, Trans};
+use crate::lahr2::lahr2;
+use ft_blas::{gemm, Side, Trans};
 use ft_matrix::Matrix;
 
 /// Tuning knobs for the blocked reduction.
@@ -40,43 +25,20 @@ pub struct GehrdConfig {
     /// Crossover: trailing problems at most this large use the unblocked
     /// algorithm (LAPACK's `NX`).
     pub nx: usize,
-    /// Depth-1 lookahead: overlap each panel's far trailing update with
-    /// the next panel factorization (see the module docs). Defaults to
-    /// the `FT_GEHRD_LOOKAHEAD` environment knob; bit-identical to the
-    /// sequential schedule either way.
-    pub lookahead: bool,
 }
 
 impl Default for GehrdConfig {
     fn default() -> Self {
-        GehrdConfig {
-            nb: 32,
-            nx: 48,
-            lookahead: lookahead_from_env(),
-        }
+        GehrdConfig { nb: 32, nx: 48 }
     }
-}
-
-/// The `FT_GEHRD_LOOKAHEAD` environment knob (`1`/`true` enables).
-pub fn lookahead_from_env() -> bool {
-    ft_trace::env_knob::flag("FT_GEHRD_LOOKAHEAD")
 }
 
 impl GehrdConfig {
-    /// Config with a given panel width and the default crossover.
+    /// Config with a given panel width and no crossover (`nx = 0`;
+    /// [`Default`] uses 48).
     pub fn with_nb(nb: usize) -> Self {
         assert!(nb >= 1, "gehrd: nb must be positive");
-        GehrdConfig {
-            nb,
-            nx: 0,
-            lookahead: lookahead_from_env(),
-        }
-    }
-
-    /// Same config with lookahead forced on or off.
-    pub fn with_lookahead(mut self, on: bool) -> Self {
-        self.lookahead = on;
-        self
+        GehrdConfig { nb, nx: 0 }
     }
 }
 
@@ -116,26 +78,19 @@ pub fn gehrd(a: &mut Matrix, cfg: &GehrdConfig) -> Vec<f64> {
     let total = n - 2; // reflectors for columns 0..n-3
     let mut tau = vec![0.0; total];
     let mut k = 0;
-    // Panel already factorized inside the previous iteration's overlap
-    // window (lookahead only; always consumed by the very next panel).
-    let mut prefetched: Option<Panel> = None;
 
     while k < total {
         let remaining = total - k;
         // Fall back to unblocked for small remainders (latency-bound).
         if remaining <= cfg.nx.max(1) || cfg.nb == 1 {
-            debug_assert!(prefetched.is_none(), "tail cannot follow a lookahead panel");
             let _span = ft_trace::span!("gehrd.tail", k);
             unblocked_tail(a, k, &mut tau[k..]);
             break;
         }
         let ib = cfg.nb.min(remaining);
-        let panel = match prefetched.take() {
-            Some(p) => p,
-            None => {
-                let _span = ft_trace::span!("gehrd.panel", k);
-                lahr2(a, k, ib)
-            }
+        let panel = {
+            let _span = ft_trace::span!("gehrd.panel", k);
+            lahr2(a, k, ib)
         };
         let m = panel.m(); // n - k - 1
 
@@ -160,146 +115,32 @@ pub fn gehrd(a: &mut Matrix, cfg: &GehrdConfig) -> Vec<f64> {
         // A(k+1..n, k+ib..n) ← (I − V·T·Vᵀ)ᵀ · A(k+1..n, k+ib..n).
         let ntrail = n - k - ib;
         if ntrail > 0 {
-            // Width of the next blocked panel if the next iteration will
-            // factorize one (0 when the unblocked tail is next).
-            let k2 = k + ib;
-            let rem2 = total - k2;
-            let ib2 = if rem2 > cfg.nx.max(1) && cfg.nb > 1 {
-                cfg.nb.min(rem2)
-            } else {
-                0
-            };
-            if cfg.lookahead && ib2 > 0 && ntrail > ib2 {
-                lookahead_step(a, &panel, k, ib, ib2, &mut prefetched);
-            } else {
-                {
-                    let _span = ft_trace::span!("gehrd.right_update", k);
-                    gemm(
-                        Trans::No,
-                        Trans::Yes,
-                        -1.0,
-                        &panel.y.as_view(),
-                        &panel.v.view(ib - 1, 0, m - ib + 1, ib),
-                        1.0,
-                        &mut a.view_mut(0, k + ib, n, ntrail),
-                    );
-                }
-                let _span = ft_trace::span!("gehrd.left_update", k);
-                crate::wy::larfb(
-                    Side::Left,
+            {
+                let _span = ft_trace::span!("gehrd.right_update", k);
+                gemm(
+                    Trans::No,
                     Trans::Yes,
-                    &panel.v.as_view(),
-                    &panel.t.as_view(),
-                    &mut a.view_mut(k + 1, k + ib, m, ntrail),
+                    -1.0,
+                    &panel.y.as_view(),
+                    &panel.v.view(ib - 1, 0, m - ib + 1, ib),
+                    1.0,
+                    &mut a.view_mut(0, k + ib, n, ntrail),
                 );
             }
+            let _span = ft_trace::span!("gehrd.left_update", k);
+            crate::wy::larfb(
+                Side::Left,
+                Trans::Yes,
+                &panel.v.as_view(),
+                &panel.t.as_view(),
+                &mut a.view_mut(k + 1, k + ib, m, ntrail),
+            );
         }
 
         tau[k..k + ib].copy_from_slice(&panel.tau);
         k += ib;
     }
     tau
-}
-
-/// One pipelined iteration step: applies the near trailing update (the
-/// next panel's `ib2` columns) synchronously, dispatches the far update
-/// (everything right of the next panel) onto pool workers, factorizes the
-/// next panel's lookahead prefix while that runs, waits for the far token
-/// at the prefix's first far-region read, and finishes the next panel.
-///
-/// Bit-identity with the sequential schedule holds by construction:
-/// * both trailing updates are **column-separable** — the right-update
-///   GEMM's k-dimension (`ib ≤ nb`) fits one `KC` block and `larfb`
-///   computes `W`, `T·W` and `C −= V·W` independently per column of `C` —
-///   so splitting the columns into near + per-worker far chunks executes
-///   exactly the serial per-element reduction chains;
-/// * the panel itself runs the same code body in both schedules
-///   ([`lahr2_prefix`] + [`lahr2_finish`]), differing only in where
-///   column 0's `Y` GEMV splits its (order-preserving, ascending-column)
-///   accumulation.
-fn lookahead_step(
-    a: &mut Matrix,
-    panel: &Panel,
-    k: usize,
-    ib: usize,
-    ib2: usize,
-    prefetched: &mut Option<Panel>,
-) {
-    let n = a.rows();
-    let m = n - k - 1;
-    let k2 = k + ib;
-    let f = k2 + ib2; // far boundary: first column of the far update
-    let workers = ft_blas::current_backend().threads().max(1);
-    let (mut head, far) = a.as_view_mut().split_at_col(f);
-
-    // Dispatch the far update first so workers start immediately; the
-    // near update and the panel prefix overlap with it on this thread.
-    let (y, v, t) = (&panel.y, &panel.v, &panel.t);
-    let handle = {
-        let _span = ft_trace::span!("gehrd.far", k);
-        spawn_col_chunks(far, workers, move |j0, mut chunk| {
-            let w = chunk.cols();
-            let toff = ib2 + j0; // chunk start within the trailing columns
-            gemm(
-                Trans::No,
-                Trans::Yes,
-                -1.0,
-                &y.as_view(),
-                &v.view(ib - 1 + toff, 0, w, ib),
-                1.0,
-                &mut chunk,
-            );
-            crate::wy::larfb(
-                Side::Left,
-                Trans::Yes,
-                &v.as_view(),
-                &t.as_view(),
-                &mut chunk.subview_mut(k + 1, 0, m, w),
-            );
-        })
-    };
-
-    // Near update: the next panel's own columns, on the critical path.
-    {
-        let _span = ft_trace::span!("gehrd.near", k);
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            -1.0,
-            &panel.y.as_view(),
-            &panel.v.view(ib - 1, 0, ib2, ib),
-            1.0,
-            &mut head.subview_mut(0, k2, n, ib2),
-        );
-        crate::wy::larfb(
-            Side::Left,
-            Trans::Yes,
-            &panel.v.as_view(),
-            &panel.t.as_view(),
-            &mut head.subview_mut(k + 1, k2, m, ib2),
-        );
-    }
-
-    // The hidden work: the next panel's lookahead prefix reads only
-    // columns left of `f`.
-    let state = {
-        let _span = ft_trace::span!("gehrd.overlap", k2);
-        lahr2_prefix(head, n, k2, ib2, f)
-    };
-
-    // First far-region read is next — resolve the token here. The span
-    // duration is the pipeline stall (zero when the panel fully hid the
-    // far update).
-    {
-        let _span = ft_trace::span!("gehrd.far", k);
-        handle.wait();
-    }
-
-    let p2 = {
-        let _span = ft_trace::span!("gehrd.panel", k2);
-        lahr2_finish(a, state)
-    };
-    *prefetched = Some(p2);
 }
 
 /// Unblocked reduction of the remaining columns `k..n−2` (matches
@@ -504,14 +345,7 @@ mod tests {
         let tau_u = gehd2(&mut au);
 
         let mut ab = a0.clone();
-        let tau_b = gehrd(
-            &mut ab,
-            &GehrdConfig {
-                nb: 4,
-                nx: 1,
-                lookahead: false,
-            },
-        );
+        let tau_b = gehrd(&mut ab, &GehrdConfig { nb: 4, nx: 1 });
 
         for j in 0..n - 2 {
             assert!(
@@ -528,15 +362,7 @@ mod tests {
     fn residuals_small_various_sizes_and_blocks() {
         for &(n, nb) in &[(16usize, 4usize), (33, 8), (64, 32), (100, 32), (57, 7)] {
             let a0 = ft_matrix::random::uniform(n, n, n as u64 * 7 + nb as u64);
-            check(
-                &a0,
-                &GehrdConfig {
-                    nb,
-                    nx: 4,
-                    lookahead: false,
-                },
-                1e-14,
-            );
+            check(&a0, &GehrdConfig { nb, nx: 4 }, 1e-14);
         }
     }
 
@@ -549,15 +375,7 @@ mod tests {
     #[test]
     fn nb_larger_than_matrix() {
         let a0 = ft_matrix::random::uniform(10, 10, 41);
-        check(
-            &a0,
-            &GehrdConfig {
-                nb: 64,
-                nx: 1,
-                lookahead: false,
-            },
-            1e-13,
-        );
+        check(&a0, &GehrdConfig { nb: 64, nx: 1 }, 1e-13);
     }
 
     #[test]
@@ -565,14 +383,7 @@ mod tests {
         for &(n, nb) in &[(30usize, 8usize), (50, 16), (41, 7), (20, 64)] {
             let a0 = ft_matrix::random::uniform(n, n, (n + nb) as u64);
             let mut packed = a0.clone();
-            let tau = gehrd(
-                &mut packed,
-                &GehrdConfig {
-                    nb: 8,
-                    nx: 2,
-                    lookahead: false,
-                },
-            );
+            let tau = gehrd(&mut packed, &GehrdConfig { nb: 8, nx: 2 });
             let q1 = form_q(&packed, &tau);
             let q2 = form_q_blocked(&packed, &tau, nb);
             let diff = ft_matrix::max_abs_diff(&q1, &q2);
@@ -594,54 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_bit_identical_to_sequential() {
-        // The pipelined schedule must reproduce the sequential bits
-        // exactly, including tail/partial-panel shapes.
-        for &(n, nb, nx) in &[
-            (64usize, 8usize, 4usize),
-            (100, 32, 48),
-            (57, 7, 4),
-            (33, 8, 1),
-            (24, 4, 12),
-        ] {
-            let a0 = ft_matrix::random::uniform(n, n, n as u64 * 13 + nb as u64);
-            let mut a_seq = a0.clone();
-            let mut a_la = a0.clone();
-            let base = GehrdConfig {
-                nb,
-                nx,
-                lookahead: false,
-            };
-            let tau_seq = gehrd(&mut a_seq, &base);
-            let tau_la = gehrd(&mut a_la, &base.with_lookahead(true));
-            assert_eq!(tau_seq, tau_la, "n={n} nb={nb} nx={nx}: tau differs");
-            for j in 0..n {
-                for i in 0..n {
-                    assert_eq!(
-                        a_seq[(i, j)].to_bits(),
-                        a_la[(i, j)].to_bits(),
-                        "n={n} nb={nb} nx={nx}: packed ({i},{j}) differs: {} vs {}",
-                        a_seq[(i, j)],
-                        a_la[(i, j)]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn symmetric_input_gives_tridiagonal_h() {
         // Hessenberg form of a symmetric matrix is symmetric tridiagonal.
         let a0 = ft_matrix::random::symmetric(24, 8);
         let mut a = a0.clone();
-        let tau = gehrd(
-            &mut a,
-            &GehrdConfig {
-                nb: 8,
-                nx: 2,
-                lookahead: false,
-            },
-        );
+        let tau = gehrd(&mut a, &GehrdConfig { nb: 8, nx: 2 });
         let f = HessFactorization { packed: a, tau };
         let h = f.h();
         for j in 0..24 {

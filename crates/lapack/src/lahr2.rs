@@ -19,7 +19,7 @@
 
 use crate::householder::larfg;
 use ft_blas::{gemm, gemv, scal, trmm, trmv, Diag, Side, Trans, Uplo};
-use ft_matrix::{MatViewMut, Matrix};
+use ft_matrix::Matrix;
 
 /// Output of one panel factorization.
 #[derive(Clone, Debug)]
@@ -65,71 +65,15 @@ pub fn lahr2(a: &mut Matrix, k: usize, ib: usize) -> Panel {
 /// matrix — used by the fault-tolerant driver, whose working matrix
 /// carries an extra checksum row and column that the panel factorization
 /// must not see.
-///
-/// This is exactly [`lahr2_prefix`] with nothing deferred (`far = n`)
-/// followed by [`lahr2_finish`]: the sequential and lookahead schedules
-/// share one code body, which is what makes their bit-identity hold by
-/// construction.
 pub fn lahr2_within(a: &mut Matrix, n: usize, k: usize, ib: usize) -> Panel {
-    let state = lahr2_prefix(a.as_view_mut(), n, k, ib, n);
-    lahr2_finish(a, state)
-}
-
-/// Panel state between [`lahr2_prefix`] and [`lahr2_finish`]: column 0 of
-/// the panel is reduced and its `Y` column holds the partial `A·v₀`
-/// accumulated over the matrix columns left of `far`; every operation
-/// that reads columns `far..n` is deferred to the finish phase. The state
-/// owns all panel storage and scratch — it borrows nothing from `A`, so
-/// the caller is free to mutate columns `far..n` (the in-flight far
-/// update) while holding it.
-pub struct PanelInProgress {
-    v: Matrix,
-    t: Matrix,
-    y: Matrix,
-    tau: Vec<f64>,
-    b: Vec<f64>,
-    vrow: Vec<f64>,
-    w: Vec<f64>,
-    w2: Vec<f64>,
-    n: usize,
-    k: usize,
-    ib: usize,
-    far: usize,
-}
-
-/// The lookahead half-step of the panel factorization: reduces panel
-/// column 0 and accumulates the *near* segment of its `Y` column — every
-/// read it performs lands strictly left of column `far`, so it can run
-/// while pool workers are still applying the previous panel's far
-/// trailing update to columns `far..n`. `head` must be a view whose
-/// columns cover at least `0..far` of the logical matrix (global row and
-/// column indices are preserved; pass the full matrix view with
-/// `far = n` for the sequential schedule).
-///
-/// The depth of this prefix is a structural property of the Hessenberg
-/// panel, not an implementation choice: column `j ≥ 1` of the panel needs
-/// `Y(:, j−1)`, whose computation reads **every** trailing column of `A`
-/// (see DESIGN.md §8.2) — so column 0's near work is all the panel
-/// factorization that exists left of the far boundary.
-pub fn lahr2_prefix(
-    mut head: MatViewMut<'_>,
-    n: usize,
-    k: usize,
-    ib: usize,
-    far: usize,
-) -> PanelInProgress {
     let _span = ft_trace::span!("lahr2", k);
     assert!(
-        head.rows() >= n && head.cols() >= far,
-        "lahr2_prefix: view smaller than the promised near region"
+        a.rows() >= n && a.cols() >= n,
+        "lahr2_within: storage smaller than logical n"
     );
     assert!(
         k + 1 < n,
         "lahr2: panel start {k} leaves no sub-diagonal rows"
-    );
-    assert!(
-        k < far && far <= n,
-        "lahr2_prefix: far boundary {far} outside (k, n] for k={k}, n={n}"
     );
     let m = n - k - 1;
     assert!(
@@ -138,7 +82,7 @@ pub fn lahr2_prefix(
     );
 
     let mut v = Matrix::zeros(m, ib);
-    let t = Matrix::zeros(ib, ib);
+    let mut t = Matrix::zeros(ib, ib);
     let mut y = Matrix::zeros(n, ib);
     let mut tau = vec![0.0; ib];
     let mut b = vec![0.0; m];
@@ -146,13 +90,13 @@ pub fn lahr2_prefix(
     // allocations (sliced to length j per iteration; the gemv calls that
     // fill them use beta = 0, i.e. overwrite semantics, so reuse cannot
     // leak values between iterations).
-    let vrow = vec![0.0; ib];
-    let w = vec![0.0; ib];
-    let w2 = vec![0.0; ib];
+    let mut vrow = vec![0.0; ib];
+    let mut w = vec![0.0; ib];
+    let mut w2 = vec![0.0; ib];
 
     // Column 0 of the panel (j = 0: no right/left updates from previous
     // reflectors exist yet). Global column k, reflector rows k+1..n.
-    b.copy_from_slice(&head.col(k)[k + 1..n]);
+    b.copy_from_slice(&a.col(k)[k + 1..n]);
 
     // Generate the reflector annihilating b[1..].
     let alpha = b[0];
@@ -167,89 +111,22 @@ pub fn lahr2_prefix(
     // Write the finished column back (LAPACK storage): β on the
     // sub-diagonal, reflector tail below it.
     {
-        let col = head.col_mut(k);
+        let col = a.col_mut(k);
         col[k + 1] = refl.beta;
         col[k + 2..n].copy_from_slice(&b[1..]);
     }
 
-    // Near segment of Y(k+1.., 0) = A(k+1.., k+1..far)·v₀[..far−k−1]:
-    // the leading columns of the full gemv, accumulated in the exact
-    // per-element order the unsplit call uses (ascending columns), so
-    // finishing with the far segment under beta = 1 reproduces the
-    // sequential bits.
+    // Y(k+1.., 0) = τ₀·A(k+1.., k+1..n)·v₀;  T(0, 0) = τ₀.
     {
-        let near_w = far - k - 1;
-        let vtail = &v.col(0)[..m];
         let yj = &mut y.col_mut(0)[k + 1..n];
         gemv(
             Trans::No,
             1.0,
-            &head.as_view().subview(k + 1, k + 1, m, near_w),
-            &vtail[..near_w],
+            &a.view(k + 1, k + 1, m, m),
+            &v.col(0)[..m],
             0.0,
             yj,
         );
-    }
-
-    PanelInProgress {
-        v,
-        t,
-        y,
-        tau,
-        b,
-        vrow,
-        w,
-        w2,
-        n,
-        k,
-        ib,
-        far,
-    }
-}
-
-/// Completes a panel begun by [`lahr2_prefix`] once columns `far..n` are
-/// fully updated again: folds the far segment into column 0's `Y`, then
-/// reduces panel columns `1..ib` and assembles `T` and the top rows of
-/// `Y` exactly as the sequential code does.
-pub fn lahr2_finish(a: &mut Matrix, state: PanelInProgress) -> Panel {
-    let PanelInProgress {
-        mut v,
-        mut t,
-        mut y,
-        mut tau,
-        mut b,
-        mut vrow,
-        mut w,
-        mut w2,
-        n,
-        k,
-        ib,
-        far,
-    } = state;
-    let _span = ft_trace::span!("lahr2", k);
-    assert!(
-        a.rows() >= n && a.cols() >= n,
-        "lahr2_within: storage smaller than logical n"
-    );
-    let m = n - k - 1;
-
-    // Far segment of Y(k+1.., 0), then the tail of the j = 0 iteration
-    // (scale by τ₀ and seed T). With far = n the far gemv is empty and
-    // this is byte-for-byte the sequential column-0 epilogue.
-    {
-        let near_w = far - k - 1;
-        let vtail = &v.col(0)[..m];
-        let yj = &mut y.col_mut(0)[k + 1..n];
-        if near_w < m {
-            gemv(
-                Trans::No,
-                1.0,
-                &a.view(k + 1, far, m, n - far),
-                &vtail[near_w..],
-                1.0,
-                yj,
-            );
-        }
         scal(tau[0], yj);
         t[(0, 0)] = tau[0];
     }

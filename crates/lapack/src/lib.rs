@@ -41,13 +41,11 @@ pub mod wy;
 
 pub use balance::{balance, Balance};
 pub use gehd2::gehd2;
-pub use gehrd::{
-    extract_h, form_q, form_q_blocked, gehrd, lookahead_from_env, GehrdConfig, HessFactorization,
-};
+pub use gehrd::{extract_h, form_q, form_q_blocked, gehrd, GehrdConfig, HessFactorization};
 pub use geqrf::{form_q_qr, geqrf, random_orthogonal};
 pub use householder::{larf, larfg};
 pub use hseqr::{eigenvalues_hessenberg, Eigenvalue};
-pub use lahr2::{lahr2, lahr2_finish, lahr2_prefix, lahr2_within, Panel, PanelInProgress};
+pub use lahr2::{lahr2, lahr2_within, Panel};
 pub use schur::{real_schur, SchurDecomposition};
 pub use wy::{larfb, larft};
 pub mod sytrd;

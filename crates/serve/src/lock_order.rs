@@ -6,8 +6,7 @@
 //! enforces both halves statically: an unlisted `Mutex` declaration
 //! fails the build, and so does any function body that acquires against
 //! the declared order. The loom models (`DESIGN.md` §11.2 —
-//! `loom_queue`, `loom_oneshot`, `loom_latch`, `loom_async_dispatch`,
-//! `loom_recorder`) check the dynamic side of the same invariant; this
+//! `loom_queue`, `loom_oneshot`, `loom_latch`, `loom_recorder`) check the dynamic side of the same invariant; this
 //! table is the piece they cannot see: the *cross-component* order when
 //! one thread holds locks from two components at once.
 //!

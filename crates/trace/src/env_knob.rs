@@ -24,12 +24,11 @@ pub const KNOBS: &[(&str, &str)] = &[
     ),
     (
         "FT_BLAS_BACKEND",
-        "force the GEMM backend (`naive`/`blocked`/`ft`)",
+        "BLAS execution backend (`serial`/`threaded`/`threaded:N`/`threaded:auto`)",
     ),
-    ("FT_BLAS_SIMD", "cap microkernel ISA (`scalar`/`avx2`)"),
     (
-        "FT_GEHRD_LOOKAHEAD",
-        "panel lookahead depth for pipelined gehrd",
+        "FT_BLAS_SIMD",
+        "microkernel ISA path (`auto`/`avx2`/`portable`; `scalar` aliases `portable`)",
     ),
     ("FT_SERVE_BACKEND", "default backend for submitted jobs"),
     (
@@ -42,7 +41,10 @@ pub const KNOBS: &[(&str, &str)] = &[
     ),
     ("FT_SERVE_QUEUE_CAP", "bounded admission-queue capacity"),
     ("FT_SERVE_WORKERS", "executor worker-thread count"),
-    ("FT_TRACE", "enable stderr trace output"),
+    (
+        "FT_TRACE",
+        "trace sink (`summary`/`jsonl:PATH`/`chrome:PATH`/`prom:PATH`)",
+    ),
     (
         "FT_TRACE_RECORDER",
         "flight-recorder ring capacity (events)",

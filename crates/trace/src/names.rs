@@ -19,7 +19,6 @@ pub const COUNTERS: &[&str] = &[
     "ft.corrections",
     "ft.recoveries",
     "pool.dispatch",
-    "pool.dispatch_async",
     "pool.inline_fallback",
     "pool.spawn",
     "serve.canceled",
@@ -36,7 +35,6 @@ pub const COUNTERS: &[&str] = &[
 /// Every gauge name the workspace records. The `serve.queue_depth_*`
 /// family is per priority lane; bare `serve.queue_depth` is the total.
 pub const GAUGES: &[&str] = &[
-    "pool.async_inflight",
     "serve.in_flight",
     "serve.queue_depth",
     "serve.queue_depth_high",
@@ -75,10 +73,7 @@ pub const SPANS: &[&str] = &[
     "ft.qprotect",
     "ft.reverse",
     "ft.trailing",
-    "gehrd.far",
     "gehrd.left_update",
-    "gehrd.near",
-    "gehrd.overlap",
     "gehrd.panel",
     "gehrd.right_update",
     "gehrd.tail",

@@ -21,14 +21,7 @@ fn hybrid_matches_cpu_blocked_across_configs() {
         .result
         .unwrap();
         let mut cpu = a.clone();
-        let cpu_tau = gehrd(
-            &mut cpu,
-            &GehrdConfig {
-                nb,
-                nx: 1,
-                lookahead: false,
-            },
-        );
+        let cpu_tau = gehrd(&mut cpu, &GehrdConfig { nb, nx: 1 });
         let diff = ft_hess_repro::matrix::max_abs_diff(&hybrid.packed, &cpu);
         assert!(diff < 1e-11, "n={n} nb={nb}: packed diff {diff}");
         for (x, y) in hybrid.tau.iter().zip(&cpu_tau) {
