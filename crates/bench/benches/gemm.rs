@@ -170,7 +170,84 @@ fn bench_gemm_backends(c: &mut Criterion) {
         records.push(abft_overhead_record(n, iters));
     }
     records.push(dispatch_overhead_record());
+    records.extend(gemm_shape_records());
     write_bench_json("gemm", &records);
+}
+
+/// Serial GEMM throughput at the shapes FT `gehrd` issues, where per-call
+/// costs (packing, pack-buffer checkout) weigh far more than in a square
+/// benchmark: `(m, n, k, transa, transb)`.
+const GEHRD_SHAPES: &[(usize, usize, usize, Trans, Trans)] = &[
+    // Panel top at n = 256, nb = 32, k = 128: `Y·Vᵀ`, almost no flops.
+    (129, 31, 32, Trans::No, Trans::Yes),
+    // Trailing update at n = 256, nb = 32: `Yx·Vxᵀ`.
+    (257, 224, 32, Trans::No, Trans::Yes),
+    // `W = Vᵀ·A` of the left update at n = 256, nb = 32.
+    (32, 225, 255, Trans::Yes, Trans::No),
+    // Trailing update at n = 1024, nb = 64.
+    (1025, 961, 64, Trans::No, Trans::Yes),
+];
+
+/// One `gemm_shape` record per [`GEHRD_SHAPES`] entry: serial GFLOP/s
+/// from the per-call minimum, the shapes timed in strict rotation (the
+/// `abft_overhead_record` method, so drift lands on every shape alike).
+fn gemm_shape_records() -> Vec<Record> {
+    let iters = if smoke() { 3 } else { 50 };
+    let mut cases: Vec<(Matrix, Matrix, Matrix, f64)> = GEHRD_SHAPES
+        .iter()
+        .map(|&(m, n, k, ta, tb)| {
+            let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+            let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+            let a = ft_matrix::random::uniform(ar, ac, 7);
+            let b = ft_matrix::random::uniform(br, bc, 8);
+            (a, b, Matrix::zeros(m, n), f64::INFINITY)
+        })
+        .collect();
+    with_backend(Backend::Serial, || {
+        // One untimed round warms the workspace arena.
+        for round in 0..=iters {
+            for (&(_, _, _, ta, tb), (a, b, c, best)) in GEHRD_SHAPES.iter().zip(&mut cases) {
+                let t0 = Instant::now();
+                gemm(
+                    ta,
+                    tb,
+                    -1.0,
+                    &a.as_view(),
+                    &b.as_view(),
+                    1.0,
+                    &mut c.as_view_mut(),
+                );
+                let dt = t0.elapsed().as_secs_f64();
+                std::hint::black_box(c.as_slice()[0]);
+                if round > 0 {
+                    *best = best.min(dt);
+                }
+            }
+        }
+    });
+    GEHRD_SHAPES
+        .iter()
+        .zip(&cases)
+        .map(|(&(m, n, k, ta, tb), (_, _, _, best))| {
+            let gflops = 2.0 * (m * n * k) as f64 / best / 1e9;
+            println!(
+                "gemm shape {m}x{n}x{k} {ta:?}/{tb:?}: {:.1} us, {gflops:.1} GFLOP/s (serial)",
+                best * 1e6
+            );
+            Record::new()
+                .str("kind", "gemm_shape")
+                .int("m", m as u64)
+                .int("n", n as u64)
+                .int("k", k as u64)
+                .str("transa", &format!("{ta:?}"))
+                .str("transb", &format!("{tb:?}"))
+                .num("serial_us", best * 1e6)
+                .num("serial_gflops", gflops)
+                .str("isa", active_simd_path())
+                .int("cores", cores())
+                .bool("smoke", smoke())
+        })
+        .collect()
 }
 
 /// Measures the fused online-ABFT kernel against the plain path at the

@@ -194,10 +194,10 @@ impl<'s> AbftSink<'s> {
     #[inline(always)]
     fn scale_and_base_body(&mut self, beta: f64, c: &mut MatViewMut<'_>) {
         if beta == 0.0 {
-            // Base sums are identically zero (the aggregate scratch is
-            // checked out zero-filled), so only `C` needs clearing.
+            // Base sums are identically zero (`gemm_ft_with_inject`
+            // zero-fills the aggregate scratch), so only `C` needs
+            // clearing.
             c.fill(0.0);
-            self.colbase.fill(0.0);
             return;
         }
         for j in 0..c.cols() {
@@ -705,8 +705,10 @@ pub fn gemm_ft_with_inject(
     // One scratch checkout holds every aggregate: three `n`-length column
     // arrays (base / new / predicted) followed by three `m`-length row
     // arrays *per band* (row sums are partial per band and reduced
-    // serially afterwards).
+    // serially afterwards). Arena contents are unspecified and every
+    // aggregate accumulates with `+=`, so zero it here.
     let mut ws = workspace::scratch(3 * n + 3 * bands * m);
+    ws.fill(0.0);
     {
         let (colws, rowws) = ws.split_at_mut(3 * n);
         let (colbase_all, colrest) = colws.split_at_mut(n);

@@ -19,8 +19,10 @@ use ft_matrix::{MatView, MatViewMut};
 
 /// Cache-blocking parameters (tuned for a ~32 KiB L1 / 256 KiB L2 class
 /// core). The register tile is `MR × NR` (see [`super::microkernel`]): the
-/// packed `A` block (`MC × KC` ≈ 256 KiB) targets L2, the `B` panel slice
-/// in flight stays L1-resident.
+/// packed `A` block (at most `MC × KC` ≈ 256 KiB) targets L2, the `B` panel
+/// slice in flight stays L1-resident. These are upper bounds: each call's
+/// pack buffers are sized to the largest block it actually packs
+/// (`min(MC, m)` rounded up to `MR`, by `min(KC, k)`; likewise for `B`).
 pub(super) const MC: usize = 128;
 pub(super) const KC: usize = 256;
 pub(super) const NC: usize = 1024;
@@ -308,9 +310,12 @@ pub(super) fn gemm_block_serial(
     // Pack buffers come from the thread-local workspace arena: allocated
     // once per thread, reused by every subsequent call (each pool worker
     // owns its own arena, so the threaded path packs per macro-tile with
-    // zero steady-state allocation).
-    let mut abuf = workspace::scratch(MC.div_ceil(MR) * MR * KC);
-    let mut bbuf = workspace::scratch(NC.div_ceil(NR) * NR * KC);
+    // zero steady-state allocation). They are sized to the largest block
+    // this call packs, and their stale contents are never read: packing
+    // writes every element the microkernel and the ABFT sums touch.
+    let (mb, nb, kb) = (MC.min(m), NC.min(n), KC.min(k));
+    let mut abuf = workspace::scratch(mb.div_ceil(MR) * MR * kb);
+    let mut bbuf = workspace::scratch(nb.div_ceil(NR) * NR * kb);
 
     let last_pc = (k - 1) / KC * KC;
     for jc in (0..n).step_by(NC) {

@@ -1,19 +1,23 @@
 //! Thread-local workspace arena for kernel scratch buffers.
 //!
-//! The packed GEMM allocated its A/B pack buffers with `vec!` on **every**
-//! call — ~2.3 MiB of fresh pages per kernel, ~n/nb times per Hessenberg
-//! panel sweep. This arena keeps a small per-thread cache of `f64` buffers
-//! that are checked out for the duration of one kernel and returned on
-//! drop, so after warm-up the hot path performs **zero heap allocations**:
-//! the same pages (already faulted in, already in cache) are reused across
-//! the whole factorization. Pool workers (see [`crate::pool`]) each own
-//! their own cache, so no locking is involved anywhere.
+//! The packed GEMM needs A/B pack buffers on **every** call, ~n/nb times
+//! per Hessenberg panel sweep. This arena keeps a small per-thread cache of
+//! `f64` buffers that are checked out for the duration of one kernel and
+//! returned on drop, so after warm-up the hot path performs **zero heap
+//! allocations**: the same pages (already faulted in, already in cache) are
+//! reused across the whole factorization. Pool workers (see
+//! [`crate::pool`]) each own their own cache, so no locking is involved
+//! anywhere.
 //!
-//! Buffer contents are zeroed at checkout. Reuse therefore cannot leak one
-//! kernel's data into the next, and — more importantly for this codebase —
-//! cannot perturb results: a scratch checkout behaves exactly like the
-//! `vec![0.0; len]` it replaces, keeping the backend bit-identity contract
-//! trivially intact.
+//! **Contents are unspecified at checkout.** A checkout hands back a
+//! cached buffer viewed at the requested length; whatever an earlier
+//! kernel left there is still there, and only storage the buffer has to
+//! grow by is zero-filled (safe Rust has no uninitialized `f64`s). Every
+//! caller initializes what it reads: GEMM's `pack_a`/`pack_b` write every
+//! element the microkernel and the ABFT sums read, padding included, and
+//! the ABFT aggregate checkout zero-fills itself. Results therefore never
+//! depend on what a previous kernel left behind, which keeps the backend
+//! bit-identity contract intact.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -45,21 +49,25 @@ pub fn growth_allocations() -> u64 {
 }
 
 /// A checked-out scratch buffer; dereferences to `[f64]` of the requested
-/// length, zero-filled. Returns its storage to the thread's cache on drop.
+/// length with unspecified contents (the caller initializes what it
+/// reads). Returns its storage to the thread's cache on drop.
 pub struct Scratch {
+    /// The cached storage at its full initialized length, which never
+    /// shrinks, so a later larger checkout does not re-zero it.
     buf: Vec<f64>,
+    len: usize,
 }
 
 impl Deref for Scratch {
     type Target = [f64];
     fn deref(&self) -> &[f64] {
-        &self.buf
+        &self.buf[..self.len]
     }
 }
 
 impl DerefMut for Scratch {
     fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.buf
+        &mut self.buf[..self.len]
     }
 }
 
@@ -75,26 +83,34 @@ impl Drop for Scratch {
     }
 }
 
-/// Checks out a zero-filled scratch buffer of exactly `len` elements from
-/// the calling thread's arena, allocating only if no cached buffer has the
-/// capacity (counted by [`growth_allocations`]).
+/// Checks out a scratch buffer of exactly `len` elements from the calling
+/// thread's arena. Its contents are unspecified: it is the cached buffer
+/// viewed at `len`, zero-filled only where it had to grow. Allocates only
+/// if no cached buffer has the capacity (counted by
+/// [`growth_allocations`]).
 pub fn scratch(len: usize) -> Scratch {
-    // Prefer the cached buffer with the largest capacity so differently
-    // sized checkouts converge onto a stable set of buffers instead of
-    // repeatedly growing small ones.
+    // Best fit: the shortest cached buffer that already holds `len`, else
+    // the longest one (which then grows). Small checkouts leave the long
+    // buffers to the long checkouts, so one pass over a mix of sizes
+    // settles the cache and a repeat of the mix allocates nothing.
     let mut buf = CACHE
         .with(|c| {
             let mut cache = c.borrow_mut();
-            let best = (0..cache.len()).max_by_key(|&i| cache[i].capacity())?;
+            let lens = |i: &usize| cache[*i].len();
+            let best = (0..cache.len())
+                .filter(|i| lens(i) >= len)
+                .min_by_key(lens)
+                .or_else(|| (0..cache.len()).max_by_key(lens))?;
             Some(cache.swap_remove(best))
         })
         .unwrap_or_default();
-    if buf.capacity() < len {
-        growth_counter().incr();
+    if buf.len() < len {
+        if buf.capacity() < len {
+            growth_counter().incr();
+        }
+        buf.resize(len, 0.0);
     }
-    buf.clear();
-    buf.resize(len, 0.0);
-    Scratch { buf }
+    Scratch { buf, len }
 }
 
 #[cfg(test)]
@@ -102,16 +118,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scratch_is_zeroed_and_sized() {
+    fn scratch_is_sized_and_reuse_does_not_grow() {
+        let warm = {
+            let mut s = scratch(64);
+            assert_eq!(s.len(), 64);
+            s.fill(1.0);
+            s.as_ptr()
+        };
+        // A smaller checkout reuses the warm buffer at the right length,
+        // and the storage keeps its full length, so the next larger
+        // checkout gets the same allocation back. (Pointer identity
+        // rather than the process-global growth counter, which tests on
+        // other threads also move.)
         {
-            let mut s = scratch(16);
+            let s = scratch(16);
             assert_eq!(s.len(), 16);
-            assert!(s.iter().all(|&v| v == 0.0));
-            s[3] = 42.0;
+            assert_eq!(s.as_ptr(), warm, "a smaller checkout reuses the buffer");
         }
-        // The dirty buffer comes back zeroed.
-        let s = scratch(16);
-        assert!(s.iter().all(|&v| v == 0.0));
+        let s = scratch(64);
+        assert_eq!(s.len(), 64);
+        assert_eq!(s.as_ptr(), warm, "a reused buffer must not regrow");
     }
 
     #[test]

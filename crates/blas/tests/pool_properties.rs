@@ -332,5 +332,61 @@ fn workspace_reaches_steady_state_across_kernels() {
             before,
             "steady-state gemm calls must not grow the workspace arena"
         );
+
+        // Pack buffers are sized per call, so a mix of shapes must still
+        // converge: after one sweep of the FT driver's GEMM shapes, a
+        // second sweep allocates nothing.
+        gehrd_gemm_sweep(256, 32);
+        let before = workspace::growth_allocations();
+        gehrd_gemm_sweep(256, 32);
+        assert_eq!(
+            workspace::growth_allocations(),
+            before,
+            "a repeated sweep of FT gehrd's GEMM shapes must not regrow pack buffers"
+        );
     });
+}
+
+/// The GEMMs one FT `gehrd` run at order `n`, block `nb` issues, in
+/// driver order (sizes decrease as the panel moves right): per panel `k`
+/// of width `ib`, with `m = n−k−1` and `jcount = m−ib+2`,
+/// * panel top: `(k+1) × (ib−1) × ib`, `Y·Vᵀ`;
+/// * trailing: `(n+1) × jcount × ib`, `Yx·Vxᵀ`;
+/// * `W = Vᵀ·A`: `ib × jcount × m`;
+/// * left apply: `(m+1) × jcount × ib`, `Vx·W₂`.
+fn gehrd_gemm_sweep(n: usize, nb: usize) {
+    let run = |ta: Trans, tb: Trans, m: usize, cols: usize, k: usize| {
+        let (ar, ac) = match ta {
+            Trans::No => (m, k),
+            Trans::Yes => (k, m),
+        };
+        let (br, bc) = match tb {
+            Trans::No => (k, cols),
+            Trans::Yes => (cols, k),
+        };
+        let a = ft_matrix::random::uniform(ar, ac, 31);
+        let b = ft_matrix::random::uniform(br, bc, 32);
+        let mut c = ft_matrix::random::uniform(m, cols, 33);
+        gemm(
+            ta,
+            tb,
+            -1.0,
+            &a.as_view(),
+            &b.as_view(),
+            1.0,
+            &mut c.as_view_mut(),
+        );
+    };
+    let total = n - 2;
+    let mut k = 0;
+    while k < total {
+        let ib = nb.min(total - k);
+        let m = n - k - 1;
+        let jcount = m - ib + 2;
+        run(Trans::No, Trans::Yes, k + 1, ib - 1, ib);
+        run(Trans::No, Trans::Yes, n + 1, jcount, ib);
+        run(Trans::Yes, Trans::No, ib, jcount, m);
+        run(Trans::No, Trans::No, m + 1, jcount, ib);
+        k += ib;
+    }
 }
