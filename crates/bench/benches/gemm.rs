@@ -5,10 +5,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ft_bench::{write_bench_json, Record};
 use ft_blas::{
-    active_simd_path, gemm, gemm_ft, gemm_with_algo, pool, with_backend, AbftOptions, Backend,
-    GemmAlgo, Trans,
+    active_simd_path, gemm, gemm_ft, gemm_with_algo, gemv, pool, trmm, with_backend, AbftOptions,
+    Backend, Diag, GemmAlgo, Side, Trans, Uplo,
 };
-use ft_matrix::Matrix;
+use ft_matrix::{MatViewMut, Matrix};
 use std::time::Instant;
 
 use ft_bench::smoke;
@@ -171,6 +171,7 @@ fn bench_gemm_backends(c: &mut Criterion) {
     }
     records.push(dispatch_overhead_record());
     records.extend(gemm_shape_records());
+    records.extend(level2_shape_records());
     write_bench_json("gemm", &records);
 }
 
@@ -250,6 +251,142 @@ fn gemm_shape_records() -> Vec<Record> {
         .collect()
 }
 
+/// A level-2 or `trmm` call of FT `gehrd`.
+#[derive(Clone, Copy)]
+enum Level2Op {
+    /// `y ← α·op(A)·x + β·y` with `A` `m × n`: `(trans, alpha, beta)`.
+    Gemv(Trans, f64, f64),
+    /// The left update's `W ← Tᵀ·W`, `T` `m × m` upper triangular and
+    /// `W` `m × n`.
+    TrmmLeftUpperTrans,
+}
+
+/// The level-2 and `trmm` calls of FT `gehrd` at their n = 256, nb = 32
+/// shapes (and the n = 1024 panel's `Vᵀ·b`): `(op, m, n)`.
+const LEVEL2_SHAPES: &[(Level2Op, usize, usize)] = &[
+    // `lahr2`'s `A·v` over the trailing columns.
+    (Level2Op::Gemv(Trans::No, 1.0, 0.0), 255, 224),
+    // `lahr2`'s right update of the current column, `b −= Y·vrow`.
+    (Level2Op::Gemv(Trans::No, -1.0, 1.0), 223, 16),
+    // `lahr2`'s `Vᵀ·b` at n = 256 and n = 1024.
+    (Level2Op::Gemv(Trans::Yes, 1.0, 0.0), 223, 16),
+    (Level2Op::Gemv(Trans::Yes, 1.0, 0.0), 991, 32),
+    // The left update's `W₂ = Tᵀ·W`.
+    (Level2Op::TrmmLeftUpperTrans, 32, 225),
+];
+
+/// The operands of one [`LEVEL2_SHAPES`] entry and its best time.
+struct Level2Case {
+    a: Matrix,
+    x: Vec<f64>,
+    /// The output, reset to `out0` before every call.
+    out: Vec<f64>,
+    out0: Vec<f64>,
+    best: f64,
+}
+
+/// One `level2_shape` record per [`LEVEL2_SHAPES`] entry: the serial
+/// per-call minimum with the shapes timed in strict rotation, as GB/s
+/// for the memory-bound GEMVs (bytes from the shape: `A` and `x` read,
+/// `y` read and written) and GFLOP/s for `trmm`.
+fn level2_shape_records() -> Vec<Record> {
+    let iters = if smoke() { 3 } else { 200 };
+    let mut cases: Vec<Level2Case> = LEVEL2_SHAPES
+        .iter()
+        .map(|&(op, m, n)| {
+            let (acols, xlen, outlen) = match op {
+                Level2Op::Gemv(Trans::No, ..) => (n, n, m),
+                Level2Op::Gemv(Trans::Yes, ..) => (n, m, n),
+                Level2Op::TrmmLeftUpperTrans => (m, 0, m * n),
+            };
+            let out0 = ft_matrix::random::uniform(outlen, 1, 11).into_vec();
+            Level2Case {
+                a: ft_matrix::random::uniform(m, acols, 9),
+                x: ft_matrix::random::uniform(xlen, 1, 10).into_vec(),
+                out: out0.clone(),
+                out0,
+                best: f64::INFINITY,
+            }
+        })
+        .collect();
+    with_backend(Backend::Serial, || {
+        // One untimed round warms the workspace arena.
+        for round in 0..=iters {
+            for (&(op, m, n), c) in LEVEL2_SHAPES.iter().zip(&mut cases) {
+                let Level2Case {
+                    a,
+                    x,
+                    out,
+                    out0,
+                    best,
+                } = c;
+                // Every call starts from the same output, which keeps
+                // `trmm`'s in-place product bounded.
+                out.copy_from_slice(out0);
+                let t0 = Instant::now();
+                match op {
+                    Level2Op::Gemv(trans, alpha, beta) => {
+                        gemv(trans, alpha, &a.as_view(), x, beta, out)
+                    }
+                    Level2Op::TrmmLeftUpperTrans => trmm(
+                        Side::Left,
+                        Uplo::Upper,
+                        Trans::Yes,
+                        Diag::NonUnit,
+                        1.0,
+                        &a.as_view(),
+                        &mut MatViewMut::new(out, m, n, m),
+                    ),
+                }
+                let dt = t0.elapsed().as_secs_f64();
+                std::hint::black_box(out[0]);
+                if round > 0 {
+                    *best = best.min(dt);
+                }
+            }
+        }
+    });
+    LEVEL2_SHAPES
+        .iter()
+        .zip(&cases)
+        .map(
+            |(
+                &(op, m, n),
+                Level2Case {
+                    a, x, out, best, ..
+                },
+            )| {
+                let (label, value, key, unit) = match op {
+                    Level2Op::Gemv(trans, ..) => {
+                        let bytes = 8 * (a.rows() * a.cols() + x.len() + 2 * out.len());
+                        let label = if trans == Trans::No { "gemv" } else { "gemv_t" };
+                        (label, bytes as f64 / best / 1e9, "serial_gbs", "GB/s")
+                    }
+                    Level2Op::TrmmLeftUpperTrans => {
+                        let flops = ft_blas::flops::model::trmm(m, n) as f64;
+                        let label = "trmm_left_upper_trans";
+                        (label, flops / best / 1e9, "serial_gflops", "GFLOP/s")
+                    }
+                };
+                println!(
+                    "{label} {m}x{n}: {:.2} us, {value:.2} {unit} (serial)",
+                    best * 1e6
+                );
+                Record::new()
+                    .str("kind", "level2_shape")
+                    .str("op", label)
+                    .int("m", m as u64)
+                    .int("n", n as u64)
+                    .num("serial_us", best * 1e6)
+                    .num(key, value)
+                    .str("isa", active_simd_path())
+                    .int("cores", cores())
+                    .bool("smoke", smoke())
+            },
+        )
+        .collect()
+}
+
 /// Measures the fused online-ABFT kernel against the plain path at the
 /// trailing-update sizes the run covers: the checksum encode rides the
 /// kernel's own passes and the verify re-reads each macro-tile once, so
@@ -325,13 +462,13 @@ fn abft_overhead_record(n: usize, iters: usize) -> Record {
 
 /// Measures the pool's per-kernel dispatch overhead against the per-call
 /// `std::thread::scope` spawn/join cycle it replaced, driving the public
-/// `ft_blas::parallel_map_into` fan-out (the same path the FT driver's
-/// checksum refreshes take) rather than ad-hoc probes. Also proves pool
+/// `ft_blas::parallel_chunks_into` fan-out (the same path the FT
+/// driver's checksum sweeps take) rather than ad-hoc probes. Also proves pool
 /// reuse: the spawned-thread count must not move across thousands of
 /// dispatches — both counters now live in the `ft_trace` registry.
 fn dispatch_overhead_record() -> Record {
     const TASKS: usize = 4;
-    // `parallel_map_into` gates on the *square* of the output length
+    // `parallel_chunks_into` gates on the *square* of the output length
     // (checksum-sweep semantics); 384² = 147456 clears the recalibrated
     // memory-bound fork gate (`PARALLEL_MIN_ELEMS` = 128 Ki), so every
     // call genuinely dispatches onto the pool while the 384-element fill
@@ -343,9 +480,14 @@ fn dispatch_overhead_record() -> Record {
     const LEN: usize = 384;
     let reps: u32 = if smoke() { 2_000 } else { 20_000 };
     let mut buf = vec![0.0f64; LEN];
+    let fill = |i0: usize, chunk: &mut [f64]| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            *slot = (i0 + off) as f64;
+        }
+    };
     // Warm the pool so the measurement excludes one-time thread creation.
     with_backend(Backend::Threaded(TASKS), || {
-        ft_blas::parallel_map_into(&mut buf, |i| i as f64);
+        ft_blas::parallel_chunks_into(&mut buf, fill);
     });
     let spawned_before = pool::spawned_worker_count();
     let dispatches_before = pool::dispatch_count();
@@ -353,7 +495,7 @@ fn dispatch_overhead_record() -> Record {
     let t0 = Instant::now();
     with_backend(Backend::Threaded(TASKS), || {
         for _ in 0..reps {
-            ft_blas::parallel_map_into(&mut buf, |i| i as f64);
+            ft_blas::parallel_chunks_into(&mut buf, fill);
         }
     });
     let pool_ns = t0.elapsed().as_secs_f64() * 1e9 / reps as f64;

@@ -342,41 +342,20 @@ where
     pool::run_scoped(tasks);
 }
 
-/// Fills `out[i] = f(i)` for every index, fanning contiguous index ranges
-/// out over the current backend's workers (memory-bound gate: the work is
-/// assumed to be ~`len` reads per element, as in the FT driver's fresh
-/// row/column checksum sums). Each element is computed by the same pure
-/// function regardless of the worker count, so the result is bit-identical
-/// to the serial loop — this is what keeps the FT driver's error
-/// localization deterministic under the threaded backend.
-pub fn parallel_map_into<T, F>(out: &mut [T], f: F)
+/// Splits `out` into contiguous ranges over the current backend's workers
+/// and runs `f(first_global_index, range)` on each (memory-bound gate:
+/// the work is assumed to be ~`len` reads per element, as in the FT
+/// driver's checksum sweeps). `f` must compute every element the same
+/// way wherever its range starts — the range splits independent output
+/// elements, never one element's accumulation chain — so the result is
+/// bit-identical to one serial call. This is what keeps the FT driver's
+/// error localization deterministic under the threaded backend.
+pub fn parallel_chunks_into<F>(out: &mut [f64], f: F)
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize, &mut [f64]) + Sync,
 {
     let len = out.len();
-    let t = fork_threads_mem(len.saturating_mul(len)).min(len.max(1));
-    if t <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(t);
-    let fr = &f;
-    let tasks: Vec<ScopedTask<'_>> = out
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(ci, block)| {
-            let base = ci * chunk;
-            Box::new(move || {
-                for (off, slot) in block.iter_mut().enumerate() {
-                    *slot = fr(base + off);
-                }
-            }) as ScopedTask<'_>
-        })
-        .collect();
-    pool::run_scoped(tasks);
+    for_each_slice_chunk(out, fork_threads_mem(len.saturating_mul(len)), f);
 }
 
 #[cfg(test)]
@@ -490,14 +469,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_matches_serial() {
-        let mut serial = vec![0.0f64; 301];
+    fn parallel_chunks_match_serial() {
+        let mut serial = vec![0.0f64; 401];
         for (i, s) in serial.iter_mut().enumerate() {
             *s = (i as f64).sin();
         }
-        let mut par = vec![0.0f64; 301];
+        let mut par = vec![0.0f64; 401];
         with_backend(Backend::Threaded(4), || {
-            parallel_map_into(&mut par, |i| (i as f64).sin());
+            parallel_chunks_into(&mut par, |i0, chunk| {
+                for (off, s) in chunk.iter_mut().enumerate() {
+                    *s = ((i0 + off) as f64).sin();
+                }
+            });
         });
         assert_eq!(serial, par);
     }

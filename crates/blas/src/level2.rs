@@ -5,19 +5,30 @@
 //! level-3 kernels, chunked over the persistent worker pool when the
 //! element count clears [`crate::backend::PARALLEL_MIN_ELEMS`]. The
 //! chunking partitions *output* elements (rows of `y` for `gemv`,
-//! columns of `A` for `gemv^T`/`ger`) and keeps every element's
-//! accumulation order exactly serial, so the threaded results are
-//! bit-identical to the serial ones for any worker count.
+//! columns of `A` for `gemv^T`/`ger`), never an element's accumulation
+//! chain, so the threaded results are bit-identical to the serial ones
+//! for any worker count.
 //!
-//! The `gemv`/`ger` inner loops additionally dispatch through the same
-//! runtime ISA resolution as the level-3 microkernel (`FT_BLAS_SIMD`,
-//! [`crate::with_simd_path`]): the ISA is captured once per entry point
-//! and carried into the pool workers. The portable bodies accumulate
-//! with a separate multiply and add (two roundings per element) and the
-//! AVX2 bodies reproduce exactly that sequence lane-for-lane —
-//! `_mm256_add_pd(_mm256_mul_pd(…))`, never a fused multiply-add — with
-//! each output element's accumulation order unchanged, so every ISA
-//! produces the same bits.
+//! **Contract.** Every output element keeps its initial value, the
+//! operand order of each product, the zero-skip rule and the order of its
+//! adds:
+//!
+//! * `gemv`: `y[i]` receives `(α·x[j])·A(i,j)` for every `j` whose
+//!   coefficient `α·x[j]` is nonzero, in ascending `j`;
+//! * `gemv^T`: `y[j]` receives `α·s`, where `s` starts from `+0.0` and
+//!   adds `A(i,j)·x[i]` in ascending `i`;
+//! * `ger`: `A(i,j)` receives `(α·y[j])·x[i]` unless that coefficient is
+//!   zero.
+//!
+//! Within that contract the bodies are free to run independent chains
+//! side by side: `gemv` folds eight columns into each pass over `y`, and
+//! `gemv^T` runs eight dot products at once, one per lane. Every body
+//! uses a separate multiply and add (two roundings per term) — the AVX2
+//! bodies `_mm256_add_pd(_mm256_mul_pd(…))`, never a fused
+//! multiply-add — so the portable and AVX2 paths produce the same bits.
+//! The ISA is resolved once per entry point through the same dispatch as
+//! the level-3 microkernel (`FT_BLAS_SIMD`, [`crate::with_simd_path`])
+//! and carried into the pool workers.
 
 use crate::backend;
 use crate::flops::{model, record};
@@ -60,23 +71,14 @@ pub fn gemv(trans: Trans, alpha: f64, a: &MatView<'_>, x: &[f64], beta: f64, y: 
     match trans {
         // Column-oriented accumulation: y += (alpha * x[j]) * A(:,j).
         // Parallel split: contiguous row blocks of y, each sweeping all
-        // columns of its row slice of A in the serial (ascending-j)
-        // order — every y[i] accumulates exactly as in the serial loop.
+        // columns of its row slice of A in ascending j.
         Trans::No => {
             backend::for_each_slice_chunk(y, workers, |i0, ychunk| {
-                let ablock = a.subview(i0, 0, ychunk.len(), n);
-                for j in 0..n {
-                    let axj = alpha * x[j];
-                    if axj != 0.0 {
-                        axpy_col(isa, axj, ablock.col(j), ychunk);
-                    }
-                }
+                axpy_cols(isa, alpha, &a.subview(i0, 0, ychunk.len(), n), x, ychunk);
             });
         }
         // Dot-product per column: y[j] += alpha * A(:,j)ᵀ x. Parallel
-        // split: contiguous ranges of output columns; each dot product
-        // keeps its serial accumulation order (the AVX2 path runs four
-        // columns at once, one dot per lane).
+        // split: contiguous ranges of output columns.
         Trans::Yes => {
             backend::for_each_slice_chunk(y, workers, |j0, ychunk| {
                 dot_cols(isa, a, j0, x, alpha, ychunk);
@@ -159,6 +161,94 @@ fn axpy_col(isa: Isa, s: f64, src: &[f64], dst: &mut [f64]) {
     }
 }
 
+/// Columns the `gemv` sweep folds into each pass over `y`.
+const FOLD: usize = 8;
+
+/// The coefficients or the columns of one folded pass.
+type Fold<T> = [T; FOLD];
+
+/// The `gemv` column sweep `y += Σ_j (α·x[j])·A(:,j)` over the columns
+/// whose coefficient is nonzero, in ascending `j`. Those columns are
+/// folded [`FOLD`] per pass over `y`, so `y` is loaded and stored once
+/// per [`FOLD`] columns; the last few run as single-column updates. Each
+/// `y[i]` receives the same adds in the same order as a
+/// one-column-at-a-time loop.
+#[inline]
+fn axpy_cols(isa: Isa, alpha: f64, a: &MatView<'_>, x: &[f64], y: &mut [f64]) {
+    let mut coef: Fold<f64> = [0.0; FOLD];
+    let mut cols: Fold<&[f64]> = [&[]; FOLD];
+    let mut held = 0;
+    for (j, &xj) in x.iter().enumerate() {
+        let axj = alpha * xj;
+        if axj != 0.0 {
+            coef[held] = axj;
+            cols[held] = a.col(j);
+            held += 1;
+            if held == FOLD {
+                axpy_fold(isa, &coef, &cols, y);
+                held = 0;
+            }
+        }
+    }
+    for (&s, col) in coef.iter().zip(cols).take(held) {
+        axpy_col(isa, s, col, y);
+    }
+}
+
+/// Shared scalar body of the folded update: `dst[i] += s[q]·cols[q][i]`
+/// for `q = 0, 1, …` in that order, each a separate multiply and add.
+#[inline(always)]
+fn axpy_fold_scalar(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
+    let len = dst.len();
+    let cols = cols.map(|c| &c[..len]);
+    for (i, di) in dst.iter_mut().enumerate() {
+        let mut d = *di;
+        for (&sq, col) in s.iter().zip(&cols) {
+            d += sq * col[i];
+        }
+        *di = d;
+    }
+}
+
+/// AVX2 body of the folded update: per lane the same multiply-then-add
+/// steps as [`axpy_fold_scalar`], in the same order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn axpy_fold_avx2(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
+    use std::arch::x86_64::*;
+    let len = dst.len();
+    let cols = cols.map(|c| &c[..len]);
+    let sv = s.map(|v| _mm256_set1_pd(v));
+    let mut i = 0;
+    while i + 4 <= len {
+        // SAFETY: i + 4 <= len bounds `dst` and every column (each
+        // sliced to `len` above); loadu/storeu have no alignment
+        // requirement and `dst` is uniquely borrowed.
+        unsafe {
+            let mut d = _mm256_loadu_pd(dst.as_ptr().add(i));
+            for (&sq, col) in sv.iter().zip(&cols) {
+                d = _mm256_add_pd(d, _mm256_mul_pd(sq, _mm256_loadu_pd(col.as_ptr().add(i))));
+            }
+            _mm256_storeu_pd(dst.as_mut_ptr().add(i), d);
+        }
+        i += 4;
+    }
+    axpy_fold_scalar(s, &cols.map(|c| &c[i..]), &mut dst[i..]);
+}
+
+// ft-check: hot
+/// ISA dispatch for the folded update.
+#[inline]
+fn axpy_fold(isa: Isa, s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx2 feature.
+        Isa::Avx2 => unsafe { axpy_fold_avx2(s, cols, dst) },
+        _ => axpy_fold_scalar(s, cols, dst),
+    }
+}
+
 /// Shared scalar body of the `gemv^T` dot: `y[j] += alpha * A(:,j)ᵀ x`
 /// with the plain `s += a * x` accumulation (two roundings per term) in
 /// ascending row order.
@@ -174,33 +264,72 @@ fn dot_cols_scalar(a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &m
     }
 }
 
-/// AVX2 body of the `gemv^T` dot block: four *adjacent output columns*
-/// per iteration, one dot product per lane. Vectorizing across columns
-/// (rather than within a dot) keeps each dot's serial ascending-row
-/// accumulation chain, and `mul`+`add` keeps the two-roundings-per-term
-/// contract, so every lane computes exactly the scalar body's bits.
+/// AVX2 body of the `gemv^T` dot block: eight *adjacent output columns*
+/// per pass, one dot product per lane in two accumulators. Each step
+/// loads four rows of four columns and transposes them in registers, so
+/// every lane still adds its column's terms one row at a time in
+/// ascending order; `mul`+`add` keeps the two-roundings-per-term
+/// contract, so every lane computes exactly the scalar body's bits. A
+/// last group of one to seven columns repeats its final column in the
+/// spare lanes, whose results are discarded.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn dot_cols_avx2(a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &mut [f64]) {
     use std::arch::x86_64::*;
-    let mut jj = 0;
-    while jj + 4 <= ychunk.len() {
-        let j = j0 + jj;
-        let (c0, c1, c2, c3) = (a.col(j), a.col(j + 1), a.col(j + 2), a.col(j + 3));
-        let mut acc = _mm256_setzero_pd();
-        for (i, &xi) in x.iter().enumerate().take(c0.len()) {
-            let av = _mm256_set_pd(c3[i], c2[i], c1[i], c0[i]);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(av, _mm256_set1_pd(xi)));
-        }
-        let mut s = [0.0f64; 4];
-        // SAFETY: `s` is 4 f64s; storeu has no alignment requirement.
-        unsafe { _mm256_storeu_pd(s.as_mut_ptr(), acc) };
-        for (l, &sl) in s.iter().enumerate() {
-            ychunk[jj + l] += alpha * sl;
-        }
-        jj += 4;
+    let m = x.len();
+    // Adds rows i..i + 4 of the four columns `$c` to `$acc`, row by row.
+    macro_rules! fold_rows4 {
+        ($acc:ident, $c:ident, $i:ident) => {{
+            // SAFETY: $i + 4 <= m and every column holds m rows; loadu
+            // has no alignment requirement.
+            let [r0, r1, r2, r3] = unsafe { $c.map(|c| _mm256_loadu_pd(c.as_ptr().add($i))) };
+            // 4×4 transpose: row q of the block into lane order c0..c3.
+            let (t0, t1) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+            let (t2, t3) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+            let rows = [
+                _mm256_permute2f128_pd::<0x20>(t0, t2),
+                _mm256_permute2f128_pd::<0x20>(t1, t3),
+                _mm256_permute2f128_pd::<0x31>(t0, t2),
+                _mm256_permute2f128_pd::<0x31>(t1, t3),
+            ];
+            for (q, row) in rows.into_iter().enumerate() {
+                $acc = _mm256_add_pd($acc, _mm256_mul_pd(row, _mm256_set1_pd(x[$i + q])));
+            }
+        }};
     }
-    dot_cols_scalar(a, j0 + jj, x, alpha, &mut ychunk[jj..]);
+    let ncols = ychunk.len();
+    let mut jj = 0;
+    while jj < ncols {
+        let last = ncols - 1;
+        let col = |l: usize| &a.col(j0 + (jj + l).min(last))[..m];
+        let lo = [col(0), col(1), col(2), col(3)];
+        let hi = [col(4), col(5), col(6), col(7)];
+        let mut acc_lo = _mm256_setzero_pd();
+        let mut acc_hi = _mm256_setzero_pd();
+        let mut i = 0;
+        while i + 4 <= m {
+            fold_rows4!(acc_lo, lo, i);
+            fold_rows4!(acc_hi, hi, i);
+            i += 4;
+        }
+        for (i, &xi) in x.iter().enumerate().skip(i) {
+            let xv = _mm256_set1_pd(xi);
+            let row_lo = _mm256_set_pd(lo[3][i], lo[2][i], lo[1][i], lo[0][i]);
+            let row_hi = _mm256_set_pd(hi[3][i], hi[2][i], hi[1][i], hi[0][i]);
+            acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(row_lo, xv));
+            acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(row_hi, xv));
+        }
+        let mut s = [0.0f64; 8];
+        // SAFETY: `s` is 8 f64s; storeu has no alignment requirement.
+        unsafe {
+            _mm256_storeu_pd(s.as_mut_ptr(), acc_lo);
+            _mm256_storeu_pd(s.as_mut_ptr().add(4), acc_hi);
+        }
+        for (yj, &sl) in ychunk[jj..].iter_mut().zip(&s) {
+            *yj += alpha * sl;
+        }
+        jj += 8;
+    }
 }
 
 // ft-check: hot
@@ -228,6 +357,13 @@ pub fn trmv(uplo: Uplo, trans: Trans, diag: Diag, a: &MatView<'_>, x: &mut [f64]
         a.cols()
     );
     record(model::trmv(n));
+    trmv_body(uplo, trans, diag, a, x);
+}
+
+/// [`trmv`] without its flop record, for `trmm`, which records its own
+/// total.
+pub(crate) fn trmv_body(uplo: Uplo, trans: Trans, diag: Diag, a: &MatView<'_>, x: &mut [f64]) {
+    let n = x.len();
     let unit = matches!(diag, Diag::Unit);
     match (uplo, trans) {
         (Uplo::Upper, Trans::No) => {

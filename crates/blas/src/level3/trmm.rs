@@ -1,10 +1,17 @@
 //! Triangular matrix–matrix multiply:
 //! `B ← α·op(T)·B` (left) or `B ← α·B·op(T)` (right).
+//!
+//! `Side::Left` is one `trmv` recurrence per column of `B`, after
+//! scaling the column by `α`. The AVX2 body runs that recurrence for
+//! eight columns at once, one column per lane, so every element keeps
+//! the scalar recurrence's operand order, zero-skip rule and add order,
+//! and the result is bit-identical to the portable per-column body.
 
+use super::{resolve_isa, Isa};
 use crate::backend;
 use crate::flops::{model, record};
 use crate::level1::axpy;
-use crate::level2::trmv;
+use crate::level2::trmv_body;
 use crate::types::{Diag, Side, Trans, Uplo};
 use ft_matrix::{MatView, MatViewMut};
 
@@ -48,12 +55,13 @@ pub fn trmm(
     // `trmm_right`); the threaded path only partitions independent
     // columns (left) or rows (right), so results are bit-identical.
     let workers = backend::fork_threads(order * order * order.max(m.max(n)));
+    let isa = resolve_isa();
 
     match side {
         // Each column of B is an independent trmv: partition columns.
         Side::Left => {
             backend::for_each_col_chunk(b.rb_mut(), workers, |_, mut chunk| {
-                trmm_left(uplo, trans, diag, alpha, a, &mut chunk);
+                trmm_left(isa, uplo, trans, diag, alpha, a, &mut chunk);
             });
         }
         // The right-side column sweeps update every column at each step,
@@ -69,6 +77,7 @@ pub fn trmm(
 
 /// Serial `B ← α·op(T)·B` on (a column slice of) `B`.
 fn trmm_left(
+    isa: Isa,
     uplo: Uplo,
     trans: Trans,
     diag: Diag,
@@ -76,14 +85,166 @@ fn trmm_left(
     a: &MatView<'_>,
     b: &mut MatViewMut<'_>,
 ) {
-    for j in 0..b.cols() {
-        let col = b.col_mut(j);
-        if alpha != 1.0 {
-            for v in col.iter_mut() {
-                *v *= alpha;
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx2 feature.
+        Isa::Avx2 => unsafe { trmm_left_avx2(uplo, trans, diag, alpha, a, b) },
+        _ => {
+            for j in 0..b.cols() {
+                trmm_left_scalar(uplo, trans, diag, alpha, a, b.col_mut(j));
             }
         }
-        trmv(uplo, trans, diag, a, col);
+    }
+}
+
+/// Reference body of the left product for one column of `B`: scale by
+/// `α` (skipped when `α = 1`), then the `trmv` recurrence.
+fn trmm_left_scalar(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: f64,
+    a: &MatView<'_>,
+    col: &mut [f64],
+) {
+    if alpha != 1.0 {
+        for v in col.iter_mut() {
+            *v *= alpha;
+        }
+    }
+    trmv_body(uplo, trans, diag, a, col);
+}
+
+/// AVX2 body of the left product: the `trmv` recurrence of
+/// [`trmm_left_scalar`] for eight columns of `B` at once, one column per
+/// lane. The columns are copied (and scaled) into a row-major `m × 8`
+/// arena buffer so each row of the group is two vector loads; every lane
+/// then performs its column's scalar operations in the scalar order,
+/// with the `temp != 0` zero-skip of the `Trans::No` forms applied per
+/// lane by a blend. A last group of fewer than eight columns repeats its
+/// final column in the spare lanes, whose results are not written back.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn trmm_left_avx2(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: f64,
+    a: &MatView<'_>,
+    b: &mut MatViewMut<'_>,
+) {
+    use std::arch::x86_64::*;
+    const W: usize = 8;
+    let (n, ncols) = (b.rows(), b.cols());
+    let unit = matches!(diag, Diag::Unit);
+    let mut scratch = crate::workspace::scratch(W * n);
+    // All buffer accesses below go through `p`: row `i < n`, lane
+    // `l < W` (or half `h ∈ {0, 1}`) stays inside the W·n elements.
+    let p = scratch.as_mut_ptr();
+    let ld = |i: usize, h: usize| {
+        debug_assert!(i < n && h < 2);
+        // SAFETY: in bounds by the comment above; loadu has no
+        // alignment requirement.
+        unsafe { _mm256_loadu_pd(p.add(W * i + 4 * h)) }
+    };
+    let st = |i: usize, h: usize, v: __m256d| {
+        debug_assert!(i < n && h < 2);
+        // SAFETY: as for `ld`; storeu has no alignment requirement.
+        unsafe { _mm256_storeu_pd(p.add(W * i + 4 * h), v) }
+    };
+    let zero = _mm256_setzero_pd();
+    let mut j0 = 0;
+    while j0 < ncols {
+        let have = (ncols - j0).min(W);
+        for l in 0..W {
+            let src = b.col(j0 + l.min(have - 1));
+            for (i, &v) in src.iter().enumerate() {
+                let v = if alpha != 1.0 { v * alpha } else { v };
+                // SAFETY: i < n, l < W (see `p`).
+                unsafe { *p.add(W * i + l) = v };
+            }
+        }
+        match (uplo, trans) {
+            (Uplo::Upper, Trans::No) => {
+                for j in 0..n {
+                    let col = a.col(j);
+                    for h in 0..2 {
+                        let temp = ld(j, h);
+                        let live = _mm256_cmp_pd::<_CMP_NEQ_UQ>(temp, zero);
+                        for (i, &c) in col.iter().enumerate().take(j) {
+                            let x = ld(i, h);
+                            let upd = _mm256_add_pd(x, _mm256_mul_pd(temp, _mm256_set1_pd(c)));
+                            st(i, h, _mm256_blendv_pd(x, upd, live));
+                        }
+                        if !unit {
+                            let d = _mm256_mul_pd(temp, _mm256_set1_pd(col[j]));
+                            st(j, h, _mm256_blendv_pd(zero, d, live));
+                        }
+                    }
+                }
+            }
+            (Uplo::Upper, Trans::Yes) => {
+                for j in (0..n).rev() {
+                    let col = a.col(j);
+                    let (mut lo, mut hi) = (ld(j, 0), ld(j, 1));
+                    if !unit {
+                        let d = _mm256_set1_pd(col[j]);
+                        lo = _mm256_mul_pd(lo, d);
+                        hi = _mm256_mul_pd(hi, d);
+                    }
+                    for (i, &c) in col.iter().enumerate().take(j) {
+                        let c = _mm256_set1_pd(c);
+                        lo = _mm256_add_pd(lo, _mm256_mul_pd(c, ld(i, 0)));
+                        hi = _mm256_add_pd(hi, _mm256_mul_pd(c, ld(i, 1)));
+                    }
+                    st(j, 0, lo);
+                    st(j, 1, hi);
+                }
+            }
+            (Uplo::Lower, Trans::No) => {
+                for j in (0..n).rev() {
+                    let col = a.col(j);
+                    for h in 0..2 {
+                        let temp = ld(j, h);
+                        let live = _mm256_cmp_pd::<_CMP_NEQ_UQ>(temp, zero);
+                        for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
+                            let x = ld(i, h);
+                            let upd = _mm256_add_pd(x, _mm256_mul_pd(temp, _mm256_set1_pd(c)));
+                            st(i, h, _mm256_blendv_pd(x, upd, live));
+                        }
+                        if !unit {
+                            st(j, h, _mm256_mul_pd(temp, _mm256_set1_pd(col[j])));
+                        }
+                    }
+                }
+            }
+            (Uplo::Lower, Trans::Yes) => {
+                for j in 0..n {
+                    let col = a.col(j);
+                    let (mut lo, mut hi) = (ld(j, 0), ld(j, 1));
+                    if !unit {
+                        let d = _mm256_set1_pd(col[j]);
+                        lo = _mm256_mul_pd(lo, d);
+                        hi = _mm256_mul_pd(hi, d);
+                    }
+                    for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
+                        let c = _mm256_set1_pd(c);
+                        lo = _mm256_add_pd(lo, _mm256_mul_pd(c, ld(i, 0)));
+                        hi = _mm256_add_pd(hi, _mm256_mul_pd(c, ld(i, 1)));
+                    }
+                    st(j, 0, lo);
+                    st(j, 1, hi);
+                }
+            }
+        }
+        for l in 0..have {
+            for (i, v) in b.col_mut(j0 + l).iter_mut().enumerate() {
+                // SAFETY: i < n, l < W (see `p`).
+                *v = unsafe { *p.add(W * i + l) };
+            }
+        }
+        j0 += W;
     }
 }
 

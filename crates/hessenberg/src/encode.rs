@@ -43,17 +43,34 @@ impl ExtMatrix {
         let n = a.rows();
         let mut data = Matrix::zeros(n + 1, n + 1);
         data.set_sub_matrix(0, 0, a);
-        for j in 0..n {
-            data[(n, j)] = scheme.sum(a.col(j));
-        }
-        let mut row = vec![0.0; n];
-        for i in 0..n {
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = a[(i, j)];
+        let mut chk = vec![0.0; n];
+        if scheme == SumScheme::Naive {
+            // The naive sums as `Iterator::sum` forms them (from −0.0, in
+            // index order): the row sums walk the columns and advance
+            // every row at once, the column sums run four side by side.
+            let rows = &mut data.col_mut(n)[..n];
+            rows.fill(-0.0);
+            for j in 0..n {
+                for (s, &v) in rows.iter_mut().zip(a.col(j)) {
+                    *s += v;
+                }
             }
-            data[(i, n)] = scheme.sum(&row);
+            col_sums(&mut chk, |j| a.col(j));
+        } else {
+            for (j, c) in chk.iter_mut().enumerate() {
+                *c = scheme.sum(a.col(j));
+            }
+            let mut row = vec![0.0; n];
+            for i in 0..n {
+                for (j, r) in row.iter_mut().enumerate() {
+                    *r = a[(i, j)];
+                }
+                data[(i, n)] = scheme.sum(&row);
+            }
         }
-        let chk: Vec<f64> = (0..n).map(|j| data[(n, j)]).collect();
+        for (j, &c) in chk.iter().enumerate() {
+            data[(n, j)] = c;
+        }
         data[(n, n)] = scheme.sum(&chk);
         ExtMatrix { data, n, scheme }
     }
@@ -152,35 +169,48 @@ impl ExtMatrix {
         }
     }
 
+    /// Rows `0..math_len(j, frontier)` of column `j` are the part that
+    /// [`ExtMatrix::math_at`] does not mask to zero.
+    fn math_len(&self, j: usize, frontier: usize) -> usize {
+        if j < frontier {
+            (j + 2).min(self.n)
+        } else {
+            self.n
+        }
+    }
+
     /// Mathematical row sums (length `n`) under the frontier mask.
     ///
-    /// Rows are distributed over the active [`ft_blas::backend`] workers;
-    /// each row sum accumulates in ascending column order regardless of
-    /// the worker count, so the result is bit-identical to a serial sweep
-    /// and error localization behaves the same under every backend.
+    /// Each row sum starts from `+0.0` and adds its unmasked entries in
+    /// ascending column order. The sweep walks the columns and advances
+    /// every row at once; rows are split over the active
+    /// [`ft_blas::backend`] workers, so the result is bit-identical to a
+    /// serial sweep and error localization behaves the same under every
+    /// backend.
     pub fn math_row_sums(&self, frontier: usize) -> Vec<f64> {
-        let n = self.n;
-        let mut sums = vec![0.0; n];
-        ft_blas::parallel_map_into(&mut sums, |i| {
-            let mut s = 0.0;
-            for j in 0..n {
-                if !(j < frontier && i > j + 1) {
-                    s += self.data[(i, j)];
+        let mut sums = vec![0.0; self.n];
+        ft_blas::parallel_chunks_into(&mut sums, |i0, chunk| {
+            for j in 0..self.n {
+                let lim = self.math_len(j, frontier);
+                if lim > i0 {
+                    for (s, &v) in chunk.iter_mut().zip(&self.data.col(j)[i0..lim]) {
+                        *s += v;
+                    }
                 }
             }
-            s
         });
         sums
     }
 
-    /// Mathematical column sums (length `n`) under the frontier mask;
-    /// columns are independent, so the same worker split applies.
+    /// Mathematical column sums (length `n`) under the frontier mask, each
+    /// from −0.0 in ascending row order (see `col_sums`); columns are
+    /// split over the same workers.
     pub fn math_col_sums(&self, frontier: usize) -> Vec<f64> {
-        let n = self.n;
-        let mut sums = vec![0.0; n];
-        ft_blas::parallel_map_into(&mut sums, |j| {
-            let lim = if j < frontier { (j + 2).min(n) } else { n };
-            self.data.col(j)[..lim].iter().sum()
+        let mut sums = vec![0.0; self.n];
+        ft_blas::parallel_chunks_into(&mut sums, |j0, chunk| {
+            col_sums(chunk, |c| {
+                &self.data.col(j0 + c)[..self.math_len(j0 + c, frontier)]
+            });
         });
         sums
     }
@@ -190,10 +220,13 @@ impl ExtMatrix {
     /// columns, whose storage switched to `H`-plus-reflector form).
     pub fn refresh_chk_row(&mut self, c0: usize, c1: usize, frontier: usize) {
         let n = self.n;
-        for j in c0..c1.min(n) {
-            let lim = if j < frontier { (j + 2).min(n) } else { n };
-            let s: f64 = self.data.col(j)[..lim].iter().sum();
-            self.data.col_mut(j)[n] = s;
+        let c1 = c1.min(n).max(c0);
+        let mut sums = ft_blas::workspace::scratch(c1 - c0);
+        col_sums(&mut sums, |c| {
+            &self.data.col(c0 + c)[..self.math_len(c0 + c, frontier)]
+        });
+        for (j, &s) in (c0..c1).zip(sums.iter()) {
+            self.data[(n, j)] = s;
         }
     }
 
@@ -207,6 +240,37 @@ fn a_square_ext(data: &Matrix) -> bool {
     data.is_square() && data.rows() >= 1
 }
 
+/// `out[c] = col(c).iter().sum()` for every `c`, bit for bit: each sum
+/// starts from −0.0, as `Iterator::sum` does, and adds its column in
+/// ascending row order. Four columns run side by side, so their
+/// independent add chains overlap instead of waiting on one another.
+fn col_sums<'a>(out: &mut [f64], col: impl Fn(usize) -> &'a [f64]) {
+    let mut quads = out.chunks_exact_mut(4);
+    let mut c = 0;
+    for quad in &mut quads {
+        let cols = [col(c), col(c + 1), col(c + 2), col(c + 3)];
+        let common = cols.iter().fold(usize::MAX, |len, x| len.min(x.len()));
+        let [c0, c1, c2, c3] = cols.map(|x| &x[..common]);
+        let mut s = [-0.0f64; 4];
+        for i in 0..common {
+            s[0] += c0[i];
+            s[1] += c1[i];
+            s[2] += c2[i];
+            s[3] += c3[i];
+        }
+        for (sq, x) in s.iter_mut().zip(cols) {
+            for &v in &x[common..] {
+                *sq += v;
+            }
+        }
+        quad.copy_from_slice(&s);
+        c += 4;
+    }
+    for (off, o) in quads.into_remainder().iter_mut().enumerate() {
+        *o = col(c + off).iter().fold(-0.0, |s, &v| s + v);
+    }
+}
+
 /// Extends a reflector block `V` (`m × ib`) by one extra row holding its
 /// column sums — the paper's `Vce` (Algorithm 3 line 7). The extra row
 /// sits at local row `m`, which corresponds exactly to the checksum
@@ -216,8 +280,9 @@ pub fn extend_v(v: &Matrix) -> Matrix {
     let (m, ib) = (v.rows(), v.cols());
     let mut vx = Matrix::zeros(m + 1, ib);
     vx.set_sub_matrix(0, 0, v);
-    for j in 0..ib {
-        let s: f64 = v.col(j).iter().sum();
+    let mut sums = ft_blas::workspace::scratch(ib);
+    col_sums(&mut sums, |j| v.col(j));
+    for (j, &s) in sums.iter().enumerate() {
         vx[(m, j)] = s;
     }
     vx

@@ -68,17 +68,21 @@ impl QProtection {
     /// twice.
     pub fn absorb_panel(&mut self, packed: &Matrix, k: usize, ib: usize, taus: &[f64]) {
         assert_eq!(k, self.frontier, "panels must be absorbed in order");
-        assert!(taus.len() >= ib.min(taus.len()));
-        for j in k..(k + ib).min(self.n) {
-            let mut colsum = 0.0;
-            for i in (j + 2)..self.n {
-                let v = packed[(i, j)];
-                self.qr_chk[i] += v;
-                colsum += v;
-            }
-            self.qc_chk[j] = colsum;
-        }
-        for &t in taus.iter().take(ib) {
+        assert_eq!(
+            taus.len(),
+            ib,
+            "absorb_panel: {} reflector scales for a panel of {ib} columns",
+            taus.len()
+        );
+        let j1 = (k + ib).min(self.n);
+        sweep_reflectors(
+            packed,
+            self.n,
+            k,
+            &mut self.qr_chk,
+            &mut self.qc_chk[k.min(j1)..j1],
+        );
+        for &t in taus {
             self.tau_sum += t;
         }
         self.frontier = k + ib;
@@ -95,13 +99,13 @@ impl QProtection {
         let n = self.n;
         let mut row_sums = vec![0.0; n];
         let mut col_sums = vec![0.0; n];
-        for j in 0..self.frontier {
-            for i in (j + 2)..n {
-                let v = packed[(i, j)];
-                row_sums[i] += v;
-                col_sums[j] += v;
-            }
-        }
+        sweep_reflectors(
+            packed,
+            n,
+            0,
+            &mut row_sums,
+            &mut col_sums[..self.frontier.min(n)],
+        );
         let row_def: Vec<(usize, f64)> = (0..n)
             .filter_map(|i| {
                 let d = row_sums[i] - self.qr_chk[i];
@@ -211,6 +215,59 @@ impl QProtection {
     }
 }
 
+/// Adds the reflector entries of columns `j0..j0 + colsums.len()` of
+/// `packed` — rows `j + 2..n` of column `j` — into `rowsums`, and writes
+/// each column's sum into `colsums`. Every row sum receives its columns
+/// in ascending order and every column sum starts from `+0.0` and adds
+/// its rows in ascending order. Four columns share each pass over the
+/// rows below the group, so their sum chains run side by side.
+fn sweep_reflectors(
+    packed: &Matrix,
+    n: usize,
+    j0: usize,
+    rowsums: &mut [f64],
+    colsums: &mut [f64],
+) {
+    let mut quads = colsums.chunks_exact_mut(4);
+    let mut j = j0;
+    for quad in &mut quads {
+        // Rows above the fourth column's first reflector row go column
+        // by column, which keeps each row's column order ascending.
+        let body = (j + 5).min(n);
+        let mut s: [f64; 4] =
+            std::array::from_fn(|q| add_reflector_rows(packed, j + q, body, rowsums));
+        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|q| &packed.col(j + q)[body..n]);
+        for (i, r) in rowsums[body..n].iter_mut().enumerate() {
+            let v = [c0[i], c1[i], c2[i], c3[i]];
+            *r = *r + v[0] + v[1] + v[2] + v[3];
+            s[0] += v[0];
+            s[1] += v[1];
+            s[2] += v[2];
+            s[3] += v[3];
+        }
+        quad.copy_from_slice(&s);
+        j += 4;
+    }
+    for (q, sq) in quads.into_remainder().iter_mut().enumerate() {
+        *sq = add_reflector_rows(packed, j + q, n, rowsums);
+    }
+}
+
+/// Adds rows `c + 2..end` of column `c` to `rowsums`; returns their sum
+/// (from `+0.0`, ascending rows).
+fn add_reflector_rows(packed: &Matrix, c: usize, end: usize, rowsums: &mut [f64]) -> f64 {
+    let start = (c + 2).min(end);
+    let mut s = 0.0;
+    for (r, &v) in rowsums[start..end]
+        .iter_mut()
+        .zip(&packed.col(c)[start..end])
+    {
+        *r += v;
+        s += v;
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +326,63 @@ mod tests {
             q.absorb_panel(&a, 4, 4, &tau[4..8]); // skips panel 0
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "reflector scales")]
+    fn absorb_panel_rejects_short_taus() {
+        let (a, tau, _) = protected(12, 4, 6);
+        let mut q = QProtection::new(12);
+        q.absorb_panel(&a, 0, 4, &tau[0..3]);
+    }
+
+    /// The four-column sweep against the column-by-column loop it
+    /// replaced, bit for bit: every row sum and every column sum (from
+    /// +0.0) sees the same terms in the same order. The storage carries
+    /// an all-(−0.0) row and column, whose sums keep the sign of zero
+    /// only from a +0.0 start, and a NaN.
+    #[test]
+    fn sweep_matches_column_by_column_reference() {
+        let n = 23;
+        let mut packed = ft_matrix::random::uniform(n + 1, n + 1, 8);
+        for j in 0..=n {
+            packed[(14, j)] = -0.0;
+        }
+        for i in 0..=n {
+            packed[(i, 6)] = -0.0;
+        }
+        packed[(19, 2)] = f64::NAN;
+        for backend in [ft_blas::Backend::Serial, ft_blas::Backend::Threaded(4)] {
+            for (j0, j1) in [
+                (0, n),
+                (0, n - 2),
+                (3, 10),
+                (4, 8),
+                (17, n),
+                (n - 1, n),
+                (5, 5),
+            ] {
+                let seed_rows: Vec<f64> = (0..n).map(|i| i as f64 * 0.5 - 3.0).collect();
+                let mut want_rows = seed_rows.clone();
+                let mut want_cols = vec![0.0; j1 - j0];
+                for j in j0..j1 {
+                    let mut colsum = 0.0;
+                    for i in (j + 2)..n {
+                        want_rows[i] += packed[(i, j)];
+                        colsum += packed[(i, j)];
+                    }
+                    want_cols[j - j0] = colsum;
+                }
+                let mut rows = seed_rows.clone();
+                let mut cols = vec![f64::NAN; j1 - j0];
+                ft_blas::with_backend(backend, || {
+                    sweep_reflectors(&packed, n, j0, &mut rows, &mut cols)
+                });
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rows), bits(&want_rows), "{backend:?} rows {j0}..{j1}");
+                assert_eq!(bits(&cols), bits(&want_cols), "{backend:?} cols {j0}..{j1}");
+            }
+        }
     }
 
     #[test]
