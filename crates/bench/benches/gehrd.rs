@@ -3,8 +3,8 @@
 //! plus the FT driver under the serial vs threaded level-3 backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ft_bench::{write_bench_json, Record};
-use ft_blas::Backend;
+use ft_bench::{cores, write_bench_json, Record};
+use ft_blas::{active_simd_path, Backend};
 use ft_fault::FaultPlan;
 use ft_hessenberg::{ft_gehrd_hybrid, gehrd_hybrid, FtConfig, HybridConfig};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
@@ -117,28 +117,25 @@ fn bench_ft_backend(c: &mut Criterion) {
             .num("speedup", ts / tt)
             .num("serial_gflops", gflops(ts))
             .num("threaded4_gflops", gflops(tt))
+            .str("isa", active_simd_path())
+            .int("cores", cores())
             .bool("smoke", smoke),
         phase_breakdown_record(&a, n, nb, smoke),
     ];
     write_bench_json("gehrd", &records);
 }
 
-/// One traced (unmeasured) run of the FT driver under the threaded
-/// backend, with span collection forced on, producing the per-phase
-/// wall-clock breakdown record embedded in BENCH_gehrd.json — the paper's
-/// Figure 6 decomposition. The previous trace mode is restored afterwards
-/// so the measured loops above stay un-instrumented.
+/// One more run of the FT driver under the threaded backend, producing
+/// the per-phase wall-clock breakdown record embedded in BENCH_gehrd.json
+/// — the paper's Figure 6 decomposition. The driver times its own
+/// phases, so the run needs no trace mode of its own.
 fn phase_breakdown_record(a: &ft_matrix::Matrix, n: usize, nb: usize, smoke: bool) -> Record {
-    let prev_mode = ft_trace::mode();
-    ft_trace::set_mode(ft_trace::TraceMode::Summary);
     let cfg = FtConfig {
         backend: Backend::Threaded(4),
         ..FtConfig::with_nb(nb)
     };
     let mut ctx = HybridCtx::new(CostModel::k40c_sandy_bridge(), ExecMode::Full, 2);
     let out = ft_gehrd_hybrid(a, &cfg, &mut ctx, &mut FaultPlan::none());
-    ft_trace::set_mode(prev_mode);
-    let _ = ft_trace::take_events(); // drain: keep the shared sink bounded
 
     let ph = &out.report.phases;
     let wall = out.report.wall_seconds;
@@ -157,7 +154,9 @@ fn phase_breakdown_record(a: &ft_matrix::Matrix, n: usize, nb: usize, smoke: boo
     for (name, secs) in ph.rows() {
         rec = rec.num(&format!("phase_{name}_ms"), secs * 1e3);
     }
-    rec.bool("smoke", smoke)
+    rec.str("isa", active_simd_path())
+        .int("cores", cores())
+        .bool("smoke", smoke)
 }
 
 criterion_group!(benches, bench_gehrd, bench_ft_backend);

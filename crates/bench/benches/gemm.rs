@@ -3,7 +3,7 @@
 //! comparison behind the `FT_BLAS_BACKEND` knob.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ft_bench::{write_bench_json, Record};
+use ft_bench::{cores, write_bench_json, Record};
 use ft_blas::{
     active_simd_path, gemm, gemm_ft, gemm_with_algo, gemv, pool, trmm, with_backend, AbftOptions,
     Backend, Diag, GemmAlgo, Side, Trans, Uplo,
@@ -12,12 +12,6 @@ use ft_matrix::{MatViewMut, Matrix};
 use std::time::Instant;
 
 use ft_bench::smoke;
-
-fn cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|c| c.get() as u64)
-        .unwrap_or(1)
-}
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");

@@ -7,16 +7,10 @@
 //! statistical resampling of a 64-job closed loop would measure the OS
 //! scheduler, not the service. `FT_BENCH_SMOKE=1` shrinks the mix for CI.
 
-use ft_bench::{loadgen_records, service_records, smoke, write_bench_json, Record};
+use ft_bench::{cores, loadgen_records, service_records, smoke, write_bench_json, Record};
 use ft_blas::active_simd_path;
 use ft_serve::{loadgen, LoadgenConfig, Service, ServiceConfig, Shutdown};
 use std::time::Duration;
-
-fn cores() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
-}
 
 fn run_mix(label: &str, workers: usize, cfg: &LoadgenConfig) -> Vec<Record> {
     let service = Service::start(ServiceConfig {

@@ -12,7 +12,7 @@ pub mod table;
 
 pub use cli::Args;
 pub use heatmap::{polluted_count, polluted_rows, render_heatmap};
-pub use report::{merge_records, parse_bench_json, write_bench_json, Record, Value};
+pub use report::{cores, merge_records, parse_bench_json, write_bench_json, Record, Value};
 pub use serve_report::{loadgen_records, service_records};
 pub use sizes::{paper_sizes, scaled_sizes, smoke};
 pub use table::{pct, sci, Table};

@@ -366,6 +366,14 @@ pub fn merge_records(existing: &[Record], incoming: &[Record]) -> Vec<Record> {
     out
 }
 
+/// Cores the OS makes available to this process: the `cores` machine tag
+/// every bench record carries next to `isa`.
+pub fn cores() -> u64 {
+    std::thread::available_parallelism()
+        .map(|c| c.get() as u64)
+        .unwrap_or(1)
+}
+
 /// Repo root (two levels up from this crate's manifest).
 pub fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")

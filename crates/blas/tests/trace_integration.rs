@@ -1,13 +1,14 @@
 //! Integration contract between the threaded backend and `ft-trace`:
 //! spans opened on pool workers close, the pool/workspace counters are
-//! single-sourced from the registry, and disabling tracing keeps the
-//! level-3 hot path free of span-sink writes.
+//! single-sourced from the registry, and with tracing and the recorder
+//! off the level-3 hot path writes nothing to the rings.
 //!
-//! These tests share process-global trace state (`ft_trace::set_mode`),
-//! so each one takes `TRACE_LOCK` to serialize against its siblings.
+//! These tests share process-global trace state (`ft_trace::set_mode`,
+//! `ft_trace::recorder::configure`), so each one takes `TRACE_LOCK` to
+//! serialize against its siblings.
 
 use ft_blas::{gemm, pool, with_backend, workspace, Backend, Trans};
-use ft_trace::TraceMode;
+use ft_trace::{recorder, TraceMode};
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -37,16 +38,16 @@ fn forking_gemm() {
 fn spans_open_and_close_across_pool_workers() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     ft_trace::set_mode(TraceMode::Summary);
-    let mark = ft_trace::mark();
+    let t0 = ft_trace::clock::now_us();
 
     forking_gemm();
 
-    let events = ft_trace::events_since(mark);
+    let mut events = recorder::snapshot();
+    events.retain(|e| e.cat == "wall" && e.start_us >= t0);
     ft_trace::set_mode(TraceMode::Off);
-    let _ = ft_trace::take_events();
 
-    // Events only reach the sink when a guard *drops*, so every event here
-    // is by construction a closed span with a well-formed interval.
+    // Events only reach the rings when a guard *drops*, so every event
+    // here is by construction a closed span with a well-formed interval.
     let dispatches: Vec<_> = events
         .iter()
         .filter(|e| e.name == "pool.dispatch")
@@ -58,12 +59,11 @@ fn spans_open_and_close_across_pool_workers() {
     );
     assert!(
         !tasks.is_empty(),
-        "worker-side pool.task spans must close and land in the sink"
+        "worker-side pool.task spans must close and land in the rings"
     );
     for ev in &events {
         assert!(ev.dur_us >= 0.0, "negative duration on {}", ev.name);
         assert!(ev.start_us.is_finite());
-        assert_eq!(ev.cat, "wall");
     }
     // Worker spans run on pool threads, never on the caller's.
     let caller = ft_trace::current_tid();
@@ -106,18 +106,26 @@ fn pool_and_workspace_counters_are_single_sourced() {
     }
 }
 
+/// Events ever written to the rings (retained plus overwritten).
+fn ring_writes() -> u64 {
+    let st = recorder::stats();
+    st.occupancy as u64 + st.dropped
+}
+
 #[test]
-fn trace_off_means_zero_span_sink_writes_on_hot_path() {
+fn trace_and_recorder_off_means_zero_ring_writes_on_hot_path() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     ft_trace::set_mode(TraceMode::Off);
+    recorder::configure(false, recorder::DEFAULT_CAPACITY, None);
 
-    let events_before = ft_trace::span_event_count();
+    let writes_before = ring_writes();
     for _ in 0..3 {
         forking_gemm();
     }
+    let writes_after = ring_writes();
+    recorder::configure(true, recorder::DEFAULT_CAPACITY, None);
     assert_eq!(
-        ft_trace::span_event_count(),
-        events_before,
-        "FT_TRACE off must not push a single event from the level-3 hot path"
+        writes_after, writes_before,
+        "FT_TRACE and the recorder off must not write a single event from the level-3 hot path"
     );
 }

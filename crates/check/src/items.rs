@@ -230,15 +230,21 @@ pub fn parse(lexed: &Lexed) -> FileItems {
                         i += 1;
                         continue;
                     }
-                    // Scan the signature for the body `{` or a `;`.
+                    // Scan the signature for the body `{` or a `;`
+                    // outside brackets (the one in `[T; N]` is a type).
                     let mut j = i + 2;
                     let mut body = None;
+                    let mut brackets = 0i32;
                     while let Some(tj) = toks.get(j) {
                         if tj.is_punct("{") {
                             body = pairs[j].map(|close| (j, close));
                             break;
                         }
-                        if tj.is_punct(";") {
+                        if tj.is_punct("[") {
+                            brackets += 1;
+                        } else if tj.is_punct("]") {
+                            brackets -= 1;
+                        } else if tj.is_punct(";") && brackets == 0 {
                             break;
                         }
                         j += 1;

@@ -97,6 +97,17 @@ fn ftc008_allocation_reachable_from_hot_fn() {
 }
 
 #[test]
+fn ftc008_sees_the_body_of_a_fn_with_array_types_in_its_signature() {
+    let f = run(
+        "ftc008_array_signature.rs",
+        "crates/blas/src/fixture.rs",
+        &Ctx::default(),
+    );
+    assert_rule_at(&f, "FTC008", 7, 19);
+    assert!(f[0].message.contains("vec!"), "{}", f[0].message);
+}
+
+#[test]
 fn ftc008_buffer_reuse_is_clean() {
     let f = run(
         "ftc008_clean.rs",

@@ -190,7 +190,6 @@ fn ft_gehrd_hybrid_inner(
     let loc_tol = threshold / (n as f64).sqrt().max(1.0);
 
     let wall_start = ft_trace::clock::Stopwatch::start();
-    let trace_mark = ft_trace::mark();
 
     let mut report = FtReport {
         n,
@@ -203,7 +202,7 @@ fn ft_gehrd_hybrid_inner(
     // Transfer the input and encode it on the device (lines 1–2).
     ctx.h2d(s0, n * n * 8, || ());
     let mut ax = {
-        let _span = ft_trace::span!("ft.encode");
+        let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
         ctx.device(
             s0,
             OpClass::DeviceGemv,
@@ -248,7 +247,7 @@ fn ft_gehrd_hybrid_inner(
             ax.as_ref().map(|axm| axm.raw().sub_matrix(0, k, n + 1, ib));
 
         // ---- run the iteration ------------------------------------------
-        let mut artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1);
+        let mut artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1, &mut report.phases);
         report.online_detections += artifacts.online_detected;
         report.online_corrections += artifacts.online_corrected;
 
@@ -262,7 +261,17 @@ fn ft_gehrd_hybrid_inner(
         }
 
         // ---- detection (lines 12–13): two device reductions -------------
-        let mut detected = detect(ctx, &ax, n, threshold, s0, &timing_faults, k, ib);
+        let mut detected = detect(
+            ctx,
+            &ax,
+            n,
+            threshold,
+            s0,
+            &timing_faults,
+            k,
+            ib,
+            &mut report.phases,
+        );
 
         // ---- recovery loop (lines 14–16) ---------------------------------
         let mut attempts = 0;
@@ -281,7 +290,7 @@ fn ft_gehrd_hybrid_inner(
             let ntrail1 = m - ib + 2;
             let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
             {
-                let _span = ft_trace::span!("ft.reverse", iter);
+                let _span = ft_trace::span!("ft.reverse", iter => &mut report.phases.reverse);
                 ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
                     let axm = ax.as_mut().unwrap();
                     reverse_left_update_ext(
@@ -324,19 +333,20 @@ fn ft_gehrd_hybrid_inner(
                 || {
                     let axm = ax.as_mut().unwrap();
                     let out = {
-                        let _span = ft_trace::span!("ft.locate", iter);
+                        let _span = ft_trace::span!("ft.locate", iter => &mut report.phases.locate);
                         locate_errors(axm, k, loc_tol)
                     };
                     let fixes: Vec<(usize, usize, f64)> =
                         out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
                     {
-                        let _span = ft_trace::span!("ft.correct", iter);
+                        let _span =
+                            ft_trace::span!("ft.correct", iter => &mut report.phases.correct);
                         correct_errors(axm, &out.errors);
                     }
                     if out.errors.is_empty() {
                         // Checksum-side corruption (or an undetectable
                         // pattern): re-encode the checksums from the data.
-                        let _span = ft_trace::span!("ft.encode");
+                        let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
                         reencode_checksums(axm, k);
                     }
                     (fixes, out.resolved)
@@ -364,10 +374,10 @@ fn ft_gehrd_hybrid_inner(
 
             // Re-execute the iteration (line: "the entire iteration is
             // repeated after the error correction").
-            artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1);
+            artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1, &mut report.phases);
             report.online_detections += artifacts.online_detected;
             report.online_corrections += artifacts.online_corrected;
-            detected = detect(ctx, &ax, n, threshold, s0, &[], k, ib);
+            detected = detect(ctx, &ax, n, threshold, s0, &[], k, ib, &mut report.phases);
         }
         if detected {
             // Give up on surgical repair: refresh all checksums from the
@@ -377,7 +387,7 @@ fn ft_gehrd_hybrid_inner(
                 OpClass::DeviceVector,
                 Work::Flops(4.0 * (n * n) as f64),
                 || {
-                    let _span = ft_trace::span!("ft.encode");
+                    let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
                     reencode_checksums(ax.as_mut().unwrap(), k + ib);
                 },
             );
@@ -397,6 +407,7 @@ fn ft_gehrd_hybrid_inner(
             tau[k..k + ib].copy_from_slice(&p.tau);
         }
         if cfg.protect_q {
+            let _span = ft_trace::span!("ft.qprotect", k => &mut report.phases.qprotect);
             if let Some(axm) = &ax {
                 let taus = &tau[k..k + ib];
                 qprot.absorb_panel(axm.raw(), k, ib, taus);
@@ -419,14 +430,14 @@ fn ft_gehrd_hybrid_inner(
     );
     if let Some(axm) = &mut ax {
         let out = {
-            let _span = ft_trace::span!("ft.locate");
+            let _span = ft_trace::span!("ft.locate" => &mut report.phases.locate);
             locate_errors(axm, total, loc_tol)
         };
         if !out.errors.is_empty() {
             let fixes: Vec<(usize, usize, f64)> =
                 out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
             {
-                let _span = ft_trace::span!("ft.correct");
+                let _span = ft_trace::span!("ft.correct" => &mut report.phases.correct);
                 correct_errors(axm, &out.errors);
             }
             ft_recovery_counter().incr();
@@ -452,7 +463,7 @@ fn ft_gehrd_hybrid_inner(
     }
     // (b) Q storage check (paper §IV-F, once at the end).
     if cfg.protect_q {
-        let _span = ft_trace::span!("ft.qprotect");
+        let _span = ft_trace::span!("ft.qprotect" => &mut report.phases.qprotect);
         ctx.host(
             OpClass::HostVector,
             Work::Flops(2.0 * (n * n) as f64 / 2.0),
@@ -474,14 +485,6 @@ fn ft_gehrd_hybrid_inner(
     report.sim_seconds = ctx.elapsed();
     report.stats = ctx.stats().clone();
     report.wall_seconds = wall_start.elapsed_seconds();
-    if ft_trace::enabled() {
-        // Attribute only this thread's events after our watermark: in a
-        // shared process (parallel tests) the sink interleaves runs.
-        report.phases = PhaseBreakdown::from_events(
-            &ft_trace::events_since(trace_mark),
-            ft_trace::current_tid(),
-        );
-    }
 
     let result = ax.map(|axm| HessFactorization {
         packed: axm.into_packed(),
@@ -505,6 +508,7 @@ fn run_iteration(
     cfg: &FtConfig,
     s0: StreamId,
     s1: StreamId,
+    phases: &mut PhaseBreakdown,
 ) -> IterArtifacts {
     let m = n - k - 1;
     let ntrail1 = m - ib + 2; // real trailing columns + checksum column
@@ -516,7 +520,7 @@ fn run_iteration(
     // Panel factorization (line 5): host + device-GEMV split as in MAGMA.
     let (host_flops, dev_gemv_flops) = panel_costs(n, k, ib);
     let panel = {
-        let _span = ft_trace::span!("ft.panel", k);
+        let _span = ft_trace::span!("ft.panel", k => &mut phases.panel);
         ctx.host(OpClass::HostPanel, Work::Flops(host_flops), || {
             lahr2_within(ax.as_mut().unwrap().raw_mut(), n, k, ib)
         })
@@ -528,7 +532,7 @@ fn run_iteration(
     // Checksum extensions (lines 6–7): Yce from the pre-update checksum
     // row, Vce as the column sums of V — two device GEMV-class kernels.
     let ext = {
-        let _span = ft_trace::span!("ft.encode", k);
+        let _span = ft_trace::span!("ft.encode", k => &mut phases.encode);
         ctx.device(
             s0,
             OpClass::DeviceGemv,
@@ -558,7 +562,7 @@ fn run_iteration(
 
     // Right update to M's panel columns (line 8).
     if ib > 1 {
-        let _span = ft_trace::span!("ft.trailing", k);
+        let _span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
         ctx.device(
             s0,
             OpClass::DeviceGemm,
@@ -581,9 +585,8 @@ fn run_iteration(
 
     // Right update to G + checksum borders (line 10) and the left update
     // (line 11, retaining W for reversal): the trailing-matrix phase.
-    // Under `online_abft` both run through the fused-checksum kernel; the
-    // `blas.abft` spans it opens are subtracted from `ft.trailing` in the
-    // phase breakdown so the rows stay disjoint.
+    // Under `online_abft` both run through the fused-checksum kernel,
+    // whose checks count as trailing time.
     let mut online_detected = 0usize;
     let mut online_corrected = 0usize;
     let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
@@ -592,7 +595,7 @@ fn run_iteration(
     // on the device for the ablation.
     let q_flops = 4.0 * (m * ib) as f64;
 
-    let trailing_span = ft_trace::span!("ft.trailing", k);
+    let trailing_span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
     ctx.device(
         s0,
         OpClass::DeviceGemm,
@@ -647,7 +650,7 @@ fn run_iteration(
     // from their final H values (their storage switched
     // representation).
     {
-        let _span = ft_trace::span!("ft.encode", k);
+        let _span = ft_trace::span!("ft.encode", k => &mut phases.encode);
         ctx.device(
             s0,
             OpClass::DeviceVector,
@@ -679,8 +682,9 @@ fn detect(
     timing_faults: &[ft_fault::ScheduledFault],
     k: usize,
     ib: usize,
+    phases: &mut PhaseBreakdown,
 ) -> bool {
-    let _span = ft_trace::span!("ft.detect", k);
+    let _span = ft_trace::span!("ft.detect", k => &mut phases.detect);
     // Two device reductions + a tiny transfer + host compare.
     ctx.device(
         s0,

@@ -3,7 +3,6 @@
 
 use ft_fault::AppliedFault;
 use ft_hybrid::ExecStats;
-use ft_trace::Event;
 
 /// Why a fault-tolerant run ended in a state the driver could not verify
 /// — the structured form of "unrecoverable corruption" that callers (and
@@ -77,14 +76,16 @@ pub struct FtReport {
     pub wall_seconds: f64,
     /// Simulated resource statistics.
     pub stats: ExecStats,
-    /// Wall-clock per-phase breakdown (populated only when `ft-trace`
-    /// collection is enabled; empty otherwise).
+    /// Wall-clock per-phase breakdown, timed by the driver on every run.
     pub phases: PhaseBreakdown,
 }
 
 /// Wall-clock attribution of one fault-tolerant run to the driver's
 /// disjoint leaf phases — the reproduction of the paper's Figure 6
-/// overhead decomposition. All values are seconds.
+/// overhead decomposition. The driver times each phase itself (one
+/// clock pair per `ft.*` span feeds both the span and its row here), so
+/// the breakdown exists on every run, traced or not. All values are
+/// seconds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Checksum encoding: initial encode, per-panel checksum extensions,
@@ -92,14 +93,9 @@ pub struct PhaseBreakdown {
     pub encode: f64,
     /// Panel factorizations (`ft.panel`).
     pub panel: f64,
-    /// Trailing-matrix updates (`ft.trailing`), *excluding* any fused
-    /// online-ABFT verify time nested inside them (see
-    /// [`PhaseBreakdown::abft`]).
+    /// Trailing-matrix updates (`ft.trailing`), including the fused
+    /// online-ABFT checks when `FtConfig::online_abft` is on.
     pub trailing: f64,
-    /// Fused online-ABFT verify/locate/correct epilogues (`blas.abft`).
-    /// These spans nest inside `ft.trailing`, so their time is moved out
-    /// of [`PhaseBreakdown::trailing`] to keep the rows disjoint.
-    pub abft: f64,
     /// Checksum-mismatch detection scans (`ft.detect`).
     pub detect: f64,
     /// Reverse-computation rollbacks (`ft.reverse`).
@@ -108,57 +104,17 @@ pub struct PhaseBreakdown {
     pub locate: f64,
     /// Error correction writes (`ft.correct`).
     pub correct: f64,
-    /// End-of-run `Q`/`tau` checksum verification (`ft.qprotect`).
+    /// `Q` protection: the per-panel checksum absorb (paper §IV-E) and
+    /// the end-of-run `Q`/`tau` verification (§IV-F) (`ft.qprotect`).
     pub qprotect: f64,
 }
 
 impl PhaseBreakdown {
-    /// Builds a breakdown from trace events: keeps category `"wall"`
-    /// events named `ft.*` recorded by thread `tid` (the driver thread —
-    /// pool-worker spans must not double-count into the driver's
-    /// timeline).
-    pub fn from_events(events: &[Event], tid: u64) -> PhaseBreakdown {
-        let mut b = PhaseBreakdown::default();
-        for ev in events {
-            if ev.cat != "wall" || ev.tid != tid {
-                continue;
-            }
-            let secs = ev.dur_us / 1e6;
-            match ev.name {
-                "ft.encode" => b.encode += secs,
-                "ft.panel" => b.panel += secs,
-                "ft.trailing" => b.trailing += secs,
-                // The fused-ABFT epilogue span nests inside `ft.trailing`:
-                // move its time out of `trailing` so the rows stay
-                // disjoint and `ft_overhead` charges it correctly.
-                "blas.abft" => {
-                    b.abft += secs;
-                    b.trailing -= secs;
-                }
-                "ft.detect" => b.detect += secs,
-                "ft.reverse" => b.reverse += secs,
-                "ft.locate" => b.locate += secs,
-                "ft.correct" => b.correct += secs,
-                "ft.qprotect" => b.qprotect += secs,
-                _ => {}
-            }
-        }
-        b
-    }
-
     /// Sum of all phases, seconds. The phases are disjoint leaf spans, so
     /// this approximates the run's wall-clock from below (the gap is
     /// un-instrumented glue).
     pub fn total(&self) -> f64 {
-        self.encode
-            + self.panel
-            + self.trailing
-            + self.abft
-            + self.detect
-            + self.reverse
-            + self.locate
-            + self.correct
-            + self.qprotect
+        self.rows().iter().map(|(_, secs)| secs).sum()
     }
 
     /// Fault-tolerance overhead phases only (everything that is not the
@@ -168,12 +124,11 @@ impl PhaseBreakdown {
     }
 
     /// `(name, seconds)` rows in fixed phase order, for report writers.
-    pub fn rows(&self) -> [(&'static str, f64); 9] {
+    pub fn rows(&self) -> [(&'static str, f64); 8] {
         [
             ("encode", self.encode),
             ("panel", self.panel),
             ("trailing", self.trailing),
-            ("abft", self.abft),
             ("detect", self.detect),
             ("reverse", self.reverse),
             ("locate", self.locate),
@@ -182,7 +137,7 @@ impl PhaseBreakdown {
         ]
     }
 
-    /// `true` if no phase recorded any time (collection was off).
+    /// `true` if no phase recorded any time.
     pub fn is_empty(&self) -> bool {
         self.total() == 0.0
     }
@@ -238,59 +193,19 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_filters_by_tid_category_and_prefix() {
-        let ev = |name, cat, tid, dur_us| Event {
-            name,
-            cat,
-            arg: None,
-            tid,
-            start_us: 0.0,
-            dur_us,
-            ctx: None,
+    fn breakdown_totals_and_overhead() {
+        let b = PhaseBreakdown {
+            panel: 3.0,
+            trailing: 1.0,
+            detect: 0.5,
+            qprotect: 0.25,
+            ..Default::default()
         };
-        let events = vec![
-            ev("ft.panel", "wall", 1, 2e6),
-            ev("ft.panel", "wall", 1, 1e6),
-            ev("ft.detect", "wall", 1, 5e5),
-            ev("ft.panel", "wall", 2, 9e6),   // other thread: excluded
-            ev("ft.trailing", "sim", 1, 9e6), // sim category: excluded
-            ev("lahr2", "wall", 1, 9e6),      // non-ft name: excluded
-        ];
-        let b = PhaseBreakdown::from_events(&events, 1);
-        assert!((b.panel - 3.0).abs() < 1e-12);
-        assert!((b.detect - 0.5).abs() < 1e-12);
-        assert_eq!(b.trailing, 0.0);
-        assert!((b.total() - 3.5).abs() < 1e-12);
-        assert!((b.ft_overhead() - 0.5).abs() < 1e-12);
+        assert!((b.total() - 4.75).abs() < 1e-12);
+        assert!((b.ft_overhead() - 0.75).abs() < 1e-12);
         assert!(!b.is_empty());
         assert!(PhaseBreakdown::default().is_empty());
         assert_eq!(b.rows()[1], ("panel", b.panel));
-    }
-
-    #[test]
-    fn abft_time_moves_out_of_trailing() {
-        // The `blas.abft` span nests inside `ft.trailing`; the breakdown
-        // must carve it out so the rows stay disjoint and `total()` does
-        // not double-count the nested seconds.
-        let ev = |name, dur_us| Event {
-            name,
-            cat: "wall",
-            arg: None,
-            tid: 1,
-            start_us: 0.0,
-            dur_us,
-            ctx: None,
-        };
-        let events = vec![
-            ev("ft.trailing", 4e6), // includes 1s of nested abft
-            ev("blas.abft", 1e6),
-            ev("ft.panel", 2e6),
-        ];
-        let b = PhaseBreakdown::from_events(&events, 1);
-        assert!((b.trailing - 3.0).abs() < 1e-12);
-        assert!((b.abft - 1.0).abs() < 1e-12);
-        assert!((b.total() - 6.0).abs() < 1e-12);
-        assert!((b.ft_overhead() - 1.0).abs() < 1e-12, "{}", b.ft_overhead());
-        assert_eq!(b.rows()[3], ("abft", b.abft));
+        assert_eq!(b.rows()[7], ("qprotect", b.qprotect));
     }
 }

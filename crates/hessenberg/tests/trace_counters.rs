@@ -1,15 +1,18 @@
 //! End-to-end trace contract for the FT driver: a known 2-fault campaign
 //! produces exact registry-counter deltas, every FT phase emits a span
-//! when collection is on, and a run with tracing off still recovers while
-//! writing nothing to the span sink.
+//! when collection is on and the driver's own phase totals agree with
+//! those spans, and a run with tracing and the recorder off still
+//! recovers and reports its phase breakdown while writing nothing to
+//! the rings.
 //!
-//! These tests share process-global trace state (`ft_trace::set_mode`),
-//! so each one takes `TRACE_LOCK` to serialize against its siblings.
+//! These tests share process-global trace state (`ft_trace::set_mode`,
+//! `ft_trace::recorder::configure`), so each one takes `TRACE_LOCK` to
+//! serialize against its siblings.
 
 use ft_fault::{Fault, FaultPlan, Phase, ScheduledFault};
 use ft_hessenberg::{ft_gehrd_hybrid, FtConfig, FtOutcome};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
-use ft_trace::TraceMode;
+use ft_trace::{recorder, Event, TraceMode};
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -35,10 +38,31 @@ fn two_fault_plan() -> FaultPlan {
     ])
 }
 
-fn run_campaign() -> FtOutcome {
+fn run(plan: &mut FaultPlan) -> FtOutcome {
     let a = ft_matrix::random::uniform(N, N, 99);
     let mut ctx = HybridCtx::new(CostModel::k40c_sandy_bridge(), ExecMode::Full, 2);
-    ft_gehrd_hybrid(&a, &FtConfig::with_nb(NB), &mut ctx, &mut two_fault_plan())
+    ft_gehrd_hybrid(&a, &FtConfig::with_nb(NB), &mut ctx, plan)
+}
+
+fn run_campaign() -> FtOutcome {
+    run(&mut two_fault_plan())
+}
+
+/// The calling thread's wall-clock `ft.*` spans recorded at or after
+/// `t0`, read from the rings.
+fn ft_spans_since(t0: f64) -> Vec<Event> {
+    let tid = ft_trace::current_tid();
+    let mut events = recorder::snapshot();
+    events.retain(|e| {
+        e.cat == "wall" && e.tid == tid && e.start_us >= t0 && e.name.starts_with("ft.")
+    });
+    events
+}
+
+/// Events ever written to the rings (retained plus overwritten).
+fn ring_writes() -> u64 {
+    let st = recorder::stats();
+    st.occupancy as u64 + st.dropped
 }
 
 #[test]
@@ -76,20 +100,14 @@ fn two_fault_campaign_counters_are_exact() {
 fn faulty_run_emits_a_span_for_every_ft_phase() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     ft_trace::set_mode(TraceMode::Summary);
-    let mark = ft_trace::mark();
+    let t0 = ft_trace::clock::now_us();
 
     let out = run_campaign();
 
-    let tid = ft_trace::current_tid();
-    let events = ft_trace::events_since(mark);
+    let events = ft_spans_since(t0);
     ft_trace::set_mode(TraceMode::Off);
-    let _ = ft_trace::take_events();
 
-    let ft_names: Vec<&str> = events
-        .iter()
-        .filter(|e| e.cat == "wall" && e.tid == tid && e.name.starts_with("ft."))
-        .map(|e| e.name)
-        .collect();
+    let ft_names: Vec<&str> = events.iter().map(|e| e.name).collect();
     for phase in [
         "ft.encode",
         "ft.panel",
@@ -98,6 +116,7 @@ fn faulty_run_emits_a_span_for_every_ft_phase() {
         "ft.reverse",
         "ft.locate",
         "ft.correct",
+        "ft.qprotect",
     ] {
         assert!(
             ft_names.contains(&phase),
@@ -105,10 +124,24 @@ fn faulty_run_emits_a_span_for_every_ft_phase() {
         );
     }
 
-    // The per-phase breakdown attached to the report is built from those
-    // same disjoint leaf spans: it must account for most of the run
-    // without ever exceeding it.
+    // The driver times each phase with the same clock pair its span
+    // records, so every breakdown row equals its spans' summed duration.
     let ph = &out.report.phases;
+    for (row, secs) in ph.rows() {
+        let name = format!("ft.{row}");
+        let spans: f64 = events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.dur_us / 1e6)
+            .sum();
+        assert!(
+            (spans - secs).abs() <= 1e-12 * secs.max(1e-3),
+            "{name}: spans sum to {spans} s, the report says {secs} s"
+        );
+    }
+
+    // The breakdown accounts for most of the run without ever exceeding
+    // it.
     assert!(!ph.is_empty());
     assert!(ph.total() > 0.0);
     assert!(
@@ -127,20 +160,45 @@ fn faulty_run_emits_a_span_for_every_ft_phase() {
 }
 
 #[test]
-fn trace_off_run_recovers_with_zero_span_sink_writes() {
+fn clean_run_records_one_qprotect_span_per_iteration_plus_the_final_check() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     ft_trace::set_mode(TraceMode::Off);
+    recorder::configure(true, recorder::DEFAULT_CAPACITY, None);
+    let t0 = ft_trace::clock::now_us();
 
-    let events_before = ft_trace::span_event_count();
+    let out = run(&mut FaultPlan::none());
+
+    let qprotect = ft_spans_since(t0)
+        .iter()
+        .filter(|e| e.name == "ft.qprotect")
+        .count();
+    assert!(out.report.recoveries.is_empty(), "{:?}", out.report);
+    assert_eq!(out.report.iterations, (N - 2).div_ceil(NB));
+    assert_eq!(qprotect, out.report.iterations + 1);
+    assert!(out.report.phases.qprotect > 0.0);
+}
+
+#[test]
+fn trace_and_recorder_off_run_reports_phases_with_zero_ring_writes() {
+    let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    ft_trace::set_mode(TraceMode::Off);
+    recorder::configure(false, recorder::DEFAULT_CAPACITY, None);
+
+    let writes_before = ring_writes();
     let out = run_campaign();
+    let writes_after = ring_writes();
+    recorder::configure(true, recorder::DEFAULT_CAPACITY, None);
 
     assert_eq!(
-        ft_trace::span_event_count(),
-        events_before,
-        "FT_TRACE off must not push span events from the FT driver"
+        writes_after, writes_before,
+        "FT_TRACE and the recorder off must not write events from the FT driver"
     );
-    // No collection → no breakdown, but the algorithm is unaffected.
-    assert!(out.report.phases.is_empty());
+    // The driver still times its own phases, and the algorithm is
+    // unaffected.
+    let ph = &out.report.phases;
+    assert!(!ph.is_empty());
+    assert!(ph.panel > 0.0 && ph.trailing > 0.0 && ph.reverse > 0.0);
+    assert!(ph.total() <= out.report.wall_seconds);
     assert_eq!(out.report.recoveries.len(), 2);
     assert!(out.result.unwrap().h().is_upper_hessenberg());
 }

@@ -94,9 +94,12 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Currently queued items per priority lane, indexed by
-    /// [`Priority::index`] (the per-lane depth gauges' source).
+    /// [`Priority::index`] (the per-lane depth gauges' source). Workers
+    /// call this to refresh gauges and must not panic here; a poisoned
+    /// lock still yields the lengths, since every lane's length is valid
+    /// at every step of every update.
     pub fn lane_lens(&self) -> [usize; 3] {
-        let g = self.inner.lock().unwrap();
+        let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         [g.lanes[0].len(), g.lanes[1].len(), g.lanes[2].len()]
     }
 
@@ -260,6 +263,20 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         t.join().unwrap().unwrap();
         assert_eq!(q.pop(), Some(2));
+    }
+
+    #[test]
+    fn lane_lens_survive_a_poisoned_lock() {
+        let q = std::sync::Arc::new(BoundedQueue::new(4));
+        q.try_push(Priority::High, 1).unwrap();
+        q.try_push(Priority::Low, 2).unwrap();
+        let q2 = std::sync::Arc::clone(&q);
+        let poisoner = std::thread::spawn(move || {
+            let _g = q2.inner.lock().unwrap();
+            panic!("poison the queue lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert_eq!(q.lane_lens(), [1, 0, 1]);
     }
 
     #[test]

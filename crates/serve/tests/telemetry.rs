@@ -1,6 +1,6 @@
 //! End-to-end telemetry contract: one doubly-faulted job that needs an
 //! escalated retry must leave a fully attributed trail across every
-//! observability surface —
+//! observability surface, all read back from the flight-recorder rings —
 //!
 //! * **spans**: `serve.run` (and the algorithm spans inside it) carry
 //!   the ambient [`ft_trace::TraceCtx`], with the service-assigned job
@@ -68,8 +68,6 @@ fn scrape(addr: std::net::SocketAddr) -> String {
 fn retried_job_is_attributed_across_spans_journal_recorder_and_scrape() {
     ft_trace::set_mode(TraceMode::Summary);
     ft_trace::recorder::configure(true, 4096, None);
-    ft_trace::journal::clear();
-    let mark = ft_trace::mark();
 
     let svc = Service::start(ServiceConfig {
         workers: 1,
@@ -86,7 +84,7 @@ fn retried_job_is_attributed_across_spans_journal_recorder_and_scrape() {
     assert!(r.attempts >= 2, "the weak first run must force a retry");
 
     // --- spans: both attempts appear, same job, distinct attempt ------
-    let events = ft_trace::events_since(mark);
+    let events = ft_trace::recorder::snapshot();
     let runs: Vec<_> = events.iter().filter(|e| e.name == "serve.run").collect();
     assert!(runs.len() >= 2, "one serve.run span per executed attempt");
     let attempts: BTreeSet<u32> = runs
@@ -104,9 +102,9 @@ fn retried_job_is_attributed_across_spans_journal_recorder_and_scrape() {
     // Algorithm spans inside the run inherit the context — including on
     // pool workers the executor dispatched to.
     assert!(
-        events
-            .iter()
-            .any(|e| e.name != "serve.run" && e.ctx.is_some_and(|c| c.job_id == job_id)),
+        events.iter().any(|e| e.cat == "wall"
+            && e.name != "serve.run"
+            && e.ctx.is_some_and(|c| c.job_id == job_id)),
         "inner algorithm spans must inherit the job context"
     );
 
@@ -182,5 +180,4 @@ fn retried_job_is_attributed_across_spans_journal_recorder_and_scrape() {
 
     ft_trace::set_mode(TraceMode::Off);
     ft_trace::recorder::configure(false, 4096, None);
-    let _ = ft_trace::take_events();
 }

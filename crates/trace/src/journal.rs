@@ -1,26 +1,25 @@
 //! The structured fault audit journal.
 //!
-//! Every recovery episode the FT driver resolves (or fails to resolve)
-//! lands here as one [`JournalRecord`] tagged with the ambient trace
-//! context — job id, attempt, iteration, FT phase, and the protection
-//! level that was active. The journal is the input stream the planned
-//! adaptive-protection policy consumes (ROADMAP item 4), it is appended
-//! to every flight-recorder dump, and [`crate::to_jsonl`]'s callers can
-//! render it alongside span events.
+//! Every recovery episode the FT drivers resolve (or fail to resolve)
+//! is written as one journal event into the calling thread's
+//! flight-recorder ring, tagged with the ambient trace context — job
+//! id, attempt, iteration, FT phase, and the protection level that was
+//! active. [`snapshot`] decodes the retained records back into
+//! [`JournalRecord`]s; flight-recorder dumps append them after the
+//! events, and the service telemetry test reads them per job.
 //!
-//! Memory is bounded: the journal keeps the most recent
-//! [`CAPACITY`] records and drops the oldest beyond that (the same
-//! drop-oldest policy as the flight recorder). Records are tiny and
-//! recovery is rare — hitting the bound at all means a fault storm, and
-//! the retained tail is exactly the part a post-mortem wants.
+//! Memory is the rings' bound: journal records share each thread's
+//! ring (`FT_TRACE_RECORDER` capacity) with its spans and counter
+//! deltas, drop-oldest, and are only retained while the rings record
+//! ([`crate::recording`]). Recovery is rare, so the retained window
+//! reaches back as far as the thread's last few thousand events.
+//!
+//! Wire form of a journal event: `name_id` is the interned phase, `tid`
+//! the interned protection tag, `arg` the iteration (low 32 bits) and
+//! the corrected count (high 32 bits, both saturating), `has_arg` the
+//! resolved flag, `t0` the record time and `t1` the mismatch bits.
 
-#[cfg(feature = "enabled")]
-use crate::ctx;
-use std::collections::VecDeque;
-use std::sync::Mutex;
-
-/// Maximum records retained (drop-oldest beyond this).
-pub const CAPACITY: usize = 4096;
+use crate::recorder::{self, ring};
 
 /// One recovery / correction episode.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,7 +36,8 @@ pub struct JournalRecord {
     /// correction), `"giveup"` (budget exhausted, re-encode), or
     /// `"final"` (whole-matrix post-check).
     pub phase: &'static str,
-    /// Active protection level, e.g. `"full+q"` (see the FT driver).
+    /// Active protection level, e.g. `"checksums+q"` (see
+    /// `FtConfig::protection_label` in the FT driver).
     pub protection: &'static str,
     /// Number of corrected elements.
     pub corrected: usize,
@@ -48,11 +48,8 @@ pub struct JournalRecord {
     pub resolved: bool,
 }
 
-static JOURNAL: Mutex<VecDeque<JournalRecord>> = Mutex::new(VecDeque::new());
-
-/// Appends one record, stamping it with the calling thread's trace
-/// context, and mirrors it into the flight recorder. No-op without the
-/// `enabled` feature.
+/// Writes one record into the calling thread's ring, stamped with its
+/// trace context. No-op while the rings are off.
 pub fn record(
     iteration: usize,
     phase: &'static str,
@@ -61,39 +58,47 @@ pub fn record(
     mismatch: f64,
     resolved: bool,
 ) {
-    #[cfg(feature = "enabled")]
-    {
-        let c = ctx::current();
-        let rec = JournalRecord {
-            ts_us: crate::clock::now_us(),
-            job_id: c.map(|c| c.job_id),
-            attempt: c.map(|c| c.attempt).unwrap_or(0),
-            iteration,
-            phase,
-            protection,
-            corrected,
-            mismatch,
-            resolved,
-        };
-        crate::recorder::note_recovery("ft.recoveries", corrected as u64);
-        let mut j = JOURNAL.lock().unwrap();
-        if j.len() >= CAPACITY {
-            j.pop_front();
-        }
-        j.push_back(rec);
+    if !crate::recording() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (iteration, phase, protection, corrected, mismatch, resolved);
+    let low32 = |v: usize| v.min(u32::MAX as usize) as u64;
+    recorder::write(ring::RawEvent {
+        kind: ring::KIND_JOURNAL,
+        name_id: recorder::intern(phase),
+        has_arg: resolved,
+        attempt: 0,
+        tid: u64::from(recorder::intern(protection)),
+        job: 0,
+        arg: low32(iteration) | low32(corrected) << 32,
+        t0: crate::clock::now_us().to_bits(),
+        t1: mismatch.to_bits(),
+    });
 }
 
-/// A copy of the retained records, oldest first.
+/// Decodes the journal events of a raw ring snapshot.
+pub(crate) fn decode(raw: &[ring::RawEvent]) -> Vec<JournalRecord> {
+    raw.iter()
+        .filter(|ev| ev.kind == ring::KIND_JOURNAL)
+        .map(|ev| {
+            let ctx = recorder::raw_ctx(ev);
+            JournalRecord {
+                ts_us: f64::from_bits(ev.t0),
+                job_id: ctx.map(|c| c.job_id),
+                attempt: ctx.map_or(0, |c| c.attempt),
+                iteration: (ev.arg & 0xffff_ffff) as usize,
+                phase: recorder::resolve(ev.name_id),
+                protection: recorder::resolve(ev.tid as u32),
+                corrected: (ev.arg >> 32) as usize,
+                mismatch: f64::from_bits(ev.t1),
+                resolved: ev.has_arg,
+            }
+        })
+        .collect()
+}
+
+/// The retained records of every ring, oldest first.
 pub fn snapshot() -> Vec<JournalRecord> {
-    JOURNAL.lock().unwrap().iter().cloned().collect()
-}
-
-/// Drops every retained record (test isolation).
-pub fn clear() {
-    JOURNAL.lock().unwrap().clear();
+    decode(&recorder::raw_snapshot())
 }
 
 /// Renders one record as a single JSONL object (no trailing newline).
@@ -136,26 +141,34 @@ pub fn to_jsonl(records: &[JournalRecord]) -> String {
 #[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
+    use crate::ctx;
 
-    // One combined test: the journal is process-global state, so the
-    // context and bounding assertions must not run concurrently.
     #[test]
-    fn records_carry_ambient_context_and_journal_is_bounded() {
-        clear();
-        let g = ctx::push(ctx::TraceCtx {
-            job_id: 41,
-            attempt: 2,
-        });
-        record(3, "recovery", "full", 2, 1.5e-9, true);
-        drop(g);
-        record(9, "final", "full", 0, f64::NAN, false);
+    fn records_round_trip_through_the_ring_with_their_context() {
+        crate::recorder::configure(true, crate::recorder::DEFAULT_CAPACITY, None);
+        std::thread::spawn(|| {
+            let g = ctx::push(ctx::TraceCtx {
+                job_id: 41,
+                attempt: 2,
+            });
+            record(3, "recovery", "checksums+q", 2, 1.5e-9, true);
+            drop(g);
+            record(9, "final", "checksums", 0, f64::NAN, false);
+        })
+        .join()
+        .unwrap();
         let recs = snapshot();
         let with_ctx = recs
             .iter()
             .find(|r| r.job_id == Some(41))
             .expect("context-tagged record present");
         assert_eq!(with_ctx.attempt, 2);
+        assert_eq!(with_ctx.iteration, 3);
         assert_eq!(with_ctx.phase, "recovery");
+        assert_eq!(with_ctx.protection, "checksums+q");
+        assert_eq!(with_ctx.corrected, 2);
+        assert_eq!(with_ctx.mismatch, 1.5e-9);
+        assert!(with_ctx.resolved);
         let line = to_jsonl_line(with_ctx);
         assert!(line.starts_with("{\"journal\":{"));
         assert!(line.contains("\"job\":41"));
@@ -163,18 +176,10 @@ mod tests {
         assert!(line.contains("\"resolved\":true"));
         let bare = recs
             .iter()
-            .find(|r| r.phase == "final")
+            .find(|r| r.phase == "final" && r.iteration == 9)
             .expect("bare record");
         assert_eq!(bare.job_id, None);
+        assert!(!bare.resolved);
         assert!(to_jsonl_line(bare).contains("\"mismatch\":null"));
-
-        clear();
-        for i in 0..(CAPACITY + 10) {
-            record(i, "recovery", "full", 1, 0.0, true);
-        }
-        let recs = snapshot();
-        assert_eq!(recs.len(), CAPACITY);
-        assert_eq!(recs[0].iteration, 10, "oldest records dropped first");
-        clear();
     }
 }

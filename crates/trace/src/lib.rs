@@ -7,63 +7,70 @@
 //! needs per-phase attribution: how long did the panel factorizations take
 //! versus the trailing updates, what did a detection episode cost, how much
 //! wall-clock went into a reverse-computation rollback. This crate provides
-//! that attribution with a strict cost contract:
+//! that attribution through one event pipeline:
 //!
-//! * **spans** — [`SpanGuard`] RAII guards (usually created through the
-//!   [`span!`] macro) record a monotonic start on construction and push one
-//!   [`Event`] to the process-wide sink on drop. When tracing is off the
-//!   constructor is a single relaxed atomic load: no clock read, no lock,
-//!   no allocation.
-//! * **counters / gauges** — a process-wide registry of named atomics
-//!   ([`counter`], [`gauge`]). These are *always on* (a relaxed
-//!   `fetch_add`, exactly what the ad-hoc probes they replaced cost) so
-//!   regression tests can pin exact counts without enabling tracing; only
-//!   the *event sink* is gated.
-//! * **simulated-clock events** — [`record_sim`] lets the `ft-hybrid`
-//!   discrete-event simulator mirror its host/stream/link timelines into
-//!   the same trace (they render as a second process in `chrome://tracing`,
-//!   so the simulated schedule sits next to the real one).
+//! * **one store** — the [`recorder`] rings: a bounded, lock-free seqlock
+//!   ring per recording thread holding its last N events (drop-oldest).
+//!   Four event kinds land there: wall-clock spans ([`SpanGuard`], usually
+//!   through the [`span!`] macro), simulated-clock intervals
+//!   ([`record_sim`], the `ft-hybrid` simulator's host/stream/link
+//!   timelines), registry counter deltas, and fault-[`journal`] records.
+//!   Every event carries the ambient job/attempt [`ctx`].
+//! * **readers** — [`recorder::snapshot`] resolves spans, sim intervals
+//!   and counter deltas into [`Event`]s; [`journal::snapshot`] decodes
+//!   the journal records. The `FT_TRACE` sinks ([`finish`]), flight
+//!   recorder dumps and tests all read through these two.
+//! * **counters / gauges / histograms** — a process-wide registry of
+//!   named atomics ([`counter`], [`gauge`], [`histogram`]). These are
+//!   *always on* (a relaxed `fetch_add`) so regression tests can pin
+//!   exact counts without enabling tracing; [`metrics::MetricsSnapshot`]
+//!   exposes the whole registry for live exposition.
+//! * **caller-owned totals** — `span!(name, arg => &mut total)` always
+//!   reads the clock and adds the span's duration to `total` as well as
+//!   recording it, so a driver can keep its own per-phase breakdown on
+//!   every run (the FT driver's `FtReport::phases`) from the same clock
+//!   pair the trace shows.
 //!
-//! # Runtime gate: the `FT_TRACE` environment variable
+//! # Runtime gate: `FT_TRACE` and `FT_TRACE_RECORDER`
 //!
-//! | value            | behavior                                           |
+//! The rings record while [`recording`] holds: the recorder knob is on
+//! (`FT_TRACE_RECORDER=<events>[,dump:<path>]`, default on, 4096 events
+//! per thread) or `FT_TRACE` collects. When neither holds, a span
+//! constructor is one relaxed atomic load: no clock read, no store.
+//!
+//! | `FT_TRACE`       | behavior                                           |
 //! |------------------|----------------------------------------------------|
-//! | unset / `off`/`0`| sink off — span construction is one atomic load |
+//! | unset / `off`/`0`| no collection; rings follow `FT_TRACE_RECORDER`    |
 //! | `summary` / `1`  | collect; [`finish`] prints an aggregate table to stderr |
 //! | `jsonl:<path>`   | collect; [`finish`] writes one JSON object per event |
 //! | `chrome:<path>`  | collect; [`finish`] writes a `chrome://tracing` / Perfetto file |
-//! | `prom:<path>`    | sink off; [`finish`] writes a Prometheus metrics snapshot |
+//! | `prom:<path>`    | no collection; [`finish`] writes a Prometheus metrics snapshot |
 //!
-//! The mode is parsed once, on first use; tests and benches can override it
-//! programmatically with [`set_mode`].
-//!
-//! Independent of the sink, the [`recorder`] flight recorder retains the
-//! last N span/counter/recovery events in bounded per-thread rings
-//! (`FT_TRACE_RECORDER=<events>[,dump:<path>]`, on by default) for
-//! post-mortem dumps; the [`ctx`] module carries job/attempt trace
-//! context across pool dispatch, the [`journal`] records fault recovery
-//! episodes, and [`metrics::MetricsSnapshot`] exposes the whole registry
-//! (counters, gauges, [`hist`] HDR histograms) for live exposition. With
-//! both the sink and the recorder off, span construction is still a
-//! single relaxed atomic load ([`recording`]).
+//! Collecting turns the rings on even under `FT_TRACE_RECORDER=off` and
+//! adds the simulated-clock intervals; [`finish`] drains the rings'
+//! wall and sim events into the chosen sink. The retained window is the
+//! per-thread ring capacity, so tracing never grows memory without
+//! bound. The mode is parsed once, on first use; tests and benches can
+//! override it programmatically with [`set_mode`].
 //!
 //! # Compile-time gate: the `enabled` cargo feature
 //!
-//! Building with `--no-default-features` compiles every span, counter write
-//! and writer to a no-op (guards are inert unit-like values, [`counter`]
-//! returns a shared dummy). This is the hard floor beneath the runtime
-//! gate for deployments that want the instrumentation erased entirely.
+//! Building with `--no-default-features` compiles every ring write and
+//! counter write to a no-op (the rings never record; timed spans still
+//! feed their caller-owned totals). This is the hard floor beneath the
+//! runtime gate for deployments that want the instrumentation erased
+//! entirely.
 //!
 //! # Span taxonomy
 //!
-//! Names are dot-separated, coarsest domain first. The conventions used by
-//! the workspace (see DESIGN.md §9 for the full table):
+//! Names are dot-separated, coarsest domain first, and declared in
+//! [`names`] (see DESIGN.md §9 for the full table):
 //!
 //! * `ft.*` — FT-driver phases (`ft.encode`, `ft.panel`, `ft.trailing`,
 //!   `ft.detect`, `ft.reverse`, `ft.locate`, `ft.correct`,
-//!   `ft.qprotect`). These are **disjoint leaf spans**: their durations
-//!   sum to (just under) the run's wall-clock, which is what lets
-//!   `FtReport` turn them into the paper's Figure 6 decomposition.
+//!   `ft.qprotect`). These are **disjoint leaf spans** the driver times
+//!   into its own `FtReport::phases`: their durations sum to (just
+//!   under) the run's wall-clock — the paper's Figure 6 decomposition.
 //! * `gehrd.*` / `lahr2` — the plain LAPACK-layer blocked reduction.
 //! * `pool.*` — threaded-backend internals (`pool.dispatch` on the
 //!   caller, `pool.task` on workers).
@@ -89,10 +96,7 @@ pub use ctx::TraceCtx;
 pub use hist::{HistSnapshot, Histogram, SUB_BITS};
 pub use metrics::MetricsSnapshot;
 pub use registry::{counter, counters, gauge, gauges, histogram, histograms, Counter, Gauge};
-pub use span::{
-    current_tid, events_since, mark, record_sim, span_event_count, take_events, totals, Event,
-    SpanGuard, SpanTotal,
-};
+pub use span::{current_tid, record_sim, totals, Event, SpanGuard, SpanTotal};
 pub use writer::{summary_string, to_chrome_json, to_jsonl};
 
 use std::path::PathBuf;
@@ -101,7 +105,7 @@ use std::path::PathBuf;
 /// `FT_TRACE`; see the crate docs for the accepted spellings).
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// No collection: span construction is a single relaxed atomic load.
+    /// No collection; the rings follow the recorder knob alone.
     #[default]
     Off,
     /// Collect events; [`finish`] prints an aggregated summary to stderr.
@@ -136,8 +140,8 @@ impl TraceMode {
         }
     }
 
-    /// `true` if this mode collects span events ([`TraceMode::Prom`]
-    /// does not: metrics snapshots read the always-on registry).
+    /// `true` if this mode collects events ([`TraceMode::Prom`] does
+    /// not: metrics snapshots read the always-on registry).
     pub fn collects(&self) -> bool {
         !matches!(self, TraceMode::Off | TraceMode::Prom(_))
     }
@@ -150,9 +154,9 @@ mod gate {
     use std::sync::Mutex;
 
     pub(super) static COLLECT: AtomicBool = AtomicBool::new(false);
-    /// Sink collection OR flight recorder: the single hot-path gate.
-    /// When both are off, span construction is one relaxed load of this
-    /// atomic — the same one-load contract the sink alone used to have.
+    /// `FT_TRACE` collection OR the recorder knob: the rings record, and
+    /// the single hot-path gate. When both are off, span construction is
+    /// one relaxed load of this atomic.
     static ACTIVE: AtomicBool = AtomicBool::new(false);
     static INITTED: AtomicBool = AtomicBool::new(false);
     static MODE: Mutex<Option<TraceMode>> = Mutex::new(None);
@@ -208,8 +212,8 @@ mod gate {
     }
 }
 
-/// `true` when span events are being collected (the hot-path check every
-/// guard constructor performs — one relaxed atomic load once initialized).
+/// `true` when `FT_TRACE` collects (for a sink to drain at [`finish`]):
+/// the gate on simulated-clock intervals.
 #[inline]
 pub fn enabled() -> bool {
     #[cfg(feature = "enabled")]
@@ -222,9 +226,9 @@ pub fn enabled() -> bool {
     }
 }
 
-/// `true` when *anything* retains span events — the `FT_TRACE` sink or
-/// the flight recorder. This is the guard constructors' hot-path check:
-/// one relaxed atomic load once initialized, whichever consumers are on.
+/// `true` when the rings record — `FT_TRACE` collects or the recorder
+/// knob is on. This is the guard constructors' hot-path check: one
+/// relaxed atomic load once initialized.
 #[inline]
 pub fn recording() -> bool {
     #[cfg(feature = "enabled")]
@@ -270,26 +274,31 @@ pub fn set_mode(mode: TraceMode) {
     }
 }
 
-/// Drains the event sink and emits it according to the active mode:
-/// summary table to stderr, or a `jsonl`/`chrome` file at the configured
-/// path (returned on success). [`TraceMode::Off`] drains nothing and
-/// returns `None`.
+/// Reads the rings' wall and sim events and emits them according to
+/// the active mode: summary table to stderr, or a `jsonl`/`chrome` file
+/// at the configured path (returned on success). [`TraceMode::Off`]
+/// emits nothing and returns `None`.
 ///
 /// Call this once at the end of a binary / example / bench; the library
 /// never writes files behind the caller's back.
 pub fn finish() -> std::io::Result<Option<PathBuf>> {
+    let spans = || {
+        let mut events = recorder::snapshot();
+        events.retain(|e| e.cat != "counter");
+        events
+    };
     match mode() {
         TraceMode::Off => Ok(None),
         TraceMode::Summary => {
-            eprint!("{}", summary_string(&take_events()));
+            eprint!("{}", summary_string(&spans()));
             Ok(None)
         }
         TraceMode::Jsonl(path) => {
-            std::fs::write(&path, to_jsonl(&take_events()))?;
+            std::fs::write(&path, to_jsonl(&spans()))?;
             Ok(Some(path))
         }
         TraceMode::Chrome(path) => {
-            std::fs::write(&path, to_chrome_json(&take_events()))?;
+            std::fs::write(&path, to_chrome_json(&spans()))?;
             Ok(Some(path))
         }
         TraceMode::Prom(path) => {
@@ -299,17 +308,29 @@ pub fn finish() -> std::io::Result<Option<PathBuf>> {
     }
 }
 
-/// Opens an RAII span: records a monotonic start now, pushes one
-/// [`Event`] to the sink when the returned guard drops. Inert (one atomic
-/// load, nothing else) when tracing is off.
+/// Opens an RAII span: records a monotonic start now, writes one event
+/// to the calling thread's ring when the returned guard drops. Inert (one
+/// atomic load, nothing else) when the rings are off.
+///
+/// The `=> total` form always reads the clock and also adds the span's
+/// duration, in seconds, to the `&mut f64` it is given:
 ///
 /// ```
-/// # ft_trace::set_mode(ft_trace::TraceMode::Summary);
-/// let _span = ft_trace::span!("ft.panel", 3);
-/// // ... the panel factorization ...
+/// let mut panel_secs = 0.0;
+/// {
+///     let _span = ft_trace::span!("ft.panel", 3 => &mut panel_secs);
+///     // ... the panel factorization ...
+/// }
+/// assert!(panel_secs >= 0.0);
 /// ```
 #[macro_export]
 macro_rules! span {
+    ($name:expr => $total:expr) => {
+        $crate::SpanGuard::timed($name, None, $total)
+    };
+    ($name:expr, $arg:expr => $total:expr) => {
+        $crate::SpanGuard::timed($name, Some($arg as i64), $total)
+    };
     ($name:expr) => {
         $crate::SpanGuard::new($name, None)
     };
@@ -353,7 +374,7 @@ mod tests {
         assert!(TraceMode::Chrome(PathBuf::from("x")).collects());
         assert!(
             !TraceMode::Prom(PathBuf::from("x")).collects(),
-            "prom snapshots read the always-on registry, not the span sink"
+            "prom snapshots read the always-on registry, not the rings"
         );
     }
 }

@@ -17,22 +17,10 @@
 //! expects.
 
 use crate::hist::HistSnapshot;
+use crate::recorder::RecorderStats;
 use crate::{counter, gauge};
 use std::fmt::Write as _;
 use std::sync::Mutex;
-
-/// Flight-recorder health at snapshot time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecorderStats {
-    /// Events currently retained across all rings.
-    pub occupancy: usize,
-    /// Number of per-thread rings.
-    pub rings: usize,
-    /// Slots per ring.
-    pub capacity: usize,
-    /// Total events overwritten (drop-oldest).
-    pub dropped: u64,
-}
 
 /// A point-in-time copy of the whole metrics surface.
 #[derive(Clone, Debug, Default)]
@@ -54,26 +42,21 @@ static SYNC: Mutex<()> = Mutex::new(());
 impl MetricsSnapshot {
     /// Collects the current value of every registered metric.
     pub fn collect() -> MetricsSnapshot {
-        let (occupancy, rings, capacity, dropped) = crate::recorder::stats();
+        let recorder = crate::recorder::stats();
         {
             let _g = SYNC.lock().unwrap();
             let c = counter("trace.recorder.dropped");
             let seen = c.get();
-            if dropped > seen {
-                c.add(dropped - seen);
+            if recorder.dropped > seen {
+                c.add(recorder.dropped - seen);
             }
-            gauge("trace.recorder.occupancy").set(occupancy as u64);
+            gauge("trace.recorder.occupancy").set(recorder.occupancy as u64);
         }
         MetricsSnapshot {
             counters: crate::counters(),
             gauges: crate::gauges(),
             histograms: crate::histograms(),
-            recorder: RecorderStats {
-                occupancy,
-                rings,
-                capacity,
-                dropped,
-            },
+            recorder,
         }
     }
 

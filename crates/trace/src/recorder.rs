@@ -1,6 +1,5 @@
-//! The always-on flight recorder: a bounded, lock-free ring of recent
-//! span / counter / recovery events, dumped for post-mortem when a job
-//! dies.
+//! The flight-recorder rings: the one bounded, lock-free store every
+//! trace event lands in.
 //!
 //! # Shape
 //!
@@ -8,24 +7,32 @@
 //! seqlock slots claimed by a monotonically increasing head index, so
 //! the ring holds the *last `capacity` events* and overwrites the oldest
 //! (each overwrite counts toward the `trace.recorder.dropped` counter).
-//! The owning thread is the ring's only writer; snapshot readers (dump,
-//! metrics exposition) validate each slot's sequence word before and
-//! after reading and simply skip slots that a concurrent write tears —
-//! recording never blocks, never allocates after ring setup, and never
-//! perturbs the computation it observes (the bit-identity contract).
+//! The owning thread is the ring's only writer; snapshot readers (the
+//! `FT_TRACE` sinks, dumps, the journal, metrics exposition) validate
+//! each slot's sequence word before and after reading and simply skip
+//! slots that a concurrent write tears — recording never blocks, never
+//! allocates after ring setup, and never perturbs the computation it
+//! observes (the bit-identity contract).
 //!
-//! Memory is bounded at `capacity × 56 B` per recording thread
-//! (`FT_TRACE_RECORDER=<events>[,dump:<path>]`, default 4096 events,
-//! ≈ 224 KiB); rings are leaked (threads are long-lived pool/service
-//! workers) and registered in a global list the readers walk.
+//! Four event kinds share the rings: wall-clock spans, simulated-clock
+//! intervals ([`crate::record_sim`]), counter deltas, and fault-journal
+//! records ([`crate::journal`]). [`snapshot`] resolves the first three
+//! into [`Event`]s; [`crate::journal::snapshot`] decodes the fourth.
+//!
+//! The rings record while [`crate::recording`] holds: the recorder knob
+//! is on (`FT_TRACE_RECORDER=<events>[,dump:<path>]`, default on, 4096
+//! events per thread) or `FT_TRACE` collects (which turns them on even
+//! under `FT_TRACE_RECORDER=off`). Memory is bounded at
+//! `capacity × 56 B` per recording thread (≈ 224 KiB at the default);
+//! rings are leaked (threads are long-lived pool/service workers) and
+//! registered in a global list the readers walk.
 //!
 //! # Dumps
 //!
 //! [`dump`] renders a self-contained JSONL snapshot — a header line, one
-//! line per retained event (with job/attempt context), then the fault
-//! journal — but only when a `dump:<path>` destination was configured;
-//! with no destination the recorder still retains events in memory (so a
-//! debugger or the metrics endpoint can see occupancy) and `dump`
+//! line per retained event (the `jsonl` sink's line format, with
+//! job/attempt context), then the fault journal — but only when a
+//! `dump:<path>` destination was configured; with no destination `dump`
 //! reports `None`. `ft-serve` triggers dumps on unrecoverable job
 //! failure, deadline miss, shutdown, and (via
 //! [`install_panic_dump_hook`]) panic. [`parse_dump`] turns a dump back
@@ -34,7 +41,8 @@
 //!
 //! Names are interned to small ids at record time by binary-searching
 //! the static [`crate::names`] registry (lock-free); names outside the
-//! registry (tests) fall back to a mutex-guarded side table.
+//! registry (journal phase and protection tags, tests) fall back to a
+//! mutex-guarded side table.
 
 use crate::ctx::TraceCtx;
 use crate::names;
@@ -53,15 +61,22 @@ pub mod ring {
     #[cfg(not(loom))]
     use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-    /// Event kind discriminant carried in a slot's meta word.
+    /// Event kind discriminant carried in a slot's meta word: a
+    /// wall-clock span.
     pub const KIND_SPAN: u8 = 0;
     /// Counter-delta event.
     pub const KIND_COUNTER: u8 = 1;
-    /// Recovery / correction event mirrored from the fault journal.
-    pub const KIND_RECOVERY: u8 = 2;
+    /// Fault-journal record.
+    pub const KIND_JOURNAL: u8 = 2;
+    /// Simulated-clock interval.
+    pub const KIND_SIM: u8 = 3;
 
     /// One event in wire form: every field fits a relaxed `AtomicU64`
-    /// store, which is what lets the ring stay free of `unsafe`.
+    /// store, which is what lets the ring stay free of `unsafe`. Spans,
+    /// sim intervals and counter deltas use the fields as named (`tid`
+    /// is the simulator lane for sim intervals, `arg` the delta for
+    /// counters). A journal record packs its fields as documented in
+    /// [`crate::journal`].
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct RawEvent {
         /// One of the `KIND_*` discriminants.
@@ -76,11 +91,11 @@ pub mod ring {
         pub tid: u64,
         /// Trace-context job id + 1; 0 means "no context".
         pub job: u64,
-        /// Span payload bits (`i64` as `u64`) or counter/recovery value.
+        /// Span payload bits (`i64` as `u64`) or counter delta.
         pub arg: u64,
-        /// `f64` bits: span start / counter timestamp, µs.
+        /// `f64` bits: span start / record timestamp, µs.
         pub t0: u64,
-        /// `f64` bits: span duration, µs (0 otherwise).
+        /// `f64` bits: span duration, µs (0 for counters).
         pub t1: u64,
     }
 
@@ -233,34 +248,12 @@ pub mod ring {
     }
 }
 
-/// A resolved (name + context) snapshot event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecordedEvent {
-    /// `"span"`, `"counter"`, or `"recovery"`.
-    pub kind: &'static str,
-    /// Resolved event name.
-    pub name: &'static str,
-    /// Recording thread id.
-    pub tid: u64,
-    /// Ambient trace context at record time.
-    pub ctx: Option<TraceCtx>,
-    /// Span payload, if any.
-    pub arg: Option<i64>,
-    /// Counter delta / recovery correction count (0 for spans).
-    pub value: u64,
-    /// Start (span) or record (counter/recovery) timestamp, µs.
-    pub start_us: f64,
-    /// Span duration, µs (0 otherwise).
-    pub dur_us: f64,
-}
-
 // ---------------------------------------------------------------------
 // Name interning: static names resolve by binary search over the
-// `names` registry slices (lock-free); anything else (tests) goes to a
-// mutex-guarded side table.
+// `names` registry slices (lock-free); anything else (journal tags,
+// tests) goes to a mutex-guarded side table.
 // ---------------------------------------------------------------------
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 const DYN_BASE: u32 = 1 << 24;
 static DYN_NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
@@ -273,7 +266,6 @@ fn static_tables() -> [&'static [&'static str]; 4] {
     ]
 }
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn intern(name: &'static str) -> u32 {
     let mut base = 0u32;
     for table in static_tables() {
@@ -293,7 +285,6 @@ pub(crate) fn intern(name: &'static str) -> u32 {
     DYN_BASE + idx as u32
 }
 
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn resolve(id: u32) -> &'static str {
     if id >= DYN_BASE {
         return DYN_NAMES
@@ -342,9 +333,8 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 
 #[cfg(all(feature = "enabled", not(loom)))]
 mod global {
-    use super::ring::{RawEvent, Ring, KIND_COUNTER, KIND_RECOVERY, KIND_SPAN};
-    use super::{intern, RecordedEvent};
-    use crate::clock::now_us;
+    use super::ring::{RawEvent, Ring};
+    use super::RecorderStats;
     use crate::ctx;
     use std::cell::Cell;
     use std::path::PathBuf;
@@ -383,97 +373,28 @@ mod global {
         })
     }
 
-    fn ctx_words() -> (u64, u16) {
-        match ctx::current() {
-            Some(c) => (c.job_id + 1, c.attempt.min(u16::MAX as u32) as u16),
-            None => (0, 0),
+    pub(super) fn write(mut ev: RawEvent) {
+        if let Some(c) = ctx::current() {
+            ev.job = c.job_id + 1;
+            ev.attempt = c.attempt.min(u32::from(u16::MAX)) as u16;
         }
+        thread_ring().record(&ev);
     }
 
-    pub(super) fn note_span(
-        name: &'static str,
-        arg: Option<i64>,
-        tid: u64,
-        start_us: f64,
-        dur_us: f64,
-    ) {
-        let (job, attempt) = ctx_words();
-        thread_ring().record(&RawEvent {
-            kind: KIND_SPAN,
-            name_id: intern(name),
-            has_arg: arg.is_some(),
-            attempt,
-            tid,
-            job,
-            arg: arg.unwrap_or(0) as u64,
-            t0: start_us.to_bits(),
-            t1: dur_us.to_bits(),
-        });
-    }
-
-    pub(super) fn note_value(kind: u8, name: &'static str, value: u64) {
-        let (job, attempt) = ctx_words();
-        thread_ring().record(&RawEvent {
-            kind,
-            name_id: intern(name),
-            has_arg: false,
-            attempt,
-            tid: crate::span::current_tid(),
-            job,
-            arg: value,
-            t0: now_us().to_bits(),
-            t1: 0f64.to_bits(),
-        });
-    }
-
-    pub(super) fn snapshot() -> Vec<RecordedEvent> {
-        let mut raw: Vec<(u64, RawEvent)> = Vec::new();
+    pub(super) fn snapshot_into(out: &mut Vec<(u64, RawEvent)>) {
         for ring in RINGS.lock().unwrap().iter() {
-            ring.snapshot_into(&mut raw);
+            ring.snapshot_into(out);
         }
-        let mut out: Vec<RecordedEvent> = raw
-            .iter()
-            .map(|(_, ev)| RecordedEvent {
-                kind: match ev.kind {
-                    KIND_COUNTER => "counter",
-                    KIND_RECOVERY => "recovery",
-                    _ => "span",
-                },
-                name: super::resolve(ev.name_id),
-                tid: ev.tid,
-                ctx: if ev.job == 0 {
-                    None
-                } else {
-                    Some(crate::ctx::TraceCtx {
-                        job_id: ev.job - 1,
-                        attempt: u32::from(ev.attempt),
-                    })
-                },
-                arg: if ev.kind == KIND_SPAN && ev.has_arg {
-                    Some(ev.arg as i64)
-                } else {
-                    None
-                },
-                value: if ev.kind == KIND_SPAN { 0 } else { ev.arg },
-                start_us: f64::from_bits(ev.t0),
-                dur_us: f64::from_bits(ev.t1),
-            })
-            .collect();
-        out.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
-        out
     }
 
-    /// (retained events, ring count, capacity per ring, total dropped)
-    pub(super) fn stats() -> (usize, usize, usize, u64) {
+    pub(super) fn stats() -> RecorderStats {
         let rings = RINGS.lock().unwrap();
-        let retained = rings.iter().map(|r| r.len()).sum();
-        let dropped = rings.iter().map(|r| r.dropped()).sum();
-        (
-            retained,
-            rings.len(),
-            CAPACITY.load(Ordering::Relaxed),
-            dropped,
-        )
+        RecorderStats {
+            occupancy: rings.iter().map(|r| r.len()).sum(),
+            rings: rings.len(),
+            capacity: CAPACITY.load(Ordering::Relaxed),
+            dropped: rings.iter().map(|r| r.dropped()).sum(),
+        }
     }
 }
 
@@ -529,7 +450,7 @@ pub(crate) fn ensure_init() {
     INITTED.store(true, Ordering::Release);
 }
 
-/// Recorder state without triggering gate init (gate-internal).
+/// Recorder knob state without triggering gate init (gate-internal).
 pub(crate) fn is_on_raw() -> bool {
     #[cfg(all(feature = "enabled", not(loom)))]
     {
@@ -541,8 +462,9 @@ pub(crate) fn is_on_raw() -> bool {
     }
 }
 
-/// `true` when the flight recorder is retaining events (initializes the
-/// trace gate on first call).
+/// `true` when the recorder knob is on (initializes the trace gate on
+/// first call). The rings also record while `FT_TRACE` collects; see
+/// [`crate::recording`].
 #[inline]
 pub fn is_on() -> bool {
     crate::recording(); // ensures the env knobs were parsed
@@ -561,113 +483,144 @@ pub fn configure(on: bool, capacity: usize, dump: Option<PathBuf>) {
     crate::refresh_recording_gate();
 }
 
-/// Records a span event (called by the span guard's drop path).
+/// Writes one event into the calling thread's ring, stamped with the
+/// ambient trace context. Callers check [`crate::recording`] first.
 #[inline]
-pub(crate) fn note_span(
-    name: &'static str,
-    arg: Option<i64>,
-    tid: u64,
-    start_us: f64,
-    dur_us: f64,
-) {
+pub(crate) fn write(ev: ring::RawEvent) {
     #[cfg(all(feature = "enabled", not(loom)))]
-    global::note_span(name, arg, tid, start_us, dur_us);
+    global::write(ev);
     #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (name, arg, tid, start_us, dur_us);
+    let _ = ev;
 }
 
-/// Records a counter delta (called by `Counter::add` when the recorder
-/// is on).
-#[inline]
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
+/// Builds a span, sim or counter event for [`write`]; the job/attempt
+/// words are filled in from the ambient context at write time.
+fn event(kind: u8, name: &'static str, arg: Option<i64>, tid: u64, t0: f64, t1: f64) {
+    write(ring::RawEvent {
+        kind,
+        name_id: intern(name),
+        has_arg: arg.is_some(),
+        attempt: 0,
+        tid,
+        job: 0,
+        arg: arg.unwrap_or(0) as u64,
+        t0: t0.to_bits(),
+        t1: t1.to_bits(),
+    });
+}
+
+/// Records a completed wall-clock span (the span guard's drop path).
+pub(crate) fn note_span(name: &'static str, arg: Option<i64>, start_us: f64, dur_us: f64) {
+    let tid = crate::span::current_tid();
+    event(ring::KIND_SPAN, name, arg, tid, start_us, dur_us);
+}
+
+/// Records a simulated-clock interval on resource lane `lane`.
+pub(crate) fn note_sim(name: &'static str, lane: u64, start_us: f64, dur_us: f64) {
+    event(ring::KIND_SIM, name, None, lane, start_us, dur_us);
+}
+
+/// Records a counter delta (called by `Counter::add` while recording).
 pub(crate) fn note_counter(name: &'static str, delta: u64) {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    global::note_value(ring::KIND_COUNTER, name, delta);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (name, delta);
+    let tid = crate::span::current_tid();
+    let now = crate::clock::now_us();
+    event(ring::KIND_COUNTER, name, Some(delta as i64), tid, now, 0.0);
 }
 
-/// Records a recovery event mirrored from the fault journal.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-pub(crate) fn note_recovery(name: &'static str, corrected: u64) {
+/// Every committed event of every ring in wire form, oldest first.
+pub(crate) fn raw_snapshot() -> Vec<ring::RawEvent> {
+    let mut raw: Vec<(u64, ring::RawEvent)> = Vec::new();
     #[cfg(all(feature = "enabled", not(loom)))]
-    global::note_value(ring::KIND_RECOVERY, name, corrected);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (name, corrected);
+    global::snapshot_into(&mut raw);
+    let mut out: Vec<ring::RawEvent> = raw.into_iter().map(|(_, ev)| ev).collect();
+    out.sort_by(|a, b| f64::from_bits(a.t0).total_cmp(&f64::from_bits(b.t0)));
+    out
 }
 
-/// A resolved snapshot of every ring, oldest event first.
-pub fn snapshot() -> Vec<RecordedEvent> {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    {
-        global::snapshot()
-    }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    {
-        Vec::new()
-    }
+/// The trace context a wire event was stamped with.
+pub(crate) fn raw_ctx(ev: &ring::RawEvent) -> Option<TraceCtx> {
+    (ev.job != 0).then(|| TraceCtx {
+        job_id: ev.job - 1,
+        attempt: u32::from(ev.attempt),
+    })
 }
 
-/// Recorder occupancy: `(retained events, rings, capacity per ring,
-/// total dropped)`.
-pub fn stats() -> (usize, usize, usize, u64) {
+/// Resolves the span, sim and counter events of a raw snapshot.
+fn resolve_events(raw: &[ring::RawEvent]) -> Vec<Event> {
+    raw.iter()
+        .filter_map(|ev| {
+            let cat = match ev.kind {
+                ring::KIND_SPAN => "wall",
+                ring::KIND_SIM => "sim",
+                ring::KIND_COUNTER => "counter",
+                _ => return None,
+            };
+            Some(Event {
+                name: resolve(ev.name_id),
+                cat,
+                arg: ev.has_arg.then_some(ev.arg as i64),
+                tid: ev.tid,
+                start_us: f64::from_bits(ev.t0),
+                dur_us: f64::from_bits(ev.t1),
+                ctx: raw_ctx(ev),
+            })
+        })
+        .collect()
+}
+
+/// Every retained span, sim and counter event of every ring, oldest
+/// first. The `FT_TRACE` sinks, dumps and tests all read through here.
+pub fn snapshot() -> Vec<Event> {
+    resolve_events(&raw_snapshot())
+}
+
+/// Ring occupancy at one instant.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecorderStats {
+    /// Events currently retained across all rings.
+    pub occupancy: usize,
+    /// Number of per-thread rings.
+    pub rings: usize,
+    /// Slots per ring created from now on.
+    pub capacity: usize,
+    /// Total events overwritten (drop-oldest). `occupancy + dropped` is
+    /// the number of events ever written.
+    pub dropped: u64,
+}
+
+/// Current ring occupancy.
+pub fn stats() -> RecorderStats {
     #[cfg(all(feature = "enabled", not(loom)))]
     {
         global::stats()
     }
     #[cfg(not(all(feature = "enabled", not(loom))))]
     {
-        (0, 0, 0, 0)
+        RecorderStats::default()
     }
 }
 
-/// Renders the flight-recorder snapshot as self-contained JSONL: a
-/// header object, one object per retained event, then the fault
-/// journal's records.
+/// Renders the rings as self-contained JSONL: a header object, one
+/// object per retained event, then the fault journal's records.
 pub fn dump_string(reason: &str) -> String {
     use std::fmt::Write as _;
-    let events = snapshot();
-    let (retained, rings, capacity, dropped) = stats();
-    let _ = retained;
+    let raw = raw_snapshot();
+    let events = resolve_events(&raw);
+    let st = stats();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{{\"flight_recorder\":{{\"reason\":\"{}\",\"events\":{},\"rings\":{},\"capacity\":{},\"dropped\":{}}}}}",
         crate::writer::json_escape(reason),
         events.len(),
-        rings,
-        capacity,
-        dropped,
+        st.rings,
+        st.capacity,
+        st.dropped,
     );
     for ev in &events {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"kind\":\"{}\",\"tid\":{}",
-            crate::writer::json_escape(ev.name),
-            ev.kind,
-            ev.tid,
-        );
-        if let Some(c) = ev.ctx {
-            let _ = write!(out, ",\"job\":{},\"attempt\":{}", c.job_id, c.attempt);
-        }
-        if ev.kind == "span" {
-            let _ = write!(
-                out,
-                ",\"start_us\":{:.3},\"dur_us\":{:.3}",
-                ev.start_us, ev.dur_us
-            );
-            if let Some(a) = ev.arg {
-                let _ = write!(out, ",\"arg\":{a}");
-            }
-        } else {
-            let _ = write!(out, ",\"ts_us\":{:.3},\"value\":{}", ev.start_us, ev.value);
-        }
-        out.push_str("}\n");
+        crate::writer::event_line(&mut out, ev);
     }
-    for rec in crate::journal::snapshot() {
-        out.push_str(&crate::journal::to_jsonl_line(&rec));
-        out.push('\n');
-    }
+    out.push_str(&crate::journal::to_jsonl(&crate::journal::decode(&raw)));
     out
 }
 
@@ -718,22 +671,24 @@ pub fn install_panic_dump_hook() {
     }
 }
 
-/// Parses a dump produced by [`dump_string`] back into span [`Event`]s
-/// (counter/recovery/journal lines are skipped) so a flight-recorder
-/// snapshot can be replayed into the chrome-trace sink via
-/// [`crate::to_chrome_json`].
+/// Parses a dump produced by [`dump_string`] back into its wall and sim
+/// [`Event`]s (counter, header and journal lines are skipped) so a
+/// flight-recorder snapshot can be replayed into the chrome-trace sink
+/// via [`crate::to_chrome_json`].
 pub fn parse_dump(dump: &str) -> Vec<Event> {
     let mut out = Vec::new();
     for line in dump.lines() {
-        if json_str_field(line, "kind") != Some("span".to_string()) {
-            continue;
-        }
+        let cat = match json_str_field(line, "cat").as_deref() {
+            Some("wall") => "wall",
+            Some("sim") => "sim",
+            _ => continue,
+        };
         let Some(name) = json_str_field(line, "name") else {
             continue;
         };
         out.push(Event {
             name: leak_or_static(&name),
-            cat: "wall",
+            cat,
             arg: json_num_field(line, "arg").map(|v| v as i64),
             tid: json_num_field(line, "tid").map(|v| v as u64).unwrap_or(0),
             start_us: json_num_field(line, "start_us").unwrap_or(0.0),
@@ -845,26 +800,38 @@ mod tests {
     }
 
     #[test]
-    fn dump_parses_back_into_span_events() {
-        let dump = "{\"flight_recorder\":{\"reason\":\"test\",\"events\":2}}\n\
-                    {\"name\":\"ft.panel\",\"kind\":\"span\",\"tid\":3,\"job\":9,\"attempt\":1,\"start_us\":10.000,\"dur_us\":4.500,\"arg\":32}\n\
-                    {\"name\":\"pool.dispatch\",\"kind\":\"counter\",\"tid\":3,\"ts_us\":11.000,\"value\":2}\n\
-                    {\"name\":\"serve.run\",\"kind\":\"span\",\"tid\":4,\"start_us\":1.000,\"dur_us\":2.000}\n";
-        let events = parse_dump(dump);
-        assert_eq!(events.len(), 2, "counter and header lines are skipped");
-        assert_eq!(events[0].name, "ft.panel");
-        assert_eq!(events[0].arg, Some(32));
+    fn dump_lines_parse_back_into_wall_and_sim_events() {
+        let ev = |name, cat, arg, tid, ctx| Event {
+            name,
+            cat,
+            arg,
+            tid,
+            start_us: 10.0,
+            dur_us: 4.5,
+            ctx,
+        };
+        let ctx = Some(TraceCtx {
+            job_id: 9,
+            attempt: 1,
+        });
+        let kept = vec![
+            ev("ft.panel", "wall", Some(32), 3, ctx),
+            ev("serve.run", "wall", None, 4, None),
+            ev("device_gemm", "sim", None, 1, None),
+        ];
+        let mut dump = String::from("{\"flight_recorder\":{\"reason\":\"test\",\"events\":4}}\n");
+        for e in &kept {
+            crate::writer::event_line(&mut dump, e);
+        }
+        crate::writer::event_line(&mut dump, &ev("pool.dispatch", "counter", Some(2), 3, None));
+        dump.push_str("{\"journal\":{\"ts_us\":1.000,\"phase\":\"final\"}}\n");
         assert_eq!(
-            events[0].ctx,
-            Some(TraceCtx {
-                job_id: 9,
-                attempt: 1
-            })
+            parse_dump(&dump),
+            kept,
+            "header, counter and journal lines are skipped"
         );
-        assert_eq!(events[1].name, "serve.run");
-        assert_eq!(events[1].ctx, None);
         // The parsed events feed the chrome sink.
-        let chrome = crate::to_chrome_json(&events);
+        let chrome = crate::to_chrome_json(&kept);
         assert!(chrome.contains("\"name\":\"ft.panel\""));
     }
 }

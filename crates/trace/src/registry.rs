@@ -36,14 +36,14 @@ impl Counter {
     }
 
     /// Adds `n` (relaxed; compiled out with the `enabled` feature off).
-    /// When the flight recorder is on, the delta is also retained as a
-    /// counter event attributable to the ambient trace context.
+    /// While the rings record, the delta is also retained as a counter
+    /// event attributable to the ambient trace context.
     #[inline]
     pub fn add(&self, n: u64) {
         #[cfg(feature = "enabled")]
         {
             self.value.fetch_add(n, Ordering::Relaxed);
-            if crate::recorder::is_on() {
+            if crate::recording() {
                 crate::recorder::note_counter(self.name, n);
             }
         }

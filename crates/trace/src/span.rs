@@ -1,41 +1,40 @@
-//! The span API and the process-wide event sink.
+//! The span API and the one resolved event type.
 //!
-//! Events land in one mutex-protected vector. That is deliberate: spans in
-//! this workspace are *phase*-granular (a panel factorization, a trailing
-//! update, a detection episode — tens of events per panel iteration, not
-//! per element), so sink contention is negligible next to the kernels the
-//! spans surround, and a single ordered vector makes per-run attribution
-//! (`mark` / `events_since`) trivial.
+//! A span guard reads the clock when it opens and, when it drops, writes
+//! one event into the calling thread's flight-recorder ring
+//! ([`crate::recorder`]) — the only event store. Every consumer (the
+//! `FT_TRACE` sinks, dumps, tests) reads events back out of the rings as
+//! [`Event`]s.
 
 use crate::clock::now_us;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// One completed span (or simulated-clock interval) in the trace.
-#[derive(Clone, Debug)]
+/// One event read back from the rings.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Dot-separated span name (`ft.panel`, `pool.dispatch`, …).
+    /// Dot-separated event name (`ft.panel`, `pool.dispatch`, …).
     pub name: &'static str,
-    /// Timeline category: `"wall"` for real monotonic-clock spans,
-    /// `"sim"` for simulated-clock events mirrored by `ft-hybrid`.
+    /// Category: `"wall"` for real monotonic-clock spans, `"sim"` for
+    /// simulated-clock intervals mirrored by `ft-hybrid`, `"counter"` for
+    /// a registry counter delta.
     pub cat: &'static str,
-    /// Optional integer payload (panel start column, task count, …).
+    /// Span payload (panel start column, task count, …), or a counter
+    /// event's delta.
     pub arg: Option<i64>,
-    /// Recording lane: a process-unique small thread id for wall spans,
-    /// the simulator's resource lane for sim events.
+    /// Recording lane: a process-unique small thread id for wall spans
+    /// and counter deltas, the simulator's resource lane for sim events.
     pub tid: u64,
-    /// Start, microseconds since the trace epoch (wall) or simulation
-    /// start (sim).
+    /// Start, microseconds since the trace epoch (wall, counter) or the
+    /// simulation start (sim).
     pub start_us: f64,
-    /// Duration in microseconds.
+    /// Duration in microseconds (0 for counter deltas).
     pub dur_us: f64,
     /// Ambient trace context (job + attempt) at record time, when the
     /// recording thread was working for a service job.
     pub ctx: Option<crate::ctx::TraceCtx>,
 }
 
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -44,7 +43,7 @@ thread_local! {
 
 /// A process-unique small id for the calling thread (assigned on first
 /// use; stable for the thread's lifetime). Used to attribute wall spans
-/// to threads and to filter one run's events out of a shared sink.
+/// to threads.
 pub fn current_tid() -> u64 {
     TID.with(|t| {
         if t.get() == 0 {
@@ -55,107 +54,75 @@ pub fn current_tid() -> u64 {
 }
 
 /// RAII span guard: construct via [`crate::span!`]. Records start on
-/// creation and pushes one [`Event`] on drop — or does nothing at all
-/// when tracing is off at creation time.
-pub struct SpanGuard {
+/// creation and writes one event to the calling thread's ring on drop —
+/// or does nothing at all when the rings are off at creation time. The
+/// timed form ([`SpanGuard::timed`]) always reads the clock and also adds
+/// its duration to a caller-owned total.
+pub struct SpanGuard<'a> {
     name: &'static str,
     arg: Option<i64>,
     start_us: f64,
-    active: bool,
+    record: bool,
+    total: Option<&'a mut f64>,
 }
 
-impl SpanGuard {
+impl SpanGuard<'static> {
     /// Opens a span named `name` with an optional integer payload. The
-    /// guard is live when *anything* is recording — the `FT_TRACE` sink
-    /// or the flight recorder; [`crate::recording`] is the single
-    /// atomic load both share.
+    /// guard is live when the rings are recording ([`crate::recording`],
+    /// one relaxed atomic load).
     #[inline]
-    pub fn new(name: &'static str, arg: Option<i64>) -> SpanGuard {
-        if crate::recording() {
-            SpanGuard {
-                name,
-                arg,
-                start_us: now_us(),
-                active: true,
-            }
-        } else {
-            SpanGuard {
-                name,
-                arg,
-                start_us: 0.0,
-                active: false,
-            }
+    pub fn new(name: &'static str, arg: Option<i64>) -> SpanGuard<'static> {
+        let record = crate::recording();
+        SpanGuard {
+            name,
+            arg,
+            start_us: if record { now_us() } else { 0.0 },
+            record,
+            total: None,
         }
     }
 }
 
-impl Drop for SpanGuard {
+impl<'a> SpanGuard<'a> {
+    /// Opens a span that reads the clock whether or not the rings are
+    /// recording, and on drop adds its duration in seconds to `total`.
+    /// One clock pair feeds both the recorded event and the caller's
+    /// total, so the two always agree.
+    #[inline]
+    pub fn timed(name: &'static str, arg: Option<i64>, total: &'a mut f64) -> SpanGuard<'a> {
+        SpanGuard {
+            name,
+            arg,
+            start_us: now_us(),
+            record: crate::recording(),
+            total: Some(total),
+        }
+    }
+}
+
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if self.active {
-            let end = now_us();
-            let dur_us = (end - self.start_us).max(0.0);
-            let tid = current_tid();
-            if crate::recorder::is_on_raw() {
-                crate::recorder::note_span(self.name, self.arg, tid, self.start_us, dur_us);
-            }
-            if crate::enabled() {
-                push(Event {
-                    name: self.name,
-                    cat: "wall",
-                    arg: self.arg,
-                    tid,
-                    start_us: self.start_us,
-                    dur_us,
-                    ctx: crate::ctx::current(),
-                });
-            }
+        if !self.record && self.total.is_none() {
+            return;
+        }
+        let dur_us = (now_us() - self.start_us).max(0.0);
+        if let Some(total) = self.total.take() {
+            *total += dur_us / 1e6;
+        }
+        if self.record {
+            crate::recorder::note_span(self.name, self.arg, self.start_us, dur_us);
         }
     }
-}
-
-fn push(ev: Event) {
-    EVENTS.lock().unwrap().push(ev);
 }
 
 /// Records one simulated-clock interval (category `"sim"`) on resource
-/// lane `lane`. No-op when tracing is off — callers on hot loops should
-/// still guard with [`crate::enabled`] to skip argument marshalling.
+/// lane `lane`. No-op unless `FT_TRACE` collects — callers on hot loops
+/// should still guard with [`crate::enabled`] to skip argument
+/// marshalling.
 pub fn record_sim(name: &'static str, lane: u64, start_us: f64, dur_us: f64) {
     if crate::enabled() {
-        push(Event {
-            name,
-            cat: "sim",
-            arg: None,
-            tid: lane,
-            start_us,
-            dur_us,
-            ctx: None,
-        });
+        crate::recorder::note_sim(name, lane, start_us, dur_us);
     }
-}
-
-/// A watermark into the event sink: everything recorded from now on has an
-/// index `>=` the returned mark. Pair with [`events_since`] to attribute
-/// events to one run in a shared process.
-pub fn mark() -> usize {
-    EVENTS.lock().unwrap().len()
-}
-
-/// Clones the events recorded at or after `mark` (oldest first).
-pub fn events_since(mark: usize) -> Vec<Event> {
-    let evs = EVENTS.lock().unwrap();
-    evs.get(mark..).map(|s| s.to_vec()).unwrap_or_default()
-}
-
-/// Number of span events currently in the sink (the quantity the
-/// zero-writes-when-off tests pin to zero).
-pub fn span_event_count() -> usize {
-    EVENTS.lock().unwrap().len()
-}
-
-/// Drains the sink, returning every event recorded so far.
-pub fn take_events() -> Vec<Event> {
-    std::mem::take(&mut *EVENTS.lock().unwrap())
 }
 
 /// Aggregate of all events sharing one span name.
@@ -204,35 +171,33 @@ mod tests {
     }
 
     #[test]
+    fn timed_span_adds_to_its_total() {
+        let mut total = 0.0;
+        {
+            let _t = crate::span!("ft.panel", 3 => &mut total);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(total >= 1e-3 - 1e-4, "measured {total}");
+        let before = total;
+        drop(crate::span!("ft.detect" => &mut total));
+        assert!(total >= before);
+    }
+
+    #[test]
     fn totals_aggregate_by_name() {
+        let ev = |name, tid, start_us, dur_us| Event {
+            name,
+            cat: "wall",
+            arg: None,
+            tid,
+            start_us,
+            dur_us,
+            ctx: None,
+        };
         let evs = vec![
-            Event {
-                name: "a",
-                cat: "wall",
-                arg: None,
-                tid: 1,
-                start_us: 0.0,
-                dur_us: 2.0,
-                ctx: None,
-            },
-            Event {
-                name: "b",
-                cat: "wall",
-                arg: None,
-                tid: 1,
-                start_us: 2.0,
-                dur_us: 1.0,
-                ctx: None,
-            },
-            Event {
-                name: "a",
-                cat: "wall",
-                arg: None,
-                tid: 2,
-                start_us: 3.0,
-                dur_us: 4.0,
-                ctx: None,
-            },
+            ev("a", 1, 0.0, 2.0),
+            ev("b", 1, 2.0, 1.0),
+            ev("a", 2, 3.0, 4.0),
         ];
         let t = totals(&evs);
         assert_eq!(t.len(), 2);

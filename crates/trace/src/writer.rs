@@ -110,27 +110,33 @@ pub fn to_chrome_json(events: &[Event]) -> String {
     out
 }
 
+/// Appends one event as a single JSON object line — the format shared
+/// by the `jsonl` sink and flight-recorder dumps.
+pub(crate) fn event_line(out: &mut String, ev: &Event) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"tid\":{tid},\"start_us\":{ts},\"dur_us\":{dur}",
+        name = json_escape(ev.name),
+        cat = json_escape(ev.cat),
+        tid = ev.tid,
+        ts = us(ev.start_us),
+        dur = us(ev.dur_us),
+    );
+    if let Some(a) = ev.arg {
+        let _ = write!(out, ",\"arg\":{a}");
+    }
+    if let Some(c) = ev.ctx {
+        let _ = write!(out, ",\"job\":{},\"attempt\":{}", c.job_id, c.attempt);
+    }
+    out.push_str("}\n");
+}
+
 /// Renders `events` as JSON Lines: one object per span event, then one
 /// `{"counter": ...}` / `{"gauge": ...}` object per registry entry.
 pub fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for ev in events {
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"tid\":{tid},\"start_us\":{ts},\"dur_us\":{dur}",
-            name = json_escape(ev.name),
-            cat = json_escape(ev.cat),
-            tid = ev.tid,
-            ts = us(ev.start_us),
-            dur = us(ev.dur_us),
-        );
-        if let Some(a) = ev.arg {
-            let _ = write!(out, ",\"arg\":{a}");
-        }
-        if let Some(c) = ev.ctx {
-            let _ = write!(out, ",\"job\":{},\"attempt\":{}", c.job_id, c.attempt);
-        }
-        out.push_str("}\n");
+        event_line(&mut out, ev);
     }
     for (name, value) in counters() {
         let _ = writeln!(

@@ -12,13 +12,13 @@
 
 #![cfg(loom)]
 
-use ft_trace::recorder::ring::{RawEvent, Ring, KIND_COUNTER, KIND_RECOVERY, KIND_SPAN};
+use ft_trace::recorder::ring::{RawEvent, Ring, KIND_COUNTER, KIND_JOURNAL, KIND_SIM, KIND_SPAN};
 use loom::sync::Arc;
 
 /// Generation-`i` event with every field a distinct function of `i`.
 fn event(i: u64) -> RawEvent {
     RawEvent {
-        kind: [KIND_SPAN, KIND_COUNTER, KIND_RECOVERY][(i % 3) as usize],
+        kind: [KIND_SPAN, KIND_COUNTER, KIND_JOURNAL, KIND_SIM][(i % 4) as usize],
         name_id: (i * 7 + 1) as u32,
         has_arg: i % 2 == 0,
         attempt: (i * 3 + 2) as u16,

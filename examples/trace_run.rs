@@ -14,6 +14,10 @@
 //! timeline (host lane 0, device streams on lanes 1+). When `FT_TRACE`
 //! is unset the example defaults to `chrome:trace.json` so it always
 //! produces an artifact.
+//!
+//! The per-phase breakdown is printed with or without tracing (the FT
+//! driver times its own phases); the example exits non-zero if the
+//! report carries none, e.g. under `FT_TRACE=off FT_TRACE_RECORDER=off`.
 
 use ft_hess_repro::prelude::*;
 use ft_hess_repro::trace;
@@ -61,18 +65,20 @@ fn main() {
         report.gflops()
     );
 
-    if !report.phases.is_empty() {
-        println!("\nper-phase wall-clock breakdown (paper Fig. 6 decomposition):");
-        for (name, secs) in report.phases.rows() {
-            println!("  {name:<10} {:>9.3} ms", secs * 1e3);
-        }
-        println!(
-            "  {:<10} {:>9.3} ms ({:.1}% of wall is FT overhead)",
-            "total",
-            report.phases.total() * 1e3,
-            100.0 * report.phases.ft_overhead() / report.wall_seconds.max(1e-12)
-        );
+    if report.phases.is_empty() {
+        eprintln!("the FT driver reported no per-phase breakdown");
+        std::process::exit(1);
     }
+    println!("\nper-phase wall-clock breakdown (paper Fig. 6 decomposition):");
+    for (name, secs) in report.phases.rows() {
+        println!("  {name:<10} {:>9.3} ms", secs * 1e3);
+    }
+    println!(
+        "  {:<10} {:>9.3} ms ({:.1}% of wall is FT overhead)",
+        "total",
+        report.phases.total() * 1e3,
+        100.0 * report.phases.ft_overhead() / report.wall_seconds.max(1e-12)
+    );
 
     println!("\nregistry counters:");
     for (name, value) in trace::counters() {
