@@ -115,23 +115,6 @@ pub fn asum(x: &[f64]) -> f64 {
     x.iter().map(|v| v.abs()).sum()
 }
 
-/// Index of the element with the largest absolute value (first on ties);
-/// `None` for an empty vector.
-pub fn iamax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    let mut bestv = x[0].abs();
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v.abs() > bestv {
-            best = i;
-            bestv = v.abs();
-        }
-    }
-    Some(best)
-}
-
 /// Sum of elements (plain accumulation). Used by the checksum encoders.
 pub fn sum(x: &[f64]) -> f64 {
     record(x.len().saturating_sub(1) as u64);
@@ -200,12 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn asum_iamax() {
+    fn asum_sums_absolute_values() {
         assert_eq!(asum(&[1.0, -2.0, 3.0]), 6.0);
-        assert_eq!(iamax(&[1.0, -5.0, 3.0]), Some(1));
-        assert_eq!(iamax(&[]), None);
-        // first index wins ties
-        assert_eq!(iamax(&[2.0, -2.0]), Some(0));
     }
 
     #[test]

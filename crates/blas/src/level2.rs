@@ -427,187 +427,6 @@ pub(crate) fn trmv_body(uplo: Uplo, trans: Trans, diag: Diag, a: &MatView<'_>, x
     }
 }
 
-/// Symmetric matrix–vector product: `y ← α·A·x + β·y`, referencing only
-/// the `uplo` triangle of the leading `n × n` part of `a` (`n = x.len()`).
-pub fn symv(uplo: Uplo, alpha: f64, a: &MatView<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    let n = x.len();
-    assert_eq!(y.len(), n, "symv: y length {} != {n}", y.len());
-    assert!(
-        a.rows() >= n && a.cols() >= n,
-        "symv: matrix {}x{} smaller than order {n}",
-        a.rows(),
-        a.cols()
-    );
-    record(model::gemv(n, n));
-    if beta == 0.0 {
-        y.fill(0.0);
-    } else if beta != 1.0 {
-        for v in y.iter_mut() {
-            *v *= beta;
-        }
-    }
-    if alpha == 0.0 {
-        return;
-    }
-    // Column-oriented: for each column j, use the stored triangle for both
-    // the (i, j) and the mirrored (j, i) contributions.
-    match uplo {
-        Uplo::Lower => {
-            for j in 0..n {
-                let col = a.col(j);
-                let temp1 = alpha * x[j];
-                let mut temp2 = 0.0;
-                y[j] += temp1 * col[j];
-                for i in (j + 1)..n {
-                    y[i] += temp1 * col[i];
-                    temp2 += col[i] * x[i];
-                }
-                y[j] += alpha * temp2;
-            }
-        }
-        Uplo::Upper => {
-            for j in 0..n {
-                let col = a.col(j);
-                let temp1 = alpha * x[j];
-                let mut temp2 = 0.0;
-                for i in 0..j {
-                    y[i] += temp1 * col[i];
-                    temp2 += col[i] * x[i];
-                }
-                y[j] += temp1 * col[j] + alpha * temp2;
-            }
-        }
-    }
-}
-
-/// Symmetric rank-1 update on one triangle: `A ← A + α·x·xᵀ`.
-pub fn syr(uplo: Uplo, alpha: f64, x: &[f64], a: &mut MatViewMut<'_>) {
-    let n = x.len();
-    assert!(
-        a.rows() >= n && a.cols() >= n,
-        "syr: matrix smaller than order {n}"
-    );
-    record(model::ger(n, n) / 2);
-    if alpha == 0.0 {
-        return;
-    }
-    for j in 0..n {
-        let axj = alpha * x[j];
-        if axj != 0.0 {
-            let (lo, hi) = match uplo {
-                Uplo::Upper => (0, j + 1),
-                Uplo::Lower => (j, n),
-            };
-            let col = &mut a.col_mut(j)[lo..hi];
-            for (off, aij) in col.iter_mut().enumerate() {
-                *aij += axj * x[lo + off];
-            }
-        }
-    }
-}
-
-/// Symmetric rank-2 update on one triangle:
-/// `A ← A + α·x·yᵀ + α·y·xᵀ`.
-pub fn syr2(uplo: Uplo, alpha: f64, x: &[f64], y: &[f64], a: &mut MatViewMut<'_>) {
-    let n = x.len();
-    assert_eq!(y.len(), n, "syr2: y length {} != {n}", y.len());
-    assert!(
-        a.rows() >= n && a.cols() >= n,
-        "syr2: matrix smaller than order {n}"
-    );
-    record(model::ger(n, n));
-    if alpha == 0.0 {
-        return;
-    }
-    for j in 0..n {
-        let ayj = alpha * y[j];
-        let axj = alpha * x[j];
-        if ayj != 0.0 || axj != 0.0 {
-            let (lo, hi) = match uplo {
-                Uplo::Upper => (0, j + 1),
-                Uplo::Lower => (j, n),
-            };
-            let col = &mut a.col_mut(j)[lo..hi];
-            for (off, aij) in col.iter_mut().enumerate() {
-                let i = lo + off;
-                *aij += ayj * x[i] + axj * y[i];
-            }
-        }
-    }
-}
-
-/// Triangular solve in place: `x ← op(T)⁻¹·x`.
-///
-/// Panics if a diagonal element is exactly zero for `Diag::NonUnit`.
-pub fn trsv(uplo: Uplo, trans: Trans, diag: Diag, a: &MatView<'_>, x: &mut [f64]) {
-    let n = x.len();
-    assert!(
-        a.rows() >= n && a.cols() >= n,
-        "trsv: matrix {}x{} smaller than order {n}",
-        a.rows(),
-        a.cols()
-    );
-    record(model::trmv(n));
-    let unit = matches!(diag, Diag::Unit);
-    let div = |v: f64, d: f64| {
-        assert!(d != 0.0, "trsv: zero diagonal");
-        v / d
-    };
-    match (uplo, trans) {
-        (Uplo::Upper, Trans::No) => {
-            // Back substitution.
-            for j in (0..n).rev() {
-                let col = a.col(j);
-                if !unit {
-                    x[j] = div(x[j], col[j]);
-                }
-                let temp = x[j];
-                if temp != 0.0 {
-                    for i in 0..j {
-                        x[i] -= temp * col[i];
-                    }
-                }
-            }
-        }
-        (Uplo::Lower, Trans::No) => {
-            // Forward substitution.
-            for j in 0..n {
-                let col = a.col(j);
-                if !unit {
-                    x[j] = div(x[j], col[j]);
-                }
-                let temp = x[j];
-                if temp != 0.0 {
-                    for i in (j + 1)..n {
-                        x[i] -= temp * col[i];
-                    }
-                }
-            }
-        }
-        (Uplo::Upper, Trans::Yes) => {
-            // Uᵀ is lower triangular: forward substitution with dots.
-            for j in 0..n {
-                let col = a.col(j);
-                let mut temp = x[j];
-                for i in 0..j {
-                    temp -= col[i] * x[i];
-                }
-                x[j] = if unit { temp } else { div(temp, col[j]) };
-            }
-        }
-        (Uplo::Lower, Trans::Yes) => {
-            for j in (0..n).rev() {
-                let col = a.col(j);
-                let mut temp = x[j];
-                for i in (j + 1)..n {
-                    temp -= col[i] * x[i];
-                }
-                x[j] = if unit { temp } else { div(temp, col[j]) };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,103 +513,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trsv_inverts_trmv() {
-        let a = tri();
-        let x0 = [1.0, -2.0, 3.0];
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            for trans in [Trans::No, Trans::Yes] {
-                for diag in [Diag::Unit, Diag::NonUnit] {
-                    let mut x = x0;
-                    trmv(uplo, trans, diag, &a.as_view(), &mut x);
-                    trsv(uplo, trans, diag, &a.as_view(), &mut x);
-                    for i in 0..3 {
-                        assert!(
-                            (x[i] - x0[i]).abs() < 1e-12,
-                            "{uplo:?} {trans:?} {diag:?}: roundtrip {x:?} vs {x0:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn symv_matches_dense_gemv() {
-        let s = ft_matrix::random::symmetric(6, 4);
-        let x = [1.0, -2.0, 0.5, 3.0, -1.0, 0.25];
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            let mut y = vec![1.0; 6];
-            symv(uplo, 2.0, &s.as_view(), &x, -1.0, &mut y);
-            let mut expect = vec![1.0; 6];
-            gemv(Trans::No, 2.0, &s.as_view(), &x, -1.0, &mut expect);
-            for i in 0..6 {
-                assert!(
-                    (y[i] - expect[i]).abs() < 1e-13,
-                    "{uplo:?}: {y:?} vs {expect:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn syr_and_syr2_match_dense() {
-        let n = 5;
-        let x = [1.0, 2.0, -1.0, 0.5, 3.0];
-        let y = [-2.0, 1.0, 0.25, 4.0, -0.5];
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            // syr
-            let mut a = Matrix::zeros(n, n);
-            syr(uplo, 1.5, &x, &mut a.as_view_mut());
-            for j in 0..n {
-                for i in 0..n {
-                    let in_tri = match uplo {
-                        Uplo::Upper => i <= j,
-                        Uplo::Lower => i >= j,
-                    };
-                    let expect = if in_tri { 1.5 * x[i] * x[j] } else { 0.0 };
-                    assert!((a[(i, j)] - expect).abs() < 1e-14, "syr {uplo:?} ({i},{j})");
-                }
-            }
-            // syr2
-            let mut a = Matrix::zeros(n, n);
-            syr2(uplo, 0.5, &x, &y, &mut a.as_view_mut());
-            for j in 0..n {
-                for i in 0..n {
-                    let in_tri = match uplo {
-                        Uplo::Upper => i <= j,
-                        Uplo::Lower => i >= j,
-                    };
-                    let expect = if in_tri {
-                        0.5 * (x[i] * y[j] + y[i] * x[j])
-                    } else {
-                        0.0
-                    };
-                    assert!(
-                        (a[(i, j)] - expect).abs() < 1e-14,
-                        "syr2 {uplo:?} ({i},{j})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn symv_only_reads_given_triangle() {
-        // Poison the opposite triangle with NaN; symv must not read it.
-        let n = 4;
-        let mut a = ft_matrix::random::symmetric(n, 9);
-        for j in 0..n {
-            for i in 0..j {
-                a[(i, j)] = f64::NAN; // poison the upper triangle
-            }
-        }
-        let x = [1.0; 4];
-        let mut y = vec![0.0; 4];
-        symv(Uplo::Lower, 1.0, &a.as_view(), &x, 0.0, &mut y);
-        assert!(y.iter().all(|v| v.is_finite()), "{y:?}");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!
 //! In exact arithmetic `colnew = colbase + α·colpred` (and the row
 //! analogue); a transient flip in stored `C` breaks exactly one row and
-//! one column residual, which [`locate`] resolves to a position and a
-//! signed delta — the same deficit-matching scheme as
-//! `ft-hessenberg::recovery::locate_errors`.
+//! one column residual, which [`match_deficits`] resolves to a position
+//! and a signed delta — the matcher `ft-hessenberg`'s locate step
+//! (`recovery::locate_errors`) also uses.
 //!
 //! **Determinism.** Verification is per *band* of [`ABFT_BAND`] columns —
 //! a fixed partition independent of the worker count. Each band is
@@ -72,13 +72,15 @@ impl Default for AbftOptions {
     }
 }
 
-/// One located error in the output `C`: position and signed deviation of
-/// the stored value from the checksum-consistent value.
+/// One located error: position and signed deviation of the stored value
+/// from the checksum-consistent value. [`match_deficits`] produces it for
+/// the fused GEMM's output `C` here and for the checksum-extended matrix
+/// in `ft-hessenberg` (which names it `LocatedError`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AbftError {
-    /// Row in `C`.
+    /// Row of the corrupted element.
     pub row: usize,
-    /// Column in `C`.
+    /// Column of the corrupted element.
     pub col: usize,
     /// `stored − correct`.
     pub delta: f64,
@@ -817,7 +819,7 @@ pub fn gemm_ft_with_inject(
         return AbftReport::clean(tol);
     }
     let detected = row_def.len().max(col_def.len());
-    let (errors, resolved) = locate(row_def, col_def, tol);
+    let (errors, resolved) = match_deficits(row_def, col_def, tol);
     ft_trace::counter("abft.detected").add(detected as u64);
 
     let mut corrected = 0usize;
@@ -838,18 +840,25 @@ pub fn gemm_ft_with_inject(
     }
 }
 
-/// Matches row deficits against column deficits — the same scheme as
-/// `ft-hessenberg::recovery::locate_errors`: a single deficient row (or
-/// column) attributes every error on the other axis to it; scattered
-/// errors are peeled by unique magnitude matches; equal-magnitude
-/// rectangles are unresolvable by construction.
-fn locate(
+/// Matches row checksum deficits against column checksum deficits, each
+/// a `(index, deficit)` pair whose deficit exceeded `tol`. A corrupted
+/// element `(i, j)` off by `ε` shows up as `+ε` in exactly row deficit `i`
+/// and column deficit `j`.
+///
+/// A single deficient row (or column) takes every error on the other axis;
+/// scattered deficits are peeled by unique matches within
+/// `tol.max(1e-9·max|d|)`; equal-magnitude rectangles are unresolvable by
+/// construction, and so are one-sided deficits (a corrupted checksum, or
+/// an undetectable pattern). Returns the located errors and whether the
+/// whole pattern was resolved.
+pub fn match_deficits(
     row_def: Vec<(usize, f64)>,
     col_def: Vec<(usize, f64)>,
     tol: f64,
 ) -> (Vec<AbftError>, bool) {
     match (row_def.len(), col_def.len()) {
         (0, 0) => (Vec::new(), true),
+        // All errors share one row: columns identify each error.
         (1, _) => {
             let (r, rd) = row_def[0];
             let errors: Vec<AbftError> = col_def
@@ -864,6 +873,7 @@ fn locate(
             let resolved = !col_def.is_empty() && (sum - rd).abs() <= tol.max(1e-8 * rd.abs());
             (errors, resolved)
         }
+        // All errors share one column: rows identify each error.
         (_, 1) => {
             let (cj, cd) = col_def[0];
             let errors: Vec<AbftError> = row_def

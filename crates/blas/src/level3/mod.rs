@@ -10,22 +10,19 @@
 //! construction (each worker owns a disjoint `MatViewMut`) and
 //! bit-identical to the serial kernel by the contract in
 //! [`crate::backend`]. [`gemm_ft`] fuses an online-ABFT detector into
-//! the same kernel ([`abft`]). `trmm`, `trsm` and `syrk` gain the same
-//! pooled split when the active [`crate::backend::Backend`] is threaded.
+//! the same kernel ([`abft`]). `trmm` gains the same pooled split when
+//! the active [`crate::backend::Backend`] is threaded.
 
 mod abft;
 mod gemm;
 mod microkernel;
-mod syrk;
 mod trmm;
-mod trsm;
 
 pub use abft::{
-    gemm_ft, gemm_ft_with_inject, AbftError, AbftInject, AbftOptions, AbftReport, ABFT_BAND,
+    gemm_ft, gemm_ft_with_inject, match_deficits, AbftError, AbftInject, AbftOptions, AbftReport,
+    ABFT_BAND,
 };
 pub use gemm::{gemm, gemm_blocked, gemm_ref, gemm_threaded, gemm_with_algo, GemmAlgo};
 pub use microkernel::{active_simd_path, simd_available, with_simd_path, SimdPath};
 pub(crate) use microkernel::{resolve_isa, Isa};
-pub use syrk::syrk;
 pub use trmm::trmm;
-pub use trsm::trsm;

@@ -8,9 +8,9 @@
 //!
 //! * **level 1** — `dot`, `axpy`, `scal`, `nrm2`, … on contiguous and
 //!   strided vectors (rows of a column-major matrix are strided);
-//! * **level 2** — `gemv`, `ger`, `trmv`, `trsv` on [`ft_matrix`] views;
+//! * **level 2** — `gemv`, `ger`, `trmv` on [`ft_matrix`] views;
 //! * **level 3** — `gemm` (reference, cache-blocked packed, and
-//!   threaded), `trmm`, `trsm`, `syrk`;
+//!   threaded, plus the fused online-ABFT `gemm_ft`) and `trmm`;
 //! * **execution backends** — a [`backend`] knob selecting between the
 //!   serial kernels and a threaded path built on a lazily-initialized
 //!   persistent worker [`pool`], bit-identical to serial for every thread
@@ -42,11 +42,11 @@ pub use backend::{current_backend, parallel_chunks_into, set_backend, with_backe
 pub use flops::{
     flop_count, gehrd_gflops, gehrd_nominal_flops, reset_flops, set_flop_counting, FlopGuard,
 };
-pub use level1::{asum, axpy, copy, dot, iamax, nrm2, scal, swap};
-pub use level2::{gemv, ger, symv, syr, syr2, trmv, trsv};
+pub use level1::{asum, axpy, copy, dot, nrm2, scal, swap};
+pub use level2::{gemv, ger, trmv};
 pub use level3::{
     active_simd_path, gemm, gemm_blocked, gemm_ft, gemm_ft_with_inject, gemm_ref, gemm_threaded,
-    gemm_with_algo, simd_available, syrk, trmm, trsm, with_simd_path, AbftError, AbftInject,
+    gemm_with_algo, match_deficits, simd_available, trmm, with_simd_path, AbftError, AbftInject,
     AbftOptions, AbftReport, GemmAlgo, SimdPath, ABFT_BAND,
 };
 pub use types::{Diag, Side, Trans, Uplo};

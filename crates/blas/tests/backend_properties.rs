@@ -15,7 +15,7 @@
 //!   backend demonstrably splits the work across OS threads.
 
 use ft_blas::backend::{PARALLEL_MIN_ELEMS, PARALLEL_MIN_VOLUME};
-use ft_blas::{gemm, gemm_threaded, syrk, trmm, trsm, with_backend, Backend};
+use ft_blas::{gemm, gemm_threaded, trmm, with_backend, Backend};
 use ft_blas::{Diag, Side, Trans, Uplo};
 use ft_matrix::Matrix;
 use proptest::prelude::*;
@@ -171,81 +171,6 @@ fn trmm_is_bit_identical_across_backends() {
                 &mut b.as_view_mut(),
             )
         });
-    }
-}
-
-#[test]
-fn trsm_is_bit_identical_across_backends() {
-    let s = side_above_volume();
-    for &(rows, cols) in &[(s, s + 7), (7usize, 3usize)] {
-        // Diagonally dominant triangle: a well-posed solve.
-        let mut tri = ft_matrix::random::uniform(rows, rows, 31);
-        for i in 0..rows {
-            tri[(i, i)] += rows as f64;
-        }
-        let init = ft_matrix::random::uniform(rows, cols, 32);
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            check_backends(&format!("trsm left {rows}x{cols}"), &init, |b| {
-                trsm(
-                    Side::Left,
-                    uplo,
-                    Trans::No,
-                    Diag::NonUnit,
-                    2.0,
-                    &tri.as_view(),
-                    &mut b.as_view_mut(),
-                )
-            });
-        }
-        let mut tri_r = ft_matrix::random::uniform(cols, cols, 33);
-        for i in 0..cols {
-            tri_r[(i, i)] += cols as f64;
-        }
-        check_backends(&format!("trsm right {rows}x{cols}"), &init, |b| {
-            trsm(
-                Side::Right,
-                Uplo::Lower,
-                Trans::Yes,
-                Diag::NonUnit,
-                1.0,
-                &tri_r.as_view(),
-                &mut b.as_view_mut(),
-            )
-        });
-    }
-}
-
-#[test]
-fn syrk_is_bit_identical_across_backends() {
-    // n²·k/2 clears the fork gate at the derived shape; 9 × 3 stays
-    // serial everywhere.
-    let s = side_above_volume();
-    for &(n, k) in &[(s, 2 * s + 1), (9usize, 3usize)] {
-        let a = ft_matrix::random::uniform(n, k, 41);
-        let at = a.transpose();
-        let init = ft_matrix::random::uniform(n, n, 42);
-        for uplo in [Uplo::Upper, Uplo::Lower] {
-            check_backends(&format!("syrk no-trans n={n}"), &init, |c| {
-                syrk(
-                    uplo,
-                    Trans::No,
-                    1.1,
-                    &a.as_view(),
-                    0.3,
-                    &mut c.as_view_mut(),
-                )
-            });
-            check_backends(&format!("syrk trans n={n}"), &init, |c| {
-                syrk(
-                    uplo,
-                    Trans::Yes,
-                    1.1,
-                    &at.as_view(),
-                    0.3,
-                    &mut c.as_view_mut(),
-                )
-            });
-        }
     }
 }
 

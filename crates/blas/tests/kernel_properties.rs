@@ -2,10 +2,7 @@
 //! tests check known answers; these check the *relationships* that the
 //! factorization algorithms silently rely on, across random shapes.
 
-use ft_blas::{
-    axpy, dot, gemm, gemm_ref, gemm_with_algo, nrm2, scal, trmm, trsm, Diag, GemmAlgo, Side, Trans,
-    Uplo,
-};
+use ft_blas::{axpy, dot, gemm, gemm_ref, gemm_with_algo, nrm2, scal, GemmAlgo, Trans};
 use ft_matrix::{max_abs_diff, Matrix};
 use proptest::prelude::*;
 
@@ -71,33 +68,6 @@ proptest! {
         let mut btat = Matrix::zeros(n, m);
         gemm(Trans::Yes, Trans::Yes, 1.0, &b.as_view(), &a.as_view(), 0.0, &mut btat.as_view_mut());
         prop_assert!(max_abs_diff(&ab.transpose(), &btat) < 1e-12);
-    }
-
-    /// trsm undoes trmm for every flag combination.
-    #[test]
-    fn trsm_inverts_trmm(
-        m in 1usize..12,
-        n in 1usize..12,
-        seed in any::<u64>(),
-        left in prop::bool::ANY,
-        upper in prop::bool::ANY,
-        trans in prop::bool::ANY,
-        unit in prop::bool::ANY,
-    ) {
-        let side = if left { Side::Left } else { Side::Right };
-        let uplo = if upper { Uplo::Upper } else { Uplo::Lower };
-        let tr = if trans { Trans::Yes } else { Trans::No };
-        let di = if unit { Diag::Unit } else { Diag::NonUnit };
-        let order = if left { m } else { n };
-        let mut t = mat(order, order, seed);
-        for i in 0..order {
-            t[(i, i)] = 2.0 + t[(i, i)].abs(); // well conditioned
-        }
-        let b0 = mat(m, n, seed ^ 9);
-        let mut b = b0.clone();
-        trmm(side, uplo, tr, di, 1.0, &t.as_view(), &mut b.as_view_mut());
-        trsm(side, uplo, tr, di, 1.0, &t.as_view(), &mut b.as_view_mut());
-        prop_assert!(max_abs_diff(&b, &b0) < 1e-10);
     }
 
     /// dot is bilinear; nrm2 is absolutely homogeneous.

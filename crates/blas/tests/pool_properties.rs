@@ -16,7 +16,7 @@
 //!   once the arena is warm.
 
 use ft_blas::backend::{PARALLEL_MIN_ELEMS, PARALLEL_MIN_VOLUME};
-use ft_blas::{gemm, gemv, ger, pool, syrk, trmm, trsm, with_backend, workspace, Backend};
+use ft_blas::{gemm, gemv, ger, pool, trmm, with_backend, workspace, Backend};
 use ft_blas::{Diag, Side, Trans, Uplo};
 use std::sync::Mutex;
 
@@ -168,7 +168,7 @@ fn all_kernels_consult_the_unified_gates() {
             "gemm {below}^3 is below PARALLEL_MIN_VOLUME and must stay serial"
         );
 
-        // trmm / trsm: volume gate on order²·cols.
+        // trmm: volume gate on order²·cols.
         let (to, tc) = (above, above + 7);
         let tri = {
             let mut t = ft_matrix::random::uniform(to, to, 13);
@@ -190,18 +190,6 @@ fn all_kernels_consult_the_unified_gates() {
             )),
             "trmm {to}^2·{tc} must fork"
         );
-        assert!(
-            dispatches(|| trsm(
-                Side::Left,
-                Uplo::Upper,
-                Trans::No,
-                Diag::NonUnit,
-                1.0,
-                &tri.as_view(),
-                &mut b.as_view_mut(),
-            )),
-            "trsm {to}^2·{tc} must fork"
-        );
         let tri_s = {
             let mut t = ft_matrix::random::uniform(20, 20, 15);
             for i in 0..20 {
@@ -221,47 +209,6 @@ fn all_kernels_consult_the_unified_gates() {
                 &mut bs.as_view_mut(),
             )),
             "small trmm must stay serial"
-        );
-        assert!(
-            !dispatches(|| trsm(
-                Side::Left,
-                Uplo::Upper,
-                Trans::No,
-                Diag::NonUnit,
-                1.0,
-                &tri_s.as_view(),
-                &mut bs.as_view_mut(),
-            )),
-            "small trsm must stay serial"
-        );
-
-        // syrk: volume gate on n²k/2.
-        let (sn, sk) = (above, 2 * above + 1);
-        let sa = ft_matrix::random::uniform(sn, sk, 17);
-        let mut sc = ft_matrix::Matrix::zeros(sn, sn);
-        assert!(
-            dispatches(|| syrk(
-                Uplo::Upper,
-                Trans::No,
-                1.0,
-                &sa.as_view(),
-                0.0,
-                &mut sc.as_view_mut(),
-            )),
-            "syrk {sn}^2·{sk}/2 must fork"
-        );
-        let ss = ft_matrix::random::uniform(40, 40, 18);
-        let mut ssc = ft_matrix::Matrix::zeros(40, 40);
-        assert!(
-            !dispatches(|| syrk(
-                Uplo::Upper,
-                Trans::No,
-                1.0,
-                &ss.as_view(),
-                0.0,
-                &mut ssc.as_view_mut(),
-            )),
-            "small syrk must stay serial"
         );
 
         // gemv / ger: element gate (m·n vs PARALLEL_MIN_ELEMS).

@@ -24,17 +24,18 @@
 //!   whole-matrix consistency pass that also covers finished `H` columns.
 
 use crate::encode::{extend_v, extend_y, ExtMatrix};
-use crate::hybrid_alg::panel_costs;
+use crate::hybrid_alg::{panel_costs, S0, S1};
 use crate::qprotect::QProtection;
-use crate::recovery::{correct_errors, locate_errors};
+use crate::recovery::{correct_errors, locate_errors, LocatedError};
 use crate::report::{FailureReason, FtReport, PhaseBreakdown, RecoveryEvent};
 use crate::reverse::{
-    left_update_ext, left_update_ext_ft, reverse_left_update_ext, reverse_right_update_ext,
-    right_update_panel_top, right_update_trailing, right_update_trailing_ft,
+    left_update_ext_ft, reverse_left_update_ext, reverse_right_update_ext, right_update_panel_top,
+    right_update_trailing_ft,
 };
 use crate::threshold::ThresholdPolicy;
-use ft_fault::{classify, FaultPlan, Phase, Region};
-use ft_hybrid::{HybridCtx, OpClass, StreamId, Work};
+use ft_blas::AbftOptions;
+use ft_fault::{classify, FaultPlan, Phase, Region, ScheduledFault};
+use ft_hybrid::{ExecMode, HybridCtx, OpClass, Work};
 use ft_lapack::{lahr2_within, HessFactorization, Panel};
 use ft_matrix::Matrix;
 
@@ -148,18 +149,36 @@ fn ft_correction_counter() -> &'static ft_trace::Counter {
     C.get_or_init(|| ft_trace::counter("ft.corrections"))
 }
 
-/// Everything one iteration retains for possible reversal — the diskless
-/// checkpoint of Algorithm 3.
-struct IterArtifacts {
-    panel: Option<Panel>,
-    yx: Option<Matrix>,
-    vx: Option<Matrix>,
-    w_left: Option<Matrix>,
-    /// Residual deficits flagged by the fused online-ABFT kernels (0 when
-    /// `FtConfig::online_abft` is off or the iteration was clean).
-    online_detected: usize,
-    /// Elements corrected in place by the fused kernels.
-    online_corrected: usize,
+/// The driver's numerical state. It exists only in [`ExecMode::Full`];
+/// under [`ExecMode::TimingOnly`] the driver charges the simulated
+/// platform for the same operations and runs none of them.
+struct Live {
+    ax: ExtMatrix,
+    qprot: QProtection,
+    tau: Vec<f64>,
+    /// Detection threshold on `|Sre − Sce|`.
+    threshold: f64,
+    /// Deficit significance threshold of the locate step.
+    loc_tol: f64,
+}
+
+/// What one run of a panel iteration retains for a possible reversal:
+/// with the panel checkpoint, the diskless checkpoint of Algorithm 3.
+struct Retained {
+    panel: Panel,
+    yx: Matrix,
+    vx: Matrix,
+    /// The left update's inner product `W = Vᵀ·A`.
+    w: Matrix,
+}
+
+/// How a panel iteration went — all the simulated platform needs to
+/// charge it.
+struct Outcome {
+    /// One episode per reverse/locate/correct/re-execute cycle.
+    recoveries: Vec<RecoveryEvent>,
+    /// The detector still fired when the attempts ran out.
+    gave_up: bool,
 }
 
 /// Runs Algorithm 3 on the simulated hybrid platform.
@@ -184,10 +203,7 @@ fn ft_gehrd_hybrid_inner(
     assert!(a.is_square(), "ft_gehrd_hybrid: matrix must be square");
     let n = a.rows();
     let nb = cfg.nb.max(1);
-    let s0 = StreamId(0);
-    let s1 = StreamId(1);
     let threshold = cfg.threshold.resolve(a);
-    let loc_tol = threshold / (n as f64).sqrt().max(1.0);
 
     let wall_start = ft_trace::clock::Stopwatch::start();
 
@@ -200,197 +216,39 @@ fn ft_gehrd_hybrid_inner(
     let mut failure: Option<FailureReason> = None;
 
     // Transfer the input and encode it on the device (lines 1–2).
-    ctx.h2d(s0, n * n * 8, || ());
-    let mut ax = {
-        let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
-        ctx.device(
-            s0,
-            OpClass::DeviceGemv,
-            Work::Flops(4.0 * (n * n) as f64),
-            || ExtMatrix::encode_with(a, cfg.checksum_scheme),
-        )
+    ctx.h2d(S0, n * n * 8);
+    ctx.device(S0, OpClass::DeviceGemv, Work::Flops(4.0 * (n * n) as f64));
+    let mut live = match ctx.mode() {
+        ExecMode::Full => {
+            let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
+            Some(Live {
+                ax: ExtMatrix::encode_with(a, cfg.checksum_scheme),
+                qprot: QProtection::new(n),
+                tau: vec![0.0; n.saturating_sub(2)],
+                threshold,
+                loc_tol: threshold / (n as f64).sqrt().max(1.0),
+            })
+        }
+        ExecMode::TimingOnly => None,
     };
 
-    let mut qprot = QProtection::new(n);
-    let mut tau = vec![0.0f64; n.saturating_sub(2)];
-
     let total = n.saturating_sub(2);
-    let mut k = 0;
-    let mut iter = 0usize;
-    // Timing-only: faults that struck after an iteration's updates ran
-    // (Phase::BeforeDetection) cannot perturb that iteration's aggregates;
-    // they become visible — if at all — once the *next* iteration's
-    // updates run over them, so they are carried forward one boundary.
-    let mut carried_faults: Vec<ft_fault::ScheduledFault> = vec![];
-    while k < total {
+    let mut carried_faults = vec![];
+    for (iter, k) in (0..total).step_by(nb).enumerate() {
         let ib = nb.min(total - k);
-
-        // ---- fault hook: iteration boundary ----------------------------
-        let timing_faults = match &mut ax {
-            Some(axm) => {
-                let applied = plan.apply_due(iter, Phase::IterationStart, axm.raw_mut());
-                report.injected.extend_from_slice(&applied);
-                vec![]
-            }
-            None => {
-                let mut due = std::mem::take(&mut carried_faults);
-                due.extend(plan.peek_due(iter, Phase::IterationStart));
-                due
-            }
+        let outcome = match &mut live {
+            Some(l) => l.reduce_panel(plan, iter, k, ib, cfg, &mut report),
+            None => timing_outcome(plan, &mut carried_faults, iter, n, k, ib, cfg),
         };
-        if ax.is_none() {
-            plan.consume_due(iter, Phase::IterationStart);
+        charge_panel(ctx, n, k, ib, cfg, &outcome);
+
+        report.redone_iterations += outcome.recoveries.len();
+        for event in outcome.recoveries {
+            log_recovery(&mut report, cfg, "recovery", event);
         }
-
-        // ---- diskless checkpoint of the panel --------------------------
-        let checkpoint: Option<Matrix> =
-            ax.as_ref().map(|axm| axm.raw().sub_matrix(0, k, n + 1, ib));
-
-        // ---- run the iteration ------------------------------------------
-        let mut artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1, &mut report.phases);
-        report.online_detections += artifacts.online_detected;
-        report.online_corrections += artifacts.online_corrected;
-
-        // ---- fault hook: right before detection -------------------------
-        if let Some(axm) = &mut ax {
-            let applied = plan.apply_due(iter, Phase::BeforeDetection, axm.raw_mut());
-            report.injected.extend_from_slice(&applied);
-        } else {
-            carried_faults.extend(plan.peek_due(iter, Phase::BeforeDetection));
-            plan.consume_due(iter, Phase::BeforeDetection);
-        }
-
-        // ---- detection (lines 12–13): two device reductions -------------
-        let mut detected = detect(
-            ctx,
-            &ax,
-            n,
-            threshold,
-            s0,
-            &timing_faults,
-            k,
-            ib,
-            &mut report.phases,
-        );
-
-        // ---- recovery loop (lines 14–16) ---------------------------------
-        let mut attempts = 0;
-        while detected && attempts < cfg.max_recovery_attempts {
-            attempts += 1;
-            report.redone_iterations += 1;
-
-            let mismatch = ax
-                .as_ref()
-                .map(|x| (x.sre() - x.sce()).abs())
-                .unwrap_or(f64::NAN);
-
-            // Reverse the left then the right update from retained
-            // intermediates (line 14).
-            let m = n - k - 1;
-            let ntrail1 = m - ib + 2;
-            let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
-            {
-                let _span = ft_trace::span!("ft.reverse", iter => &mut report.phases.reverse);
-                ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
-                    let axm = ax.as_mut().unwrap();
-                    reverse_left_update_ext(
-                        axm,
-                        k,
-                        ib,
-                        artifacts.vx.as_ref().unwrap(),
-                        &artifacts.panel.as_ref().unwrap().t,
-                        artifacts.w_left.as_ref().unwrap(),
-                    );
-                });
-                ctx.device(
-                    s0,
-                    OpClass::DeviceGemm,
-                    Work::gemm(n + 1, ntrail1, ib),
-                    || {
-                        let axm = ax.as_mut().unwrap();
-                        reverse_right_update_ext(
-                            axm,
-                            k,
-                            ib,
-                            artifacts.yx.as_ref().unwrap(),
-                            artifacts.vx.as_ref().unwrap(),
-                        );
-                    },
-                );
-                // Restore the panel from its checkpoint.
-                ctx.h2d(s0, (n + 1) * ib * 8, || {
-                    let axm = ax.as_mut().unwrap();
-                    axm.raw_mut()
-                        .set_sub_matrix(0, k, checkpoint.as_ref().unwrap());
-                });
-            }
-
-            // Locate: fresh row/column sums vs the stored checksums.
-            let corrected = ctx.device(
-                s0,
-                OpClass::DeviceVector,
-                Work::Flops(4.0 * (n * n) as f64),
-                || {
-                    let axm = ax.as_mut().unwrap();
-                    let out = {
-                        let _span = ft_trace::span!("ft.locate", iter => &mut report.phases.locate);
-                        locate_errors(axm, k, loc_tol)
-                    };
-                    let fixes: Vec<(usize, usize, f64)> =
-                        out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
-                    {
-                        let _span =
-                            ft_trace::span!("ft.correct", iter => &mut report.phases.correct);
-                        correct_errors(axm, &out.errors);
-                    }
-                    if out.errors.is_empty() {
-                        // Checksum-side corruption (or an undetectable
-                        // pattern): re-encode the checksums from the data.
-                        let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
-                        reencode_checksums(axm, k);
-                    }
-                    (fixes, out.resolved)
-                },
-            );
-            ctx.d2h(s0, 2 * n * 8, || ());
-
-            let (fixes, resolved) = corrected.unwrap_or((vec![], true));
-            ft_recovery_counter().incr();
-            ft_correction_counter().add(fixes.len() as u64);
-            ft_trace::journal::record(
-                iter,
-                "recovery",
-                cfg.protection_label(),
-                fixes.len(),
-                mismatch,
-                resolved,
-            );
-            report.recoveries.push(RecoveryEvent {
-                iteration: iter,
-                mismatch,
-                corrected: fixes,
-                resolved,
-            });
-
-            // Re-execute the iteration (line: "the entire iteration is
-            // repeated after the error correction").
-            artifacts = run_iteration(ctx, &mut ax, n, k, ib, cfg, s0, s1, &mut report.phases);
-            report.online_detections += artifacts.online_detected;
-            report.online_corrections += artifacts.online_corrected;
-            detected = detect(ctx, &ax, n, threshold, s0, &[], k, ib, &mut report.phases);
-        }
-        if detected {
-            // Give up on surgical repair: refresh all checksums from the
-            // current data so the factorization can continue; flag it.
-            ctx.device(
-                s0,
-                OpClass::DeviceVector,
-                Work::Flops(4.0 * (n * n) as f64),
-                || {
-                    let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
-                    reencode_checksums(ax.as_mut().unwrap(), k + ib);
-                },
-            );
+        if outcome.gave_up {
+            // Surgical repair failed and the checksums were refreshed from
+            // the current data so the factorization could continue: flag it.
             ft_recovery_counter().incr();
             ft_trace::journal::record(iter, "giveup", cfg.protection_label(), 0, f64::NAN, false);
             report.recoveries.push(RecoveryEvent {
@@ -401,313 +259,395 @@ fn ft_gehrd_hybrid_inner(
             });
             failure.get_or_insert(FailureReason::RecoveryExhausted { iteration: iter });
         }
-
-        // ---- commit: absorb the verified panel into Q protection --------
-        if let Some(p) = &artifacts.panel {
-            tau[k..k + ib].copy_from_slice(&p.tau);
-        }
-        if cfg.protect_q {
-            let _span = ft_trace::span!("ft.qprotect", k => &mut report.phases.qprotect);
-            if let Some(axm) = &ax {
-                let taus = &tau[k..k + ib];
-                qprot.absorb_panel(axm.raw(), k, ib, taus);
-            }
-        }
-
-        k += ib;
-        iter += 1;
         report.iterations += 1;
     }
 
     // ---- final verification ---------------------------------------------
-    // (a) whole-matrix consistency: covers finished-H corruption that the
-    //     per-iteration aggregate test cannot see (never-touched columns).
-    ctx.device(
-        s0,
-        OpClass::DeviceVector,
-        Work::Flops(4.0 * (n * n) as f64),
-        || (),
-    );
-    if let Some(axm) = &mut ax {
-        let out = {
-            let _span = ft_trace::span!("ft.locate" => &mut report.phases.locate);
-            locate_errors(axm, total, loc_tol)
-        };
-        if !out.errors.is_empty() {
-            let fixes: Vec<(usize, usize, f64)> =
-                out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
-            {
-                let _span = ft_trace::span!("ft.correct" => &mut report.phases.correct);
-                correct_errors(axm, &out.errors);
-            }
-            ft_recovery_counter().incr();
-            ft_correction_counter().add(fixes.len() as u64);
-            ft_trace::journal::record(
-                iter,
-                "final",
-                cfg.protection_label(),
-                fixes.len(),
-                f64::NAN,
-                out.resolved,
-            );
-            report.recoveries.push(RecoveryEvent {
-                iteration: iter,
-                mismatch: f64::NAN,
-                corrected: fixes,
-                resolved: out.resolved,
-            });
-            if !out.resolved {
-                failure.get_or_insert(FailureReason::UnresolvedFinalCheck { iteration: iter });
-            }
-        }
+    // (a) whole-matrix consistency, (b) the Q storage check (paper §IV-F,
+    // once at the end), then the result back to the host.
+    if let Some(l) = &mut live {
+        l.final_checks(cfg, &mut report, &mut failure);
     }
-    // (b) Q storage check (paper §IV-F, once at the end).
+    ctx.device(S0, OpClass::DeviceVector, Work::Flops(4.0 * (n * n) as f64));
     if cfg.protect_q {
-        let _span = ft_trace::span!("ft.qprotect" => &mut report.phases.qprotect);
-        ctx.host(
-            OpClass::HostVector,
-            Work::Flops(2.0 * (n * n) as f64 / 2.0),
-            || (),
-        );
-        if let Some(axm) = &mut ax {
-            let fixes = qprot.verify_and_correct(axm.raw_mut(), loc_tol.max(1e-12));
-            report.q_corrections = fixes.iter().map(|f| (f.row, f.col, f.delta)).collect();
-            if let Some(idx) = qprot.verify_taus(&mut tau, 1e-10) {
-                report.tau_corrections.push(idx);
-            }
-        }
+        ctx.host(OpClass::HostVector, Work::Flops(2.0 * (n * n) as f64 / 2.0));
     }
-
-    // Result back to the host.
-    ctx.d2h(s0, n * n * 8, || ());
+    ctx.d2h(S0, n * n * 8);
     ctx.sync_all();
 
     report.sim_seconds = ctx.elapsed();
     report.stats = ctx.stats().clone();
     report.wall_seconds = wall_start.elapsed_seconds();
 
-    let result = ax.map(|axm| HessFactorization {
-        packed: axm.into_packed(),
-        tau,
-    });
     FtOutcome {
-        result,
+        result: live.map(|l| HessFactorization {
+            packed: l.ax.into_packed(),
+            tau: l.tau,
+        }),
         report,
         failure,
     }
 }
 
-/// One full FT iteration body (also used verbatim for re-execution).
-#[allow(clippy::too_many_arguments)]
+impl Live {
+    /// Panel iteration `k` (Algorithm 3 lines 3–16): the fault hooks, the
+    /// panel checkpoint, the iteration, detection, and up to
+    /// `max_recovery_attempts` reverse/locate/correct/re-execute cycles;
+    /// then the verified panel is committed to `tau` and the `Q`
+    /// protection.
+    fn reduce_panel(
+        &mut self,
+        plan: &mut FaultPlan,
+        iter: usize,
+        k: usize,
+        ib: usize,
+        cfg: &FtConfig,
+        report: &mut FtReport,
+    ) -> Outcome {
+        let ax = &mut self.ax;
+        let n = ax.n();
+        let applied = plan.apply_due(iter, Phase::IterationStart, ax.raw_mut());
+        report.injected.extend_from_slice(&applied);
+
+        // Diskless checkpoint of the panel, then the iteration.
+        let checkpoint = ax.raw().sub_matrix(0, k, n + 1, ib);
+        let mut it = run_iteration(ax, k, ib, cfg, report);
+        let applied = plan.apply_due(iter, Phase::BeforeDetection, ax.raw_mut());
+        report.injected.extend_from_slice(&applied);
+        let mut detected = detect(ax, self.threshold, k, &mut report.phases);
+
+        let mut recoveries = vec![];
+        while detected && recoveries.len() < cfg.max_recovery_attempts {
+            let mismatch = (ax.sre() - ax.sce()).abs();
+            // Reverse the left then the right update from the retained
+            // intermediates, and restore the panel (line 14).
+            {
+                let _span = ft_trace::span!("ft.reverse", iter => &mut report.phases.reverse);
+                reverse_left_update_ext(ax, k, ib, &it.vx, &it.panel.t, &it.w);
+                reverse_right_update_ext(ax, k, ib, &it.yx, &it.vx);
+                ax.raw_mut().set_sub_matrix(0, k, &checkpoint);
+            }
+            // Locate: fresh row/column sums vs the stored checksums.
+            let out = {
+                let _span = ft_trace::span!("ft.locate", iter => &mut report.phases.locate);
+                locate_errors(ax, k, self.loc_tol)
+            };
+            {
+                let _span = ft_trace::span!("ft.correct", iter => &mut report.phases.correct);
+                correct_errors(ax, &out.errors);
+            }
+            if out.errors.is_empty() {
+                // Checksum-side corruption (or an undetectable pattern):
+                // re-encode the checksums from the data.
+                let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
+                reencode_checksums(ax, k);
+            }
+            recoveries.push(RecoveryEvent {
+                iteration: iter,
+                mismatch,
+                corrected: fixes(&out.errors),
+                resolved: out.resolved,
+            });
+            // Re-execute the iteration (line: "the entire iteration is
+            // repeated after the error correction").
+            it = run_iteration(ax, k, ib, cfg, report);
+            detected = detect(ax, self.threshold, k, &mut report.phases);
+        }
+        if detected {
+            // Give up on surgical repair: refresh all checksums from the
+            // current data so the factorization can continue.
+            let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
+            reencode_checksums(ax, k + ib);
+        }
+
+        // Commit: absorb the verified panel into Q protection.
+        self.tau[k..k + ib].copy_from_slice(&it.panel.tau);
+        if cfg.protect_q {
+            let _span = ft_trace::span!("ft.qprotect", k => &mut report.phases.qprotect);
+            self.qprot
+                .absorb_panel(self.ax.raw(), k, ib, &self.tau[k..k + ib]);
+        }
+        Outcome {
+            recoveries,
+            gave_up: detected,
+        }
+    }
+
+    /// The end-of-run checks: a whole-matrix consistency pass, which
+    /// covers finished-H corruption that the per-iteration aggregate test
+    /// cannot see (never-touched columns), then the `Q` storage check.
+    fn final_checks(
+        &mut self,
+        cfg: &FtConfig,
+        report: &mut FtReport,
+        failure: &mut Option<FailureReason>,
+    ) {
+        let iter = report.iterations;
+        let out = {
+            let _span = ft_trace::span!("ft.locate" => &mut report.phases.locate);
+            locate_errors(&self.ax, self.tau.len(), self.loc_tol)
+        };
+        if !out.errors.is_empty() {
+            {
+                let _span = ft_trace::span!("ft.correct" => &mut report.phases.correct);
+                correct_errors(&mut self.ax, &out.errors);
+            }
+            let event = RecoveryEvent {
+                iteration: iter,
+                mismatch: f64::NAN,
+                corrected: fixes(&out.errors),
+                resolved: out.resolved,
+            };
+            log_recovery(report, cfg, "final", event);
+            if !out.resolved {
+                failure.get_or_insert(FailureReason::UnresolvedFinalCheck { iteration: iter });
+            }
+        }
+        if cfg.protect_q {
+            let _span = ft_trace::span!("ft.qprotect" => &mut report.phases.qprotect);
+            let q_fixes = self
+                .qprot
+                .verify_and_correct(self.ax.raw_mut(), self.loc_tol.max(1e-12));
+            report.q_corrections = q_fixes.iter().map(|f| (f.row, f.col, f.delta)).collect();
+            if let Some(idx) = self.qprot.verify_taus(&mut self.tau, 1e-10) {
+                report.tau_corrections.push(idx);
+            }
+        }
+    }
+}
+
+/// One run of a panel iteration's arithmetic (lines 5–11 and the checksum
+/// refresh), also used verbatim for re-execution.
 fn run_iteration(
-    ctx: &mut HybridCtx,
-    ax: &mut Option<ExtMatrix>,
-    n: usize,
+    ax: &mut ExtMatrix,
     k: usize,
     ib: usize,
     cfg: &FtConfig,
-    s0: StreamId,
-    s1: StreamId,
-    phases: &mut PhaseBreakdown,
-) -> IterArtifacts {
-    let m = n - k - 1;
-    let ntrail1 = m - ib + 2; // real trailing columns + checksum column
+    report: &mut FtReport,
+) -> Retained {
+    let n = ax.n();
+    let phases = &mut report.phases;
 
-    // Panel to host (line 4).
-    ctx.d2h(s0, (n - k) * ib * 8, || ());
-    ctx.sync_stream(s0);
-
-    // Panel factorization (line 5): host + device-GEMV split as in MAGMA.
-    let (host_flops, dev_gemv_flops) = panel_costs(n, k, ib);
+    // Panel factorization (line 5).
     let panel = {
         let _span = ft_trace::span!("ft.panel", k => &mut phases.panel);
-        ctx.host(OpClass::HostPanel, Work::Flops(host_flops), || {
-            lahr2_within(ax.as_mut().unwrap().raw_mut(), n, k, ib)
-        })
+        lahr2_within(ax.raw_mut(), n, k, ib)
     };
-    ctx.device(s0, OpClass::DeviceGemv, Work::Flops(dev_gemv_flops), || ());
-    ctx.h2d(s0, m * ib * 8, || ());
-    ctx.d2h(s0, m * ib * 8, || ());
 
     // Checksum extensions (lines 6–7): Yce from the pre-update checksum
-    // row, Vce as the column sums of V — two device GEMV-class kernels.
-    let ext = {
+    // row, Vce as the column sums of V.
+    let (yx, vx) = {
         let _span = ft_trace::span!("ft.encode", k => &mut phases.encode);
-        ctx.device(
-            s0,
-            OpClass::DeviceGemv,
-            Work::Flops((3 * m * ib) as f64),
-            || {
-                let axm = ax.as_ref().unwrap();
-                let p = panel.as_ref().unwrap();
-                // Arena scratch instead of a fresh Vec: this runs once per
-                // panel iteration and reuses the same buffer after warm-up.
-                let mut chk_seg = ft_blas::workspace::scratch(n - k - 1);
-                for (dst, j) in chk_seg.iter_mut().zip(k + 1..n) {
-                    *dst = axm.chk_row(j);
-                }
-                let yx = extend_y(&p.y, &chk_seg, &p.v, &p.t);
-                let vx = extend_v(&p.v);
-                (yx, vx)
-            },
+        // Arena scratch instead of a fresh Vec: this runs once per panel
+        // iteration and reuses the same buffer after warm-up.
+        let mut chk_seg = ft_blas::workspace::scratch(n - k - 1);
+        for (dst, j) in chk_seg.iter_mut().zip(k + 1..n) {
+            *dst = ax.chk_row(j);
+        }
+        (
+            extend_y(&panel.y, &chk_seg, &panel.v, &panel.t),
+            extend_v(&panel.v),
         )
     };
-    let (yx, vx) = match ext {
-        Some((y, v)) => (Some(y), Some(v)),
-        None => (None, None),
-    };
-
-    // V, T (and extensions) to the device.
-    ctx.h2d(s0, ((m + 1) * ib + ib * ib) * 8, || ());
 
     // Right update to M's panel columns (line 8).
     if ib > 1 {
         let _span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
-        ctx.device(
-            s0,
-            OpClass::DeviceGemm,
-            Work::gemm(k + 1, ib - 1, ib),
-            || {
-                right_update_panel_top(
-                    ax.as_mut().unwrap(),
-                    k,
-                    ib,
-                    yx.as_ref().unwrap(),
-                    vx.as_ref().unwrap(),
-                );
-            },
-        );
+        right_update_panel_top(ax, k, ib, &yx, &vx);
     }
-
-    // Async copy-back of the finished block (line 9), overlapped.
-    ctx.stream_wait_stream(s1, s0);
-    ctx.d2h(s1, (k + 1 + ib) * ib * 8, || ());
 
     // Right update to G + checksum borders (line 10) and the left update
     // (line 11, retaining W for reversal): the trailing-matrix phase.
     // Under `online_abft` both run through the fused-checksum kernel,
     // whose checks count as trailing time.
-    let mut online_detected = 0usize;
-    let mut online_corrected = 0usize;
-    let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
-    // Q-checksum generation for the finished panel — two GEMVs, run on
-    // the idle host overlapped with the device updates (paper §IV-E), or
-    // on the device for the ablation.
-    let q_flops = 4.0 * (m * ib) as f64;
-
-    let trailing_span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
-    ctx.device(
-        s0,
-        OpClass::DeviceGemm,
-        Work::gemm(n + 1, ntrail1, ib),
-        || {
-            let axm = ax.as_mut().unwrap();
-            if cfg.online_abft {
-                let r = right_update_trailing_ft(
-                    axm,
-                    k,
-                    ib,
-                    yx.as_ref().unwrap(),
-                    vx.as_ref().unwrap(),
-                    ft_blas::AbftOptions::default(),
-                );
-                online_detected += r.detected;
-                online_corrected += r.corrected;
-            } else {
-                right_update_trailing(axm, k, ib, yx.as_ref().unwrap(), vx.as_ref().unwrap());
-            }
-        },
-    );
-
-    let w_left = ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
-        let axm = ax.as_mut().unwrap();
-        let t = &panel.as_ref().unwrap().t;
-        if cfg.online_abft {
-            let (w, r) = left_update_ext_ft(
-                axm,
-                k,
-                ib,
-                vx.as_ref().unwrap(),
-                t,
-                ft_blas::AbftOptions::default(),
-            );
-            online_detected += r.detected;
-            online_corrected += r.corrected;
-            w
-        } else {
-            left_update_ext(axm, k, ib, vx.as_ref().unwrap(), t)
+    let abft = cfg.online_abft.then(AbftOptions::default);
+    let w = {
+        let _span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
+        let right = right_update_trailing_ft(ax, k, ib, &yx, &vx, abft);
+        let (w, left) = left_update_ext_ft(ax, k, ib, &vx, &panel.t, abft);
+        for r in [right, left].into_iter().flatten() {
+            report.online_detections += r.detected;
+            report.online_corrections += r.corrected;
         }
-    });
-    drop(trailing_span);
-
-    if cfg.q_checksums_on_host {
-        ctx.host(OpClass::HostVector, Work::Flops(q_flops), || ());
-    } else {
-        ctx.device(s0, OpClass::DeviceGemv, Work::Flops(q_flops), || ());
-    }
+        w
+    };
 
     // Refresh the column checksums of the just-finished panel columns
-    // from their final H values (their storage switched
-    // representation).
+    // from their final H values (their storage switched representation).
     {
         let _span = ft_trace::span!("ft.encode", k => &mut phases.encode);
-        ctx.device(
-            s0,
-            OpClass::DeviceVector,
-            Work::Flops((ib * (k + 2 + ib)) as f64),
-            || {
-                ax.as_mut().unwrap().refresh_chk_row(k, k + ib, k + ib);
-            },
-        );
+        ax.refresh_chk_row(k, k + ib, k + ib);
     }
+    Retained { panel, yx, vx, w }
+}
 
-    IterArtifacts {
-        panel,
-        yx,
-        vx,
-        w_left,
-        online_detected,
-        online_corrected,
+/// The end-of-iteration detector (lines 12–13): `|Sre − Sce| > threshold`,
+/// NaN-safe.
+fn detect(ax: &ExtMatrix, threshold: f64, k: usize, phases: &mut PhaseBreakdown) -> bool {
+    let _span = ft_trace::span!("ft.detect", k => &mut phases.detect);
+    ThresholdPolicy::exceeded(ax.sre() - ax.sce(), threshold)
+}
+
+/// The timing-only mirror of [`Live::reduce_panel`]: consumes the
+/// iteration's faults and decides from their positions whether the
+/// aggregate test would fire.
+///
+/// A fault that struck after the iteration's updates ran
+/// (`Phase::BeforeDetection`) cannot perturb that iteration's aggregates;
+/// it becomes visible — if at all — once the *next* iteration's updates
+/// run over it, so it is carried forward one boundary in `carried`.
+fn timing_outcome(
+    plan: &mut FaultPlan,
+    carried: &mut Vec<ScheduledFault>,
+    iter: usize,
+    n: usize,
+    k: usize,
+    ib: usize,
+    cfg: &FtConfig,
+) -> Outcome {
+    let mut due = std::mem::take(carried);
+    due.extend(plan.peek_due(iter, Phase::IterationStart));
+    plan.consume_due(iter, Phase::IterationStart);
+    carried.extend(plan.peek_due(iter, Phase::BeforeDetection));
+    plan.consume_due(iter, Phase::BeforeDetection);
+
+    let detected = due.iter().any(|f| {
+        let row = f.fault.row.min(n - 1);
+        let col = f.fault.col.min(n - 1);
+        aggregate_visible(n, k, ib, row, col)
+    });
+    // One recovery clears the strike, so the re-executed iteration passes.
+    let attempts = usize::from(detected && cfg.max_recovery_attempts > 0);
+    let event = RecoveryEvent {
+        iteration: iter,
+        mismatch: f64::NAN,
+        corrected: vec![],
+        resolved: true,
+    };
+    Outcome {
+        recoveries: vec![event; attempts],
+        gave_up: detected && attempts == 0,
     }
 }
 
-/// The end-of-iteration detector: `|Sre − Sce| > threshold`, NaN-safe.
-#[allow(clippy::too_many_arguments)]
-fn detect(
+/// Charges one panel iteration and its recovery cycles to the simulated
+/// platform, in issue order.
+fn charge_panel(
     ctx: &mut HybridCtx,
-    ax: &Option<ExtMatrix>,
     n: usize,
-    threshold: f64,
-    s0: StreamId,
-    timing_faults: &[ft_fault::ScheduledFault],
     k: usize,
     ib: usize,
-    phases: &mut PhaseBreakdown,
-) -> bool {
-    let _span = ft_trace::span!("ft.detect", k => &mut phases.detect);
-    // Two device reductions + a tiny transfer + host compare.
-    ctx.device(
-        s0,
-        OpClass::DeviceVector,
-        Work::Flops(2.0 * n as f64),
-        || (),
-    );
-    ctx.d2h(s0, 16, || ());
-    ctx.sync_stream(s0);
-    match ax {
-        Some(axm) => {
-            let diff = axm.sre() - axm.sce();
-            ThresholdPolicy::exceeded(diff, threshold)
-        }
-        None => {
-            // Timing-only mirror of the aggregate test above.
-            timing_faults.iter().any(|f| {
-                let row = f.fault.row.min(n - 1);
-                let col = f.fault.col.min(n - 1);
-                aggregate_visible(n, k, ib, row, col)
-            })
-        }
+    cfg: &FtConfig,
+    outcome: &Outcome,
+) {
+    charge_iteration(ctx, n, k, ib, cfg);
+    charge_detect(ctx, n);
+    for _ in &outcome.recoveries {
+        charge_recovery(ctx, n, k, ib);
+        charge_iteration(ctx, n, k, ib, cfg);
+        charge_detect(ctx, n);
     }
+    if outcome.gave_up {
+        // The last-resort checksum re-encode.
+        ctx.device(S0, OpClass::DeviceVector, Work::Flops(4.0 * (n * n) as f64));
+    }
+}
+
+/// Charges one run of a panel iteration (lines 4–11 and the checksum
+/// refresh).
+fn charge_iteration(ctx: &mut HybridCtx, n: usize, k: usize, ib: usize, cfg: &FtConfig) {
+    let m = n - k - 1;
+    let ntrail1 = m - ib + 2; // real trailing columns + checksum column
+
+    // Panel to host (line 4).
+    ctx.d2h(S0, (n - k) * ib * 8);
+    ctx.sync_stream(S0);
+
+    // Panel factorization (line 5): host + device-GEMV split as in MAGMA.
+    let (host_flops, dev_gemv_flops) = panel_costs(n, k, ib);
+    ctx.host(OpClass::HostPanel, Work::Flops(host_flops));
+    ctx.device(S0, OpClass::DeviceGemv, Work::Flops(dev_gemv_flops));
+    ctx.h2d(S0, m * ib * 8);
+    ctx.d2h(S0, m * ib * 8);
+
+    // Checksum extensions (lines 6–7): two device GEMV-class kernels.
+    ctx.device(S0, OpClass::DeviceGemv, Work::Flops((3 * m * ib) as f64));
+
+    // V, T (and extensions) to the device.
+    ctx.h2d(S0, ((m + 1) * ib + ib * ib) * 8);
+
+    // Right update to M's panel columns (line 8).
+    if ib > 1 {
+        ctx.device(S0, OpClass::DeviceGemm, Work::gemm(k + 1, ib - 1, ib));
+    }
+
+    // Async copy-back of the finished block (line 9), overlapped.
+    ctx.stream_wait_stream(S1, S0);
+    ctx.d2h(S1, (k + 1 + ib) * ib * 8);
+
+    // Right update to G + checksum borders (line 10), then the left
+    // update (line 11).
+    ctx.device(S0, OpClass::DeviceGemm, Work::gemm(n + 1, ntrail1, ib));
+    let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
+    ctx.device(S0, OpClass::DeviceGemm, Work::Flops(left_flops));
+
+    // Q-checksum generation for the finished panel — two GEMVs, run on
+    // the idle host overlapped with the device updates (paper §IV-E), or
+    // on the device for the ablation.
+    let q_flops = Work::Flops(4.0 * (m * ib) as f64);
+    if cfg.q_checksums_on_host {
+        ctx.host(OpClass::HostVector, q_flops);
+    } else {
+        ctx.device(S0, OpClass::DeviceGemv, q_flops);
+    }
+
+    // Checksum refresh of the just-finished panel columns.
+    ctx.device(
+        S0,
+        OpClass::DeviceVector,
+        Work::Flops((ib * (k + 2 + ib)) as f64),
+    );
+}
+
+/// Charges the detector (lines 12–13): two device reductions, a tiny
+/// transfer and the host compare.
+fn charge_detect(ctx: &mut HybridCtx, n: usize) {
+    ctx.device(S0, OpClass::DeviceVector, Work::Flops(2.0 * n as f64));
+    ctx.d2h(S0, 16);
+    ctx.sync_stream(S0);
+}
+
+/// Charges one recovery (line 14): both reversals, the checkpoint
+/// restore, the locate-and-correct sweep and its result back to the host.
+fn charge_recovery(ctx: &mut HybridCtx, n: usize, k: usize, ib: usize) {
+    let m = n - k - 1;
+    let ntrail1 = m - ib + 2;
+    let left_flops = (4.0 * m as f64 + ib as f64) * ntrail1 as f64 * ib as f64;
+    ctx.device(S0, OpClass::DeviceGemm, Work::Flops(left_flops));
+    ctx.device(S0, OpClass::DeviceGemm, Work::gemm(n + 1, ntrail1, ib));
+    ctx.h2d(S0, (n + 1) * ib * 8);
+    ctx.device(S0, OpClass::DeviceVector, Work::Flops(4.0 * (n * n) as f64));
+    ctx.d2h(S0, 2 * n * 8);
+}
+
+/// Counts, journals and reports one recovery episode.
+fn log_recovery(report: &mut FtReport, cfg: &FtConfig, phase: &'static str, event: RecoveryEvent) {
+    ft_recovery_counter().incr();
+    ft_correction_counter().add(event.corrected.len() as u64);
+    ft_trace::journal::record(
+        event.iteration,
+        phase,
+        cfg.protection_label(),
+        event.corrected.len(),
+        event.mismatch,
+        event.resolved,
+    );
+    report.recoveries.push(event);
+}
+
+/// The `(row, col, delta)` triples a [`RecoveryEvent`] records.
+fn fixes(errors: &[LocatedError]) -> Vec<(usize, usize, f64)> {
+    errors.iter().map(|e| (e.row, e.col, e.delta)).collect()
 }
 
 /// Whether a strike at `(row, col)`, present when the iteration reducing

@@ -20,8 +20,13 @@
 
 use ft_fault::{FaultPlan, Phase};
 use ft_hybrid::{ExecMode, HybridCtx, OpClass, StreamId, Work};
-use ft_lapack::{lahr2, HessFactorization};
+use ft_lapack::{gehrd_step, HessFactorization};
 use ft_matrix::Matrix;
+
+/// The stream the panel transfers and block updates run on.
+pub(crate) const S0: StreamId = StreamId(0);
+/// The stream the finished block's copy-back overlaps on.
+pub(crate) const S1: StreamId = StreamId(1);
 
 /// Configuration for the hybrid driver.
 #[derive(Clone, Copy, Debug)]
@@ -91,126 +96,82 @@ pub fn gehrd_hybrid(
     assert!(a.is_square(), "gehrd_hybrid: matrix must be square");
     let n = a.rows();
     let nb = cfg.nb.max(1);
-    let s0 = StreamId(0);
-    let s1 = StreamId(1);
+    let total = n.saturating_sub(2);
 
+    // The working matrix and `tau`, present only when the arithmetic runs.
     let mut work = match ctx.mode() {
-        ExecMode::Full => Some(a.clone()),
+        ExecMode::Full => Some(HessFactorization {
+            packed: a.clone(),
+            tau: vec![0.0; total],
+        }),
         ExecMode::TimingOnly => None,
     };
-    let mut tau = vec![0.0f64; n.saturating_sub(2)];
 
     // Transfer the input matrix to the device (Algorithm 2 line 1).
-    ctx.h2d(s0, n * n * 8, || ());
+    ctx.h2d(S0, n * n * 8);
 
-    let total = n.saturating_sub(2);
-    let mut k = 0;
-    let mut iter = 0usize;
-    while k < total {
+    for (iter, k) in (0..total).step_by(nb).enumerate() {
         let ib = nb.min(total - k);
-        let m = n - k - 1;
-        let ntrail = n - k - ib;
-
-        // -- fault hook: iteration boundary ------------------------------
+        // Fault hook at the iteration boundary, then the panel and its
+        // block updates (the same step as the CPU `gehrd`).
         match &mut work {
-            Some(w) => {
-                plan.apply_due(iter, Phase::IterationStart, w);
+            Some(f) => {
+                plan.apply_due(iter, Phase::IterationStart, &mut f.packed);
+                let panel = gehrd_step(&mut f.packed, k, ib);
+                f.tau[k..k + ib].copy_from_slice(&panel.tau);
             }
             None => {
                 plan.consume_due(iter, Phase::IterationStart);
             }
         }
-
-        // (1) panel to host (Algorithm 2 line 3).
-        ctx.d2h(s0, (n - k) * ib * 8, || ());
-        ctx.sync_stream(s0);
-
-        // (2) panel factorization (line 4): host + device GEMV split.
-        let (host_flops, dev_gemv_flops) = panel_costs(n, k, ib);
-        let panel = ctx.host(OpClass::HostPanel, Work::Flops(host_flops), || {
-            lahr2(work.as_mut().unwrap(), k, ib)
-        });
-        ctx.device(s0, OpClass::DeviceGemv, Work::Flops(dev_gemv_flops), || ());
-        // per-column v/y round trips inside the hybrid dlahr2
-        ctx.h2d(s0, m * ib * 8, || ());
-        ctx.d2h(s0, m * ib * 8, || ());
-
-        if let Some(p) = &panel {
-            tau[k..k + ib].copy_from_slice(&p.tau);
-        }
-
-        // (3) V and T to the device for the block updates.
-        ctx.h2d(s0, (m * ib + ib * ib) * 8, || ());
-
-        // Right update to M's panel columns (line 5): rows above the panel.
-        if ib > 1 {
-            ctx.device(
-                s0,
-                OpClass::DeviceGemm,
-                Work::gemm(k + 1, ib - 1, ib),
-                || {
-                    let p = panel.as_ref().unwrap();
-                    let w = work.as_mut().unwrap();
-                    ft_blas::gemm(
-                        ft_blas::Trans::No,
-                        ft_blas::Trans::Yes,
-                        -1.0,
-                        &p.y.view(0, 0, k + 1, ib),
-                        &p.v.view(0, 0, ib - 1, ib),
-                        1.0,
-                        &mut w.view_mut(0, k + 1, k + 1, ib - 1),
-                    );
-                },
-            );
-        }
-
-        // (4) async copy-back of the finished block (line 6) on stream 1,
-        // overlapped with the trailing updates on stream 0.
-        ctx.stream_wait_stream(s1, s0);
-        ctx.d2h(s1, (k + 1 + ib) * ib * 8, || ());
-
-        if ntrail > 0 {
-            // (5) right update to G (line 7): all rows × trailing columns.
-            ctx.device(s0, OpClass::DeviceGemm, Work::gemm(n, ntrail, ib), || {
-                let p = panel.as_ref().unwrap();
-                let w = work.as_mut().unwrap();
-                ft_blas::gemm(
-                    ft_blas::Trans::No,
-                    ft_blas::Trans::Yes,
-                    -1.0,
-                    &p.y.as_view(),
-                    &p.v.view(ib - 1, 0, m - ib + 1, ib),
-                    1.0,
-                    &mut w.view_mut(0, k + ib, n, ntrail),
-                );
-            });
-
-            // Left update (line 8): W = VᵀA, W = TᵀW, A −= V·W.
-            let left_flops = (4.0 * m as f64 + ib as f64) * ntrail as f64 * ib as f64;
-            ctx.device(s0, OpClass::DeviceGemm, Work::Flops(left_flops), || {
-                let p = panel.as_ref().unwrap();
-                let w = work.as_mut().unwrap();
-                ft_lapack::larfb(
-                    ft_blas::Side::Left,
-                    ft_blas::Trans::Yes,
-                    &p.v.as_view(),
-                    &p.t.as_view(),
-                    &mut w.view_mut(k + 1, k + ib, m, ntrail),
-                );
-            });
-        }
-
-        k += ib;
-        iter += 1;
+        charge_iteration(ctx, n, k, ib);
     }
 
     ctx.sync_all();
-    let result = work.map(|packed| HessFactorization { packed, tau });
     HybridOutcome {
-        result,
+        result: work,
         sim_seconds: ctx.elapsed(),
         stats: ctx.stats().clone(),
         n,
+    }
+}
+
+/// Charges one panel iteration of Algorithm 2 to the simulated platform.
+fn charge_iteration(ctx: &mut HybridCtx, n: usize, k: usize, ib: usize) {
+    let m = n - k - 1;
+    let ntrail = n - k - ib;
+
+    // (1) panel to host (Algorithm 2 line 3).
+    ctx.d2h(S0, (n - k) * ib * 8);
+    ctx.sync_stream(S0);
+
+    // (2) panel factorization (line 4): host + device GEMV split.
+    let (host_flops, dev_gemv_flops) = panel_costs(n, k, ib);
+    ctx.host(OpClass::HostPanel, Work::Flops(host_flops));
+    ctx.device(S0, OpClass::DeviceGemv, Work::Flops(dev_gemv_flops));
+    // per-column v/y round trips inside the hybrid dlahr2
+    ctx.h2d(S0, m * ib * 8);
+    ctx.d2h(S0, m * ib * 8);
+
+    // (3) V and T to the device for the block updates.
+    ctx.h2d(S0, (m * ib + ib * ib) * 8);
+
+    // Right update to M's panel columns (line 5): rows above the panel.
+    if ib > 1 {
+        ctx.device(S0, OpClass::DeviceGemm, Work::gemm(k + 1, ib - 1, ib));
+    }
+
+    // (4) async copy-back of the finished block (line 6) on stream 1,
+    // overlapped with the trailing updates on stream 0.
+    ctx.stream_wait_stream(S1, S0);
+    ctx.d2h(S1, (k + 1 + ib) * ib * 8);
+
+    if ntrail > 0 {
+        // (5) right update to G (line 7): all rows × trailing columns.
+        ctx.device(S0, OpClass::DeviceGemm, Work::gemm(n, ntrail, ib));
+        // Left update (line 8): W = VᵀA, W = TᵀW, A −= V·W.
+        let left_flops = (4.0 * m as f64 + ib as f64) * ntrail as f64 * ib as f64;
+        ctx.device(S0, OpClass::DeviceGemm, Work::Flops(left_flops));
     }
 }
 

@@ -9,23 +9,17 @@
 //! `A(i,j) = Ar_chk(i) − Σ_{k≠j} A(i,k)` formula.
 //!
 //! Multiple simultaneous errors are resolvable as long as their positions
-//! do not form a rectangle (paper §I): the solver below peels unique
+//! do not form a rectangle (paper §I): the matcher peels unique
 //! row/column deficit matches; a fully ambiguous configuration (equal
-//! deficits forming a rectangle) is reported as unresolved.
+//! deficits forming a rectangle) is reported as unresolved. The matcher
+//! is [`ft_blas::match_deficits`], the one the fused online-ABFT GEMM
+//! verifies its output with.
 
 use crate::encode::ExtMatrix;
 
-/// One located error: position and signed deviation of the stored value
-/// from the checksum-consistent value.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LocatedError {
-    /// Row of the corrupted element.
-    pub row: usize,
-    /// Column of the corrupted element.
-    pub col: usize,
-    /// `stored − correct`.
-    pub delta: f64,
-}
+/// One located error: position and signed deviation (`stored − correct`)
+/// of the stored value from the checksum-consistent value.
+pub use ft_blas::AbftError as LocatedError;
 
 /// Outcome of localization.
 #[derive(Clone, Debug)]
@@ -61,105 +55,8 @@ pub fn locate_errors(ax: &ExtMatrix, frontier: usize, tol: f64) -> LocateOutcome
             col_def.push((j, d));
         }
     }
-
-    match (row_def.len(), col_def.len()) {
-        (0, 0) => LocateOutcome {
-            errors: vec![],
-            resolved: true,
-        },
-        // All errors share one row: columns identify each error.
-        (1, _) => {
-            let (r, rd) = row_def[0];
-            let errors: Vec<LocatedError> = col_def
-                .iter()
-                .map(|&(j, d)| LocatedError {
-                    row: r,
-                    col: j,
-                    delta: d,
-                })
-                .collect();
-            let sum: f64 = errors.iter().map(|e| e.delta).sum();
-            let resolved = !col_def.is_empty() && (sum - rd).abs() <= tol.max(1e-8 * rd.abs());
-            LocateOutcome { errors, resolved }
-        }
-        // All errors share one column: rows identify each error.
-        (_, 1) => {
-            let (c, cd) = col_def[0];
-            let errors: Vec<LocatedError> = row_def
-                .iter()
-                .map(|&(i, d)| LocatedError {
-                    row: i,
-                    col: c,
-                    delta: d,
-                })
-                .collect();
-            let sum: f64 = errors.iter().map(|e| e.delta).sum();
-            let resolved = !row_def.is_empty() && (sum - cd).abs() <= tol.max(1e-8 * cd.abs());
-            LocateOutcome { errors, resolved }
-        }
-        // A checksum-only corruption (one direction deficient, the other
-        // clean) cannot be attributed to a data element; callers refresh
-        // the checksum instead.
-        (0, _) | (_, 0) => LocateOutcome {
-            errors: vec![],
-            resolved: false,
-        },
-        // General scattered errors: peel unique magnitude matches.
-        _ => peel_matches(row_def, col_def, tol),
-    }
-}
-
-fn peel_matches(
-    mut rows: Vec<(usize, f64)>,
-    mut cols: Vec<(usize, f64)>,
-    tol: f64,
-) -> LocateOutcome {
-    let mut errors = vec![];
-    let match_tol = |a: f64, b: f64| (a - b).abs() <= tol.max(1e-9 * a.abs().max(b.abs()));
-    loop {
-        if rows.is_empty() && cols.is_empty() {
-            return LocateOutcome {
-                errors,
-                resolved: true,
-            };
-        }
-        if rows.is_empty() != cols.is_empty() {
-            // Leftover deficit on one side only: inconsistent.
-            return LocateOutcome {
-                errors,
-                resolved: false,
-            };
-        }
-        // Find a row whose deficit matches exactly one column deficit.
-        let mut progress = false;
-        'outer: for ri in 0..rows.len() {
-            let (r, rd) = rows[ri];
-            let candidates: Vec<usize> = (0..cols.len())
-                .filter(|&ci| match_tol(rd, cols[ci].1))
-                .collect();
-            if candidates.len() == 1 {
-                let ci = candidates[0];
-                let (c, _cd) = cols[ci];
-                errors.push(LocatedError {
-                    row: r,
-                    col: c,
-                    delta: rd,
-                });
-                rows.remove(ri);
-                cols.remove(ci);
-                progress = true;
-                break 'outer;
-            }
-        }
-        if !progress {
-            // Every remaining row deficit matches 0 or ≥2 column deficits:
-            // the rectangle ambiguity the paper excludes.
-            return LocateOutcome {
-                errors,
-                resolved: false,
-            };
-        }
-    }
+    let (errors, resolved) = ft_blas::match_deficits(row_def, col_def, tol);
+    LocateOutcome { errors, resolved }
 }
 
 /// Applies corrections in place: `A(i,j) −= delta` (paper §IV-F's checksum

@@ -11,7 +11,7 @@
 
 use crate::encode::ExtMatrix;
 use ft_blas::{gemm, gemm_ft, trmm, AbftOptions, AbftReport, Diag, Side, Trans, Uplo};
-use ft_matrix::Matrix;
+use ft_matrix::{MatView, MatViewMut, Matrix};
 
 /// Forward right update (Algorithm 3 lines 8 & 10, extended):
 ///
@@ -27,42 +27,26 @@ pub fn right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx
 /// The trailing-columns half of [`right_update_ext`] alone (Algorithm 3
 /// line 10 — the `G` update, including both checksum borders).
 pub fn right_update_trailing(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
-    apply_right_trailing(ax, k, ib, yx, vx, -1.0);
+    right_update_trailing_ft(ax, k, ib, yx, vx, None);
 }
 
-/// [`right_update_trailing`] with the fused online-ABFT kernel
-/// ([`ft_blas::gemm_ft`]): checksums of the trailing `G` update are
-/// encoded during packing and verified in the epilogue, so a transient
-/// strike *inside this gemm* is caught (and, when resolvable, corrected)
-/// before the iteration-level `Sre`/`Sce` detector ever runs. Clean runs
-/// are bit-identical to [`right_update_trailing`] — the fused path does
-/// not perturb the iteration aggregates.
+/// [`right_update_trailing`], through the fused online-ABFT kernel
+/// ([`ft_blas::gemm_ft`]) when `abft` is set: checksums of the trailing
+/// `G` update are encoded during packing and verified in the epilogue, so
+/// a transient strike *inside this gemm* is caught (and, when resolvable,
+/// corrected) before the iteration-level `Sre`/`Sce` detector ever runs.
+/// Returns the kernel's report, or `None` when the plain kernel ran.
+/// Clean runs are bit-identical either way — the fused path does not
+/// perturb the iteration aggregates.
 pub fn right_update_trailing_ft(
     ax: &mut ExtMatrix,
     k: usize,
     ib: usize,
     yx: &Matrix,
     vx: &Matrix,
-    opts: AbftOptions,
-) -> AbftReport {
-    let n = ax.n();
-    let m = n - k - 1;
-    assert_eq!(yx.rows(), n + 1, "Yx must be (n+1) rows");
-    assert_eq!(vx.rows(), m + 1, "Vx must be (m+1) rows");
-    assert_eq!(yx.cols(), ib);
-    assert_eq!(vx.cols(), ib);
-    let jcount = m - ib + 2; // trailing real columns + checksum column
-    let data = ax.raw_mut();
-    gemm_ft(
-        Trans::No,
-        Trans::Yes,
-        -1.0,
-        &yx.as_view(),
-        &vx.view(ib - 1, 0, jcount, ib),
-        1.0,
-        &mut data.view_mut(0, k + ib, n + 1, jcount),
-        opts,
-    )
+    abft: Option<AbftOptions>,
+) -> Option<AbftReport> {
+    apply_right_trailing(ax, k, ib, yx, vx, -1.0, abft)
 }
 
 /// The panel-columns half of [`right_update_ext`] alone (Algorithm 3
@@ -85,11 +69,11 @@ pub fn right_update_panel_top(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matr
 /// Exact reversal of [`right_update_ext`] **excluding** the panel-column
 /// part (the panel is restored from its checkpoint instead).
 pub fn reverse_right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
-    apply_right_trailing(ax, k, ib, yx, vx, 1.0);
+    apply_right_trailing(ax, k, ib, yx, vx, 1.0, None);
 }
 
 fn apply_right(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix, sign: f64) {
-    apply_right_trailing(ax, k, ib, yx, vx, sign);
+    apply_right_trailing(ax, k, ib, yx, vx, sign, None);
     // Panel columns k+1 ..= k+ib−1, rows above the panel.
     if ib > 1 {
         let data = ax.raw_mut();
@@ -112,7 +96,8 @@ fn apply_right_trailing(
     yx: &Matrix,
     vx: &Matrix,
     sign: f64,
-) {
+    abft: Option<AbftOptions>,
+) -> Option<AbftReport> {
     let n = ax.n();
     let m = n - k - 1;
     assert_eq!(yx.rows(), n + 1, "Yx must be (n+1) rows");
@@ -121,15 +106,33 @@ fn apply_right_trailing(
     assert_eq!(vx.cols(), ib);
     let jcount = m - ib + 2; // trailing real columns + checksum column
     let data = ax.raw_mut();
-    gemm(
-        Trans::No,
+    accumulate(
         Trans::Yes,
         sign,
         &yx.as_view(),
         &vx.view(ib - 1, 0, jcount, ib),
-        1.0,
         &mut data.view_mut(0, k + ib, n + 1, jcount),
-    );
+        abft,
+    )
+}
+
+/// `C += sign·A·op(B)` on the plain kernel, or on the fused online-ABFT
+/// kernel (whose report it returns) when `abft` is set.
+fn accumulate(
+    transb: Trans,
+    sign: f64,
+    a: &MatView<'_>,
+    b: &MatView<'_>,
+    c: &mut MatViewMut<'_>,
+    abft: Option<AbftOptions>,
+) -> Option<AbftReport> {
+    match abft {
+        Some(opts) => Some(gemm_ft(Trans::No, transb, sign, a, b, 1.0, c, opts)),
+        None => {
+            gemm(Trans::No, transb, sign, a, b, 1.0, c);
+            None
+        }
+    }
 }
 
 /// Forward left update (Algorithm 3 line 11, extended):
@@ -140,40 +143,24 @@ fn apply_right_trailing(
 /// Returns the inner product `W = Vᵀ·Ax(...)` — the retained intermediate
 /// that makes the reversal exact. `W` is `ib × (m−ib+2)`.
 pub fn left_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, vx: &Matrix, t: &Matrix) -> Matrix {
-    let n = ax.n();
-    let m = n - k - 1;
-    let jcount = m - ib + 2;
-    let mut w = Matrix::zeros(ib, jcount);
-    {
-        let data = ax.raw();
-        gemm(
-            Trans::Yes,
-            Trans::No,
-            1.0,
-            &vx.view(0, 0, m, ib),
-            &data.view(k + 1, k + ib, m, jcount),
-            0.0,
-            &mut w.as_view_mut(),
-        );
-    }
-    apply_left(ax, k, ib, vx, t, &w, -1.0);
-    w
+    left_update_ext_ft(ax, k, ib, vx, t, None).0
 }
 
-/// [`left_update_ext`] with the fused online-ABFT kernel protecting the
-/// `Ax`-writing gemm. The inner product `W = Vᵀ·Ax(...)` stays on the
-/// plain kernel: it writes scratch, not the protected matrix, and a
-/// strike there surfaces through the protected update it feeds (or the
-/// iteration-level aggregate test). Clean runs are bit-identical to
-/// [`left_update_ext`].
+/// [`left_update_ext`], with the fused online-ABFT kernel protecting the
+/// `Ax`-writing gemm when `abft` is set; returns `W` and the kernel's
+/// report (`None` when the plain kernel ran). The inner product
+/// `W = Vᵀ·Ax(...)` stays on the plain kernel: it writes scratch, not the
+/// protected matrix, and a strike there surfaces through the protected
+/// update it feeds (or the iteration-level aggregate test). Clean runs
+/// are bit-identical either way.
 pub fn left_update_ext_ft(
     ax: &mut ExtMatrix,
     k: usize,
     ib: usize,
     vx: &Matrix,
     t: &Matrix,
-    opts: AbftOptions,
-) -> (Matrix, AbftReport) {
+    abft: Option<AbftOptions>,
+) -> (Matrix, Option<AbftReport>) {
     let n = ax.n();
     let m = n - k - 1;
     let jcount = m - ib + 2;
@@ -190,28 +177,7 @@ pub fn left_update_ext_ft(
             &mut w.as_view_mut(),
         );
     }
-    // W2 = Tᵀ·W, identical to apply_left's forward computation.
-    let mut w2 = w.clone();
-    trmm(
-        Side::Left,
-        Uplo::Upper,
-        Trans::Yes,
-        Diag::NonUnit,
-        1.0,
-        &t.as_view(),
-        &mut w2.as_view_mut(),
-    );
-    let data = ax.raw_mut();
-    let report = gemm_ft(
-        Trans::No,
-        Trans::No,
-        -1.0,
-        &vx.as_view(),
-        &w2.as_view(),
-        1.0,
-        &mut data.view_mut(k + 1, k + ib, m + 1, jcount),
-        opts,
-    );
+    let report = apply_left(ax, k, ib, vx, t, &w, -1.0, abft);
     (w, report)
 }
 
@@ -224,9 +190,10 @@ pub fn reverse_left_update_ext(
     t: &Matrix,
     w: &Matrix,
 ) {
-    apply_left(ax, k, ib, vx, t, w, 1.0);
+    apply_left(ax, k, ib, vx, t, w, 1.0, None);
 }
 
+#[allow(clippy::too_many_arguments)]
 fn apply_left(
     ax: &mut ExtMatrix,
     k: usize,
@@ -235,7 +202,8 @@ fn apply_left(
     t: &Matrix,
     w: &Matrix,
     sign: f64,
-) {
+    abft: Option<AbftOptions>,
+) -> Option<AbftReport> {
     let n = ax.n();
     let m = n - k - 1;
     let jcount = m - ib + 2;
@@ -253,15 +221,14 @@ fn apply_left(
         &mut w2.as_view_mut(),
     );
     let data = ax.raw_mut();
-    gemm(
-        Trans::No,
+    accumulate(
         Trans::No,
         sign,
         &vx.as_view(),
         &w2.as_view(),
-        1.0,
         &mut data.view_mut(k + 1, k + ib, m + 1, jcount),
-    );
+        abft,
+    )
 }
 
 #[cfg(test)]
@@ -348,10 +315,13 @@ mod tests {
         right_update_trailing(&mut plain, 3, 5, &yx, &vx);
         let w_plain = left_update_ext(&mut plain, 3, 5, &vx, &t);
         let mut ft = ax0.clone();
-        let r1 = right_update_trailing_ft(&mut ft, 3, 5, &yx, &vx, AbftOptions::default());
-        let (w_ft, r2) = left_update_ext_ft(&mut ft, 3, 5, &vx, &t, AbftOptions::default());
-        assert_eq!(r1.detected, 0, "clean right update flagged: {r1:?}");
-        assert_eq!(r2.detected, 0, "clean left update flagged: {r2:?}");
+        let opts = Some(AbftOptions::default());
+        let r1 = right_update_trailing_ft(&mut ft, 3, 5, &yx, &vx, opts);
+        let (w_ft, r2) = left_update_ext_ft(&mut ft, 3, 5, &vx, &t, opts);
+        for r in [r1, r2] {
+            let r = r.expect("the fused kernel ran");
+            assert_eq!(r.detected, 0, "clean update flagged: {r:?}");
+        }
         for j in 0..=24usize {
             for i in 0..=24usize {
                 assert_eq!(

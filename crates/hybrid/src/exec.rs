@@ -8,13 +8,15 @@ use crate::stats::ExecStats;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamId(pub usize);
 
-/// Whether closures actually execute.
+/// Whether the drivers run their arithmetic. The context itself only
+/// keeps time, identically in both modes; a driver reads
+/// [`HybridCtx::mode`] to decide whether it also computes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// Run the real arithmetic (simulated time + real results).
     Full,
-    /// Skip the arithmetic, advance the clocks only. Closure results are
-    /// `None`; drivers must not branch on numerics in this mode.
+    /// Skip the arithmetic, advance the clocks only. Drivers return no
+    /// factorization and must not branch on numerics in this mode.
     TimingOnly,
 }
 
@@ -32,10 +34,13 @@ pub enum ExecMode {
 ///   clock to the stream completion times (like `cudaStreamSynchronize`);
 /// * [`HybridCtx::stream_wait_stream`] is `cudaStreamWaitEvent`.
 ///
-/// In [`ExecMode::Full`] the closures run immediately in program order.
-/// That is sound because the drivers issue operations in data-dependency
-/// order (as any correct CUDA program must); the *simulated* clocks replay
-/// what a genuinely concurrent platform would have achieved.
+/// The context only charges time: each call advances the clocks by the
+/// cost model's price of the described operation. The drivers run the
+/// arithmetic themselves, in program order, and only in
+/// [`ExecMode::Full`]. That is sound because they issue operations in
+/// data-dependency order (as any correct CUDA program must); the
+/// *simulated* clocks replay what a genuinely concurrent platform would
+/// have achieved.
 pub struct HybridCtx {
     cost: CostModel,
     mode: ExecMode,
@@ -100,25 +105,8 @@ impl HybridCtx {
         &self.stats
     }
 
-    /// Resets all clocks and statistics (the cost model and mode persist).
-    pub fn reset(&mut self) {
-        self.host_time = 0.0;
-        self.link_time = 0.0;
-        for s in &mut self.streams {
-            *s = 0.0;
-        }
-        self.stats = ExecStats::default();
-    }
-
-    fn run<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
-        match self.mode {
-            ExecMode::Full => Some(f()),
-            ExecMode::TimingOnly => None,
-        }
-    }
-
     /// Synchronous host work: blocks the host clock.
-    pub fn host<R>(&mut self, class: OpClass, work: Work, f: impl FnOnce() -> R) -> Option<R> {
+    pub fn host(&mut self, class: OpClass, work: Work) {
         debug_assert!(
             class.is_host(),
             "host() called with non-host class {class:?}"
@@ -131,25 +119,12 @@ impl HybridCtx {
             // Simulated lanes: 0 = host, 1+s = device stream s.
             ft_trace::record_sim(class.name(), 0, start * 1e6, dt * 1e6);
         }
-        self.run(f)
-    }
-
-    /// Advances the host clock without doing work (models driver overhead
-    /// or an explicit simulated delay).
-    pub fn host_delay(&mut self, seconds: f64) {
-        self.host_time += seconds.max(0.0);
     }
 
     /// Asynchronous device kernel on `stream`. Returns immediately (the
     /// host clock is not advanced); the stream clock advances by the
     /// kernel duration starting from `max(stream, host)`.
-    pub fn device<R>(
-        &mut self,
-        stream: StreamId,
-        class: OpClass,
-        work: Work,
-        f: impl FnOnce() -> R,
-    ) -> Option<R> {
+    pub fn device(&mut self, stream: StreamId, class: OpClass, work: Work) {
         debug_assert!(
             class.is_device(),
             "device() called with non-device class {class:?}"
@@ -161,21 +136,20 @@ impl HybridCtx {
         if ft_trace::enabled() {
             ft_trace::record_sim(class.name(), 1 + stream.0 as u64, start * 1e6, dt * 1e6);
         }
-        self.run(f)
     }
 
     /// Asynchronous host→device transfer on `stream`: occupies the link
     /// and serializes with prior work on `stream`.
-    pub fn h2d<R>(&mut self, stream: StreamId, bytes: usize, f: impl FnOnce() -> R) -> Option<R> {
-        self.transfer(stream, bytes, f)
+    pub fn h2d(&mut self, stream: StreamId, bytes: usize) {
+        self.transfer(stream, bytes);
     }
 
     /// Asynchronous device→host transfer on `stream`.
-    pub fn d2h<R>(&mut self, stream: StreamId, bytes: usize, f: impl FnOnce() -> R) -> Option<R> {
-        self.transfer(stream, bytes, f)
+    pub fn d2h(&mut self, stream: StreamId, bytes: usize) {
+        self.transfer(stream, bytes);
     }
 
-    fn transfer<R>(&mut self, stream: StreamId, bytes: usize, f: impl FnOnce() -> R) -> Option<R> {
+    fn transfer(&mut self, stream: StreamId, bytes: usize) {
         let dt = self
             .cost
             .seconds(OpClass::Transfer, Work::Bytes(bytes as f64));
@@ -194,7 +168,6 @@ impl HybridCtx {
                 dt * 1e6,
             );
         }
-        self.run(f)
     }
 
     /// Blocks the host until `stream` has drained.
@@ -227,8 +200,7 @@ mod tests {
     #[test]
     fn host_work_blocks_host() {
         let mut c = ctx();
-        let r = c.host(OpClass::HostPanel, Work::Flops(5.0), || 42);
-        assert_eq!(r, Some(42));
+        c.host(OpClass::HostPanel, Work::Flops(5.0));
         assert_eq!(c.host_time(), 5.0);
         assert_eq!(c.elapsed(), 5.0);
     }
@@ -236,13 +208,13 @@ mod tests {
     #[test]
     fn device_work_is_async() {
         let mut c = ctx();
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(10.0), || ());
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(10.0));
         // Host did not advance; stream did.
         assert_eq!(c.host_time(), 0.0);
         assert_eq!(c.stream_time(StreamId(0)), 10.0);
         assert_eq!(c.elapsed(), 10.0);
         // Host work overlaps with the in-flight kernel.
-        c.host(OpClass::HostPanel, Work::Flops(4.0), || ());
+        c.host(OpClass::HostPanel, Work::Flops(4.0));
         assert_eq!(c.host_time(), 4.0);
         assert_eq!(c.elapsed(), 10.0, "overlap: makespan still 10");
         c.sync_stream(StreamId(0));
@@ -252,8 +224,8 @@ mod tests {
     #[test]
     fn device_kernel_waits_for_host_issue() {
         let mut c = ctx();
-        c.host(OpClass::HostPanel, Work::Flops(3.0), || ());
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(2.0), || ());
+        c.host(OpClass::HostPanel, Work::Flops(3.0));
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(2.0));
         // Kernel issued at t=3, runs 2 ⇒ stream at 5.
         assert_eq!(c.stream_time(StreamId(0)), 5.0);
     }
@@ -261,9 +233,9 @@ mod tests {
     #[test]
     fn same_stream_serializes_different_streams_overlap() {
         let mut c = ctx();
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(4.0), || ());
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(4.0), || ());
-        c.device(StreamId(1), OpClass::DeviceGemm, Work::Flops(4.0), || ());
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(4.0));
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(4.0));
+        c.device(StreamId(1), OpClass::DeviceGemm, Work::Flops(4.0));
         assert_eq!(c.stream_time(StreamId(0)), 8.0);
         assert_eq!(c.stream_time(StreamId(1)), 4.0);
         assert_eq!(c.elapsed(), 8.0);
@@ -273,10 +245,10 @@ mod tests {
     fn transfers_occupy_link_and_stream() {
         let mut c = ctx();
         // 1 byte = 1 s in the unit model.
-        c.h2d(StreamId(0), 3, || ());
+        c.h2d(StreamId(0), 3);
         assert_eq!(c.stream_time(StreamId(0)), 3.0);
         // A second transfer on another stream serializes on the link.
-        c.h2d(StreamId(1), 3, || ());
+        c.h2d(StreamId(1), 3);
         assert_eq!(c.stream_time(StreamId(1)), 6.0);
         assert_eq!(c.host_time(), 0.0, "transfers are async");
     }
@@ -284,44 +256,22 @@ mod tests {
     #[test]
     fn stream_wait_stream_orders_cross_stream_work() {
         let mut c = ctx();
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(6.0), || ());
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(6.0));
         c.stream_wait_stream(StreamId(1), StreamId(0));
-        c.device(StreamId(1), OpClass::DeviceGemm, Work::Flops(1.0), || ());
+        c.device(StreamId(1), OpClass::DeviceGemm, Work::Flops(1.0));
         assert_eq!(c.stream_time(StreamId(1)), 7.0);
-    }
-
-    #[test]
-    fn timing_only_skips_closures() {
-        let mut c = HybridCtx::new(CostModel::unit_test_model(), ExecMode::TimingOnly, 1);
-        let mut executed = false;
-        let r = c.host(OpClass::HostPanel, Work::Flops(2.0), || {
-            executed = true;
-            7
-        });
-        assert_eq!(r, None);
-        assert!(!executed);
-        assert_eq!(c.host_time(), 2.0, "time still advances");
     }
 
     #[test]
     fn stats_accumulate() {
         let mut c = ctx();
-        c.host(OpClass::HostPanel, Work::Flops(1.0), || ());
-        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(2.0), || ());
-        c.h2d(StreamId(0), 4, || ());
+        c.host(OpClass::HostPanel, Work::Flops(1.0));
+        c.device(StreamId(0), OpClass::DeviceGemm, Work::Flops(2.0));
+        c.h2d(StreamId(0), 4);
         let s = c.stats();
         assert_eq!(s.host_busy, 1.0);
         assert_eq!(s.device_busy, 2.0);
         assert_eq!(s.link_busy, 4.0);
         assert_eq!(s.count(OpClass::Transfer), 1);
-    }
-
-    #[test]
-    fn reset_clears_clocks() {
-        let mut c = ctx();
-        c.host(OpClass::HostPanel, Work::Flops(1.0), || ());
-        c.reset();
-        assert_eq!(c.elapsed(), 0.0);
-        assert_eq!(c.stats().total_busy(), 0.0);
     }
 }

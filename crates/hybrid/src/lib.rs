@@ -19,9 +19,11 @@
 //! * a [`CostModel`] converts operation descriptors (GEMM flops, GEMV
 //!   bytes, transfer bytes) into simulated seconds, with a preset
 //!   calibrated to Table I of the paper;
-//! * in [`ExecMode::Full`] the supplied closure actually executes (real
-//!   numerics, simulated time); in [`ExecMode::TimingOnly`] closures are
-//!   skipped, which makes the paper's full `N = 1022 … 10110` sweeps
+//! * the context only keeps time: a [`HybridCtx`] call charges an
+//!   operation and runs nothing. The drivers decide whether the
+//!   arithmetic runs: in [`ExecMode::Full`] they compute as well (real
+//!   numerics, simulated time); in [`ExecMode::TimingOnly`] they only
+//!   charge, which makes the paper's full `N = 1022 … 10110` sweeps
 //!   tractable on one CPU core.
 //!
 //! The quantity the paper's Figure 6 plots — GFLOP/s of the factorization

@@ -12,7 +12,7 @@
 //!    Algorithm 1 line 4).
 
 use crate::householder::{larf, ReflectSide};
-use crate::lahr2::lahr2;
+use crate::lahr2::{lahr2, Panel};
 use ft_blas::{gemm, Side, Trans};
 use ft_matrix::Matrix;
 
@@ -88,59 +88,67 @@ pub fn gehrd(a: &mut Matrix, cfg: &GehrdConfig) -> Vec<f64> {
             break;
         }
         let ib = cfg.nb.min(remaining);
-        let panel = {
-            let _span = ft_trace::span!("gehrd.panel", k);
-            lahr2(a, k, ib)
-        };
-        let m = panel.m(); // n - k - 1
+        let panel = gehrd_step(a, k, ib);
+        tau[k..k + ib].copy_from_slice(&panel.tau);
+        k += ib;
+    }
+    tau
+}
 
-        // (1) Right update to the rows above the panel, panel columns
-        // k+1 ..= k+ib−1 (column k needs none):
-        // A(0..=k, k+1..k+ib) −= Y(0..=k, :) · V(0..ib−1, :)ᵀ
-        if ib > 1 {
+/// One blocked step of [`gehrd`]: factorizes the `ib`-column panel that
+/// starts at column `k` and applies its block reflector to the rest of
+/// `a`. Returns the panel; its `tau` are the step's reflector scales.
+pub fn gehrd_step(a: &mut Matrix, k: usize, ib: usize) -> Panel {
+    let n = a.rows();
+    let panel = {
+        let _span = ft_trace::span!("gehrd.panel", k);
+        lahr2(a, k, ib)
+    };
+    let m = panel.m(); // n - k - 1
+
+    // (1) Right update to the rows above the panel, panel columns
+    // k+1 ..= k+ib−1 (column k needs none):
+    // A(0..=k, k+1..k+ib) −= Y(0..=k, :) · V(0..ib−1, :)ᵀ
+    if ib > 1 {
+        let _span = ft_trace::span!("gehrd.right_update", k);
+        gemm(
+            Trans::No,
+            Trans::Yes,
+            -1.0,
+            &panel.y.view(0, 0, k + 1, ib),
+            &panel.v.view(0, 0, ib - 1, ib),
+            1.0,
+            &mut a.view_mut(0, k + 1, k + 1, ib - 1),
+        );
+    }
+
+    // (2)+(3) Right and left updates to the trailing columns:
+    // A(:, k+ib..n) −= Y · V₂ᵀ  (V₂ = V rows ib−1..m), then
+    // A(k+1..n, k+ib..n) ← (I − V·T·Vᵀ)ᵀ · A(k+1..n, k+ib..n).
+    let ntrail = n - k - ib;
+    if ntrail > 0 {
+        {
             let _span = ft_trace::span!("gehrd.right_update", k);
             gemm(
                 Trans::No,
                 Trans::Yes,
                 -1.0,
-                &panel.y.view(0, 0, k + 1, ib),
-                &panel.v.view(0, 0, ib - 1, ib),
+                &panel.y.as_view(),
+                &panel.v.view(ib - 1, 0, m - ib + 1, ib),
                 1.0,
-                &mut a.view_mut(0, k + 1, k + 1, ib - 1),
+                &mut a.view_mut(0, k + ib, n, ntrail),
             );
         }
-
-        // (2)+(3) Right and left updates to the trailing columns:
-        // A(:, k+ib..n) −= Y · V₂ᵀ  (V₂ = V rows ib−1..m), then
-        // A(k+1..n, k+ib..n) ← (I − V·T·Vᵀ)ᵀ · A(k+1..n, k+ib..n).
-        let ntrail = n - k - ib;
-        if ntrail > 0 {
-            {
-                let _span = ft_trace::span!("gehrd.right_update", k);
-                gemm(
-                    Trans::No,
-                    Trans::Yes,
-                    -1.0,
-                    &panel.y.as_view(),
-                    &panel.v.view(ib - 1, 0, m - ib + 1, ib),
-                    1.0,
-                    &mut a.view_mut(0, k + ib, n, ntrail),
-                );
-            }
-            let _span = ft_trace::span!("gehrd.left_update", k);
-            crate::wy::larfb(
-                Side::Left,
-                Trans::Yes,
-                &panel.v.as_view(),
-                &panel.t.as_view(),
-                &mut a.view_mut(k + 1, k + ib, m, ntrail),
-            );
-        }
-
-        tau[k..k + ib].copy_from_slice(&panel.tau);
-        k += ib;
+        let _span = ft_trace::span!("gehrd.left_update", k);
+        crate::wy::larfb(
+            Side::Left,
+            Trans::Yes,
+            &panel.v.as_view(),
+            &panel.t.as_view(),
+            &mut a.view_mut(k + 1, k + ib, m, ntrail),
+        );
     }
-    tau
+    panel
 }
 
 /// Unblocked reduction of the remaining columns `k..n−2` (matches

@@ -41,7 +41,9 @@ pub mod wy;
 
 pub use balance::{balance, Balance};
 pub use gehd2::gehd2;
-pub use gehrd::{extract_h, form_q, form_q_blocked, gehrd, GehrdConfig, HessFactorization};
+pub use gehrd::{
+    extract_h, form_q, form_q_blocked, gehrd, gehrd_step, GehrdConfig, HessFactorization,
+};
 pub use geqrf::{form_q_qr, geqrf, random_orthogonal};
 pub use householder::{larf, larfg};
 pub use hseqr::{eigenvalues_hessenberg, Eigenvalue};

@@ -20,13 +20,11 @@
 
 pub mod assertions;
 pub mod dense;
-pub mod io;
 pub mod norms;
 pub mod random;
 pub mod view;
 
 pub use assertions::{approx_eq, assert_matrix_eq, max_abs_diff, rel_diff};
 pub use dense::Matrix;
-pub use io::{read_matrix_market, write_matrix_market, MmError};
 pub use norms::{fro_norm, grand_sum, inf_norm, max_abs, one_norm};
 pub use view::{MatView, MatViewMut};

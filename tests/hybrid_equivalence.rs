@@ -166,3 +166,83 @@ fn more_streams_never_slower() {
     .sim_seconds;
     assert!(t4 <= t2 + 1e-12);
 }
+
+/// One golden timeline case: a fault plan and the FT driver's config.
+/// `late` strikes after the updates ran (`Phase::BeforeDetection`);
+/// `giveup` allows no recovery attempt.
+fn golden_case(case: &str) -> (FaultPlan, FtConfig) {
+    let cfg = FtConfig::with_nb(32);
+    let strike = |phase| {
+        FaultPlan::new(vec![ScheduledFault {
+            iteration: 1,
+            phase,
+            fault: Fault::add(100, 200, 0.5),
+        }])
+    };
+    match case {
+        "clean" => (FaultPlan::none(), cfg),
+        "area2" => (strike(Phase::IterationStart), cfg),
+        "late" => (strike(Phase::BeforeDetection), cfg),
+        "giveup" => (
+            strike(Phase::IterationStart),
+            FtConfig {
+                max_recovery_attempts: 0,
+                ..cfg
+            },
+        ),
+        _ => unreachable!("unknown case {case}"),
+    }
+}
+
+/// `sim_seconds` bits and per-class op counts (in `OpClass::ALL` order)
+/// of one driver run at n = 256, nb = 32.
+fn timeline(ft: bool, mode: ExecMode, case: &str) -> (u64, [u64; 7]) {
+    use ft_hess_repro::hybrid::OpClass;
+    let a = ft_hess_repro::matrix::random::uniform(256, 256, 19);
+    let (mut plan, cfg) = golden_case(case);
+    let mut ctx = HybridCtx::new(CostModel::k40c_sandy_bridge(), mode, 2);
+    let (sim, stats) = if ft {
+        let out = ft_gehrd_hybrid(&a, &cfg, &mut ctx, &mut plan);
+        (out.report.sim_seconds, out.report.stats)
+    } else {
+        let out = gehrd_hybrid(&a, &HybridConfig { nb: cfg.nb }, &mut ctx, &mut plan);
+        (out.sim_seconds, out.stats)
+    };
+    (sim.to_bits(), OpClass::ALL.map(|c| stats.count(c)))
+}
+
+/// The simulated timeline of both drivers, pinned bit for bit. Both modes
+/// issue one charge sequence, so a charge that is dropped, duplicated or
+/// reordered shifts Full and TimingOnly alike and only a recorded value
+/// can catch it. Counts are per `OpClass::ALL`: HostPanel, HostVector,
+/// HostGemm, DeviceGemm, DeviceGemv, DeviceVector, Transfer. Algorithm 2
+/// has no recovery, so its four cases share one timeline.
+#[test]
+fn simulated_timeline_is_pinned() {
+    const HYBRID: [(&str, u64, [u64; 7]); 4] = [
+        ("clean", 0x3f5de9017c293786, [8, 0, 0, 24, 8, 0, 41]),
+        ("area2", 0x3f5de9017c293786, [8, 0, 0, 24, 8, 0, 41]),
+        ("late", 0x3f5de9017c293786, [8, 0, 0, 24, 8, 0, 41]),
+        ("giveup", 0x3f5de9017c293786, [8, 0, 0, 24, 8, 0, 41]),
+    ];
+    const FT: [(&str, u64, [u64; 7]); 4] = [
+        ("clean", 0x3f615773aae4baaf, [8, 9, 0, 24, 17, 17, 50]),
+        ("area2", 0x3f647ae88c6de760, [9, 10, 0, 29, 19, 20, 58]),
+        ("late", 0x3f642e506b804d98, [9, 10, 0, 29, 19, 20, 58]),
+        ("giveup", 0x3f616c1e459b0a84, [8, 9, 0, 24, 17, 18, 50]),
+    ];
+    for (driver, table) in [("gehrd_hybrid", HYBRID), ("ft_gehrd_hybrid", FT)] {
+        for (case, bits, counts) in table {
+            for mode in [ExecMode::Full, ExecMode::TimingOnly] {
+                let got = timeline(driver == "ft_gehrd_hybrid", mode, case);
+                assert_eq!(
+                    got,
+                    (bits, counts),
+                    "{driver} {case} {mode:?}: sim_seconds {} counts {:?}",
+                    f64::from_bits(got.0),
+                    got.1
+                );
+            }
+        }
+    }
+}
