@@ -211,71 +211,14 @@ fn fork_gated(work: usize, gate: usize) -> usize {
     }
 }
 
-/// Splits `b` into up to `workers` near-equal contiguous **column** blocks
-/// and runs `f(first_global_col, block)` on each, the extra blocks on
-/// pool workers. `f` must treat columns independently; determinism then
-/// follows because each column is processed by exactly the serial code.
-pub(crate) fn for_each_col_chunk<F>(b: MatViewMut<'_>, workers: usize, f: F)
-where
-    F: Fn(usize, MatViewMut<'_>) + Sync,
-{
-    let n = b.cols();
-    let t = workers.min(n.max(1)).max(1);
-    if t <= 1 {
-        f(0, b);
-        return;
-    }
-    let (base, extra) = (n / t, n % t);
-    let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(t);
-    let mut rest = b;
-    let mut j0 = 0usize;
-    let fr = &f;
-    for w in 0..t {
-        let width = base + usize::from(w < extra);
-        let (chunk, tail) = rest.split_at_col(width);
-        let c0 = j0;
-        tasks.push(Box::new(move || fr(c0, chunk)));
-        rest = tail;
-        j0 += width;
-    }
-    pool::run_scoped(tasks);
-}
-
-/// Row-block analogue of [`for_each_col_chunk`]: `f(first_global_row,
-/// block)` over near-equal contiguous row blocks.
-pub(crate) fn for_each_row_chunk<F>(b: MatViewMut<'_>, workers: usize, f: F)
-where
-    F: Fn(usize, MatViewMut<'_>) + Sync,
-{
-    let m = b.rows();
-    let t = workers.min(m.max(1)).max(1);
-    if t <= 1 {
-        f(0, b);
-        return;
-    }
-    let (base, extra) = (m / t, m % t);
-    let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(t);
-    let mut rest = b;
-    let mut i0 = 0usize;
-    let fr = &f;
-    for w in 0..t {
-        let height = base + usize::from(w < extra);
-        let (chunk, tail) = rest.split_at_row(height);
-        let r0 = i0;
-        tasks.push(Box::new(move || fr(r0, chunk)));
-        rest = tail;
-        i0 += height;
-    }
-    pool::run_scoped(tasks);
-}
-
-/// 2-D analogue of [`for_each_col_chunk`]: splits `c` into a `tr × tc`
-/// grid of near-equal contiguous tiles and runs `f(first_global_row,
-/// first_global_col, tile)` on each, extra tiles on pool workers. The
-/// gemm threaded path partitions its output this way (`jc`/`ic`
-/// macro-tiles) so each worker runs the full packed serial kernel on a
-/// private block of `C` — per-element results do not depend on the grid,
-/// preserving the bit-identity contract.
+/// Splits `c` into a `tr × tc` grid of near-equal contiguous tiles and
+/// runs `f(first_global_row, first_global_col, tile)` on each, extra
+/// tiles on pool workers. `f` must treat the tiles independently;
+/// determinism then follows because each element is processed by exactly
+/// the serial code. The gemm threaded path partitions its output this
+/// way (`jc`/`ic` macro-tiles) so each worker runs the full packed serial
+/// kernel on a private block of `C`; a `1 × t` grid splits columns
+/// (`ger`, left `trmm`) and a `t × 1` grid rows (right `trmm`).
 pub(crate) fn for_each_tile<F>(c: MatViewMut<'_>, tr: usize, tc: usize, f: F)
 where
     F: Fn(usize, usize, MatViewMut<'_>) + Sync,
@@ -312,7 +255,7 @@ where
     pool::run_scoped(tasks);
 }
 
-/// Slice analogue of [`for_each_col_chunk`]: splits `out` into up to
+/// Slice analogue of [`for_each_tile`]: splits `out` into up to
 /// `workers` near-equal contiguous ranges and runs `f(first_global_index,
 /// chunk)` on each. Used by the parallel level-2 path, where the output is
 /// a vector rather than a matrix block.
@@ -412,7 +355,7 @@ mod tests {
     fn col_chunks_cover_exactly_once() {
         for workers in [1usize, 2, 3, 5, 16] {
             let mut a = Matrix::zeros(7, 11);
-            for_each_col_chunk(a.as_view_mut(), workers, |j0, mut chunk| {
+            for_each_tile(a.as_view_mut(), 1, workers, |_, j0, mut chunk| {
                 for j in 0..chunk.cols() {
                     for i in 0..chunk.rows() {
                         let old = chunk.at(i, j);
@@ -432,7 +375,7 @@ mod tests {
     fn row_chunks_cover_exactly_once() {
         for workers in [1usize, 2, 4, 9] {
             let mut a = Matrix::zeros(10, 3);
-            for_each_row_chunk(a.as_view_mut(), workers, |i0, mut chunk| {
+            for_each_tile(a.as_view_mut(), workers, 1, |i0, _, mut chunk| {
                 for j in 0..chunk.cols() {
                     for i in 0..chunk.rows() {
                         let old = chunk.at(i, j);

@@ -100,7 +100,7 @@ pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut MatViewMut<'_>) {
     // them over the pool; each column's update is elementwise serial.
     let workers = backend::fork_threads_mem(m * n);
     let isa = resolve_isa();
-    backend::for_each_col_chunk(a.rb_mut(), workers, |j0, mut chunk| {
+    backend::for_each_tile(a.rb_mut(), 1, workers, |_, j0, mut chunk| {
         for jj in 0..chunk.cols() {
             let ayj = alpha * y[j0 + jj];
             if ayj != 0.0 {

@@ -60,7 +60,7 @@ pub fn trmm(
     match side {
         // Each column of B is an independent trmv: partition columns.
         Side::Left => {
-            backend::for_each_col_chunk(b.rb_mut(), workers, |_, mut chunk| {
+            backend::for_each_tile(b.rb_mut(), 1, workers, |_, _, mut chunk| {
                 trmm_left(isa, uplo, trans, diag, alpha, a, &mut chunk);
             });
         }
@@ -68,7 +68,7 @@ pub fn trmm(
         // but each update is elementwise per row: partition rows and run
         // the identical sweep on each row slice.
         Side::Right => {
-            backend::for_each_row_chunk(b.rb_mut(), workers, |_, mut chunk| {
+            backend::for_each_tile(b.rb_mut(), workers, 1, |_, _, mut chunk| {
                 trmm_right(uplo, trans, unit, alpha, a, &mut chunk);
             });
         }

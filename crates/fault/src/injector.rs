@@ -32,8 +32,6 @@ pub enum Phase {
     /// Before the panel is sent to the host (iteration boundary — where
     /// the paper's Figure 2 faults strike).
     IterationStart,
-    /// After the panel factorization, before the trailing updates.
-    AfterPanel,
     /// After the trailing updates, before detection runs.
     BeforeDetection,
 }
@@ -113,7 +111,8 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Plan with a single fault at the end of `iteration`.
+    /// Plan with a single fault at the start of `iteration`
+    /// ([`Phase::IterationStart`]).
     pub fn one(iteration: usize, fault: Fault) -> Self {
         FaultPlan::new(vec![ScheduledFault {
             iteration,
@@ -216,7 +215,7 @@ mod tests {
         let mut plan = FaultPlan::one(3, Fault::add(1, 2, 1.0));
 
         assert!(plan.apply_due(2, Phase::IterationStart, &mut m).is_empty());
-        assert!(plan.apply_due(3, Phase::AfterPanel, &mut m).is_empty());
+        assert!(plan.apply_due(3, Phase::BeforeDetection, &mut m).is_empty());
         assert_eq!(m[(1, 2)], 10.0);
 
         let done = plan.apply_due(3, Phase::IterationStart, &mut m);

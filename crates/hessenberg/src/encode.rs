@@ -230,6 +230,24 @@ impl ExtMatrix {
         }
     }
 
+    /// Rebuilds both checksum borders and the corner from the stored data
+    /// under the frontier mask (last-resort recovery and
+    /// checksum-corruption repair).
+    pub fn reencode(&mut self, frontier: usize) {
+        let n = self.n;
+        let rs = self.math_row_sums(frontier);
+        let cs = self.math_col_sums(frontier);
+        let mut grand = 0.0;
+        for i in 0..n {
+            self.data[(i, n)] = rs[i];
+            grand += rs[i];
+        }
+        for j in 0..n {
+            self.data[(n, j)] = cs[j];
+        }
+        self.data[(n, n)] = grand;
+    }
+
     /// Extracts the final packed `n × n` factorization output.
     pub fn into_packed(self) -> Matrix {
         self.data.sub_matrix(0, 0, self.n, self.n)

@@ -340,7 +340,7 @@ impl Live {
                 // Checksum-side corruption (or an undetectable pattern):
                 // re-encode the checksums from the data.
                 let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
-                reencode_checksums(ax, k);
+                ax.reencode(k);
             }
             recoveries.push(RecoveryEvent {
                 iteration: iter,
@@ -357,7 +357,7 @@ impl Live {
             // Give up on surgical repair: refresh all checksums from the
             // current data so the factorization can continue.
             let _span = ft_trace::span!("ft.encode" => &mut report.phases.encode);
-            reencode_checksums(ax, k + ib);
+            ax.reencode(k + ib);
         }
 
         // Commit: absorb the verified panel into Q protection.
@@ -671,23 +671,6 @@ fn aggregate_visible(n: usize, k: usize, ib: usize, row: usize, col: usize) -> b
             classify(n, (k + ib).min(n), row, col),
             Region::Area1 | Region::Area2
         )
-}
-
-/// Rebuilds both checksum borders from the stored data under the frontier
-/// mask (last-resort recovery and checksum-corruption repair).
-fn reencode_checksums(ax: &mut ExtMatrix, frontier: usize) {
-    let n = ax.n();
-    let rs = ax.math_row_sums(frontier);
-    let cs = ax.math_col_sums(frontier);
-    let mut grand = 0.0;
-    for i in 0..n {
-        ax.raw_mut()[(i, n)] = rs[i];
-        grand += rs[i];
-    }
-    for j in 0..n {
-        ax.raw_mut()[(n, j)] = cs[j];
-    }
-    ax.raw_mut()[(n, n)] = grand;
 }
 
 #[cfg(test)]

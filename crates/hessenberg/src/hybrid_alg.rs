@@ -15,8 +15,9 @@
 //! 5. the right update to `G` and the block left update to the trailing
 //!    matrix on the device.
 //!
-//! Fault hooks fire at iteration boundaries so the propagation study of
-//! Figure 2 can corrupt the working matrix mid-factorization.
+//! Fault hooks fire at each iteration's start and after its updates (where
+//! Algorithm 3 runs detection), so the propagation study of Figure 2 can
+//! corrupt the working matrix mid-factorization.
 
 use ft_fault::{FaultPlan, Phase};
 use ft_hybrid::{ExecMode, HybridCtx, OpClass, StreamId, Work};
@@ -85,8 +86,10 @@ pub(crate) fn panel_costs(n: usize, k: usize, ib: usize) -> (f64, f64) {
 }
 
 /// Runs Algorithm 2. `plan` supplies fault injections (use
-/// [`FaultPlan::none`] for clean runs). In [`ExecMode::TimingOnly`] no
-/// arithmetic is performed and faults are consumed without effect.
+/// [`FaultPlan::none`] for clean runs): [`Phase::IterationStart`] faults
+/// land before the panel, [`Phase::BeforeDetection`] faults after the
+/// block updates. In [`ExecMode::TimingOnly`] no arithmetic is performed
+/// and faults are consumed without effect.
 pub fn gehrd_hybrid(
     a: &Matrix,
     cfg: &HybridConfig,
@@ -113,15 +116,18 @@ pub fn gehrd_hybrid(
     for (iter, k) in (0..total).step_by(nb).enumerate() {
         let ib = nb.min(total - k);
         // Fault hook at the iteration boundary, then the panel and its
-        // block updates (the same step as the CPU `gehrd`).
+        // block updates (the same step as the CPU `gehrd`), then the hook
+        // where Algorithm 3 would detect.
         match &mut work {
             Some(f) => {
                 plan.apply_due(iter, Phase::IterationStart, &mut f.packed);
                 let panel = gehrd_step(&mut f.packed, k, ib);
                 f.tau[k..k + ib].copy_from_slice(&panel.tau);
+                plan.apply_due(iter, Phase::BeforeDetection, &mut f.packed);
             }
             None => {
                 plan.consume_due(iter, Phase::IterationStart);
+                plan.consume_due(iter, Phase::BeforeDetection);
             }
         }
         charge_iteration(ctx, n, k, ib);
@@ -259,6 +265,43 @@ mod tests {
             ft_matrix::max_abs_diff(&clean.packed, &dirty.packed) > 1e-3,
             "fault must visibly corrupt the factorization"
         );
+    }
+
+    #[test]
+    fn before_detection_fault_lands_after_the_updates() {
+        let n = 48;
+        let a = ft_matrix::random::uniform(n, n, 65);
+        let cfg = HybridConfig { nb: 8 };
+        let late = || {
+            FaultPlan::new(vec![ft_fault::ScheduledFault {
+                iteration: 1,
+                phase: Phase::BeforeDetection,
+                fault: ft_fault::Fault::add(20, 30, 1.0),
+            }])
+        };
+
+        let clean = gehrd_hybrid(&a, &cfg, &mut full_ctx(), &mut FaultPlan::none())
+            .result
+            .unwrap();
+        let mut plan = late();
+        let dirty = gehrd_hybrid(&a, &cfg, &mut full_ctx(), &mut plan)
+            .result
+            .unwrap();
+        let applied = plan.applied();
+        assert_eq!(applied.len(), 1, "the fault is applied");
+        assert_eq!(
+            (applied[0].iteration, applied[0].phase),
+            (1, Phase::BeforeDetection)
+        );
+        assert_ne!(
+            clean.packed, dirty.packed,
+            "the fault must reach the factorization"
+        );
+
+        let mut plan = late();
+        let mut ctx = HybridCtx::new(CostModel::k40c_sandy_bridge(), ExecMode::TimingOnly, 2);
+        gehrd_hybrid(&a, &cfg, &mut ctx, &mut plan);
+        assert!(plan.is_exhausted(), "TimingOnly consumes the fault");
     }
 
     #[test]

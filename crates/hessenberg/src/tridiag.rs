@@ -233,7 +233,7 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
             correct_errors(&mut ax, &out.errors);
             if out.errors.is_empty() {
                 // Checksum-side corruption: rebuild from data.
-                reencode(&mut ax, gk);
+                ax.reencode(gk);
                 wchk.reencode(&ax, gk);
             } else {
                 // The corrections changed the data; the weighted vectors
@@ -260,7 +260,7 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
             detected = detect_now(&ax, &wchk);
         }
         if detected {
-            reencode(&mut ax, gk + glen);
+            ax.reencode(gk + glen);
             wchk.reencode(&ax, gk + glen);
             ft_trace::journal::record(iter, "giveup", tridiag_protection(cfg), 0, f64::NAN, false);
             report.recoveries.push(RecoveryEvent {
@@ -542,21 +542,6 @@ fn restore_checksums(ax: &mut ExtMatrix, snap: &(Vec<f64>, Vec<f64>, f64)) {
         ax.raw_mut()[(n, i)] = snap.1[i];
     }
     ax.raw_mut()[(n, n)] = snap.2;
-}
-
-fn reencode(ax: &mut ExtMatrix, frontier: usize) {
-    let n = ax.n();
-    let rs = ax.math_row_sums(frontier);
-    let cs = ax.math_col_sums(frontier);
-    let mut grand = 0.0;
-    for i in 0..n {
-        ax.raw_mut()[(i, n)] = rs[i];
-        grand += rs[i];
-    }
-    for j in 0..n {
-        ax.raw_mut()[(n, j)] = cs[j];
-    }
-    ax.raw_mut()[(n, n)] = grand;
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 //! first sub-diagonal. Memory-latency bound (level-2 BLAS only); serves as
 //! the correctness oracle for the blocked and hybrid variants.
 
-use crate::householder::{larf, larfg, ReflectSide};
 use ft_matrix::Matrix;
 
 /// Reduces `a` to upper Hessenberg form in place.
@@ -21,42 +20,7 @@ pub fn gehd2(a: &mut Matrix) -> Vec<f64> {
         return vec![];
     }
     let mut tau = vec![0.0; n - 2];
-    // Workspace for the full reflector vector (explicit leading 1).
-    let mut v = vec![0.0; n];
-
-    for i in 0..n - 2 {
-        // Generate H_i to annihilate A(i+2.., i).
-        let alpha = a[(i + 1, i)];
-        let mut tail: Vec<f64> = (i + 2..n).map(|r| a[(r, i)]).collect();
-        let refl = larfg(alpha, &mut tail);
-        tau[i] = refl.tau;
-
-        // Assemble the full reflector vector over rows i+1..n.
-        let m = n - i - 1;
-        v[0] = 1.0;
-        v[1..m].copy_from_slice(&tail);
-
-        // A ← A·H_i : affects columns i+1..n, all rows.
-        larf(
-            ReflectSide::Right,
-            &v[..m],
-            refl.tau,
-            &mut a.view_mut(0, i + 1, n, m),
-        );
-        // A ← H_iᵀ·A : affects rows i+1..n, columns i+1..n.
-        larf(
-            ReflectSide::Left,
-            &v[..m],
-            refl.tau,
-            &mut a.view_mut(i + 1, i + 1, m, m),
-        );
-
-        // Store beta on the sub-diagonal and the vector tail below it.
-        a[(i + 1, i)] = refl.beta;
-        for (off, &val) in tail.iter().enumerate() {
-            a[(i + 2 + off, i)] = val;
-        }
-    }
+    crate::gehrd::unblocked_tail(a, 0, &mut tau);
     tau
 }
 

@@ -151,9 +151,9 @@ pub fn gehrd_step(a: &mut Matrix, k: usize, ib: usize) -> Panel {
     panel
 }
 
-/// Unblocked reduction of the remaining columns `k..n−2` (matches
-/// `DGEHD2` restricted to a trailing range).
-fn unblocked_tail(a: &mut Matrix, k: usize, tau: &mut [f64]) {
+/// Unblocked reduction of the remaining columns `k..n−2` (`DGEHD2`
+/// restricted to a trailing range; [`crate::gehd2`] runs it from 0).
+pub(crate) fn unblocked_tail(a: &mut Matrix, k: usize, tau: &mut [f64]) {
     let n = a.rows();
     let mut v = vec![0.0; n];
     // Single reflector-tail buffer reused across columns (every element is

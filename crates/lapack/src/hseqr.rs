@@ -55,8 +55,9 @@ impl std::fmt::Display for NoConvergence {
 
 impl std::error::Error for NoConvergence {}
 
+/// Fortran `SIGN(a, b)`: `|a|` with the sign of `b` (`+` for `b = ±0`).
 #[inline]
-fn sign(a: f64, b: f64) -> f64 {
+pub(crate) fn sign(a: f64, b: f64) -> f64 {
     if b >= 0.0 {
         a.abs()
     } else {

@@ -52,6 +52,4 @@ pub use schur::{real_schur, SchurDecomposition};
 pub use wy::{larfb, larft};
 pub mod sytrd;
 
-pub use sytrd::{
-    form_q_tridiag, steqr_eigenvalues, steqr_full, sytd2, sytrd, TridiagFactorization,
-};
+pub use sytrd::{steqr_eigenvalues, steqr_full, sytd2, sytrd, TridiagFactorization};

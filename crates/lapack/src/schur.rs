@@ -8,7 +8,7 @@
 //! full similarity `A = (QZ)·T·(QZ)ᵀ` — the complete dense nonsymmetric
 //! eigensolver pipeline the paper's introduction motivates.
 
-use crate::hseqr::{Eigenvalue, NoConvergence};
+use crate::hseqr::{sign, Eigenvalue, NoConvergence};
 use ft_matrix::Matrix;
 
 /// Result of the Schur decomposition.
@@ -20,15 +20,6 @@ pub struct SchurDecomposition {
     pub z: Matrix,
     /// Eigenvalues in deflation order (complex pairs adjacent).
     pub eigenvalues: Vec<Eigenvalue>,
-}
-
-#[inline]
-fn sign(a: f64, b: f64) -> f64 {
-    if b >= 0.0 {
-        a.abs()
-    } else {
-        -a.abs()
-    }
 }
 
 /// Computes the real Schur form of the upper Hessenberg matrix `h`,

@@ -19,6 +19,7 @@
 //!   masking.
 
 use crate::householder::larfg;
+use crate::hseqr::{sign, NoConvergence};
 use ft_blas::{dot, gemv, ger, Trans};
 use ft_matrix::Matrix;
 
@@ -54,7 +55,7 @@ impl TridiagFactorization {
 
     /// The dense orthogonal factor `Q`, with `A = Q·T·Qᵀ`.
     pub fn q(&self) -> Matrix {
-        form_q_tridiag(&self.packed, &self.tau)
+        crate::gehrd::form_q(&self.packed, &self.tau)
     }
 }
 
@@ -320,44 +321,68 @@ fn latrd_panel(a: &mut Matrix, k: usize, nb: usize, tau: &mut [f64]) {
     }
 }
 
-/// Forms `Q = H₀·H₁⋯H_{n−3}` from the packed reflectors.
-pub fn form_q_tridiag(packed: &Matrix, tau: &[f64]) -> Matrix {
-    let n = packed.rows();
-    let mut q = Matrix::identity(n);
-    if n < 3 {
-        return q;
-    }
-    assert_eq!(tau.len(), n - 2, "form_q_tridiag: tau length");
-    let mut v = vec![0.0; n];
-    for j in (0..n - 2).rev() {
-        if tau[j] == 0.0 {
-            continue;
-        }
-        let m = n - j - 1;
-        v[0] = 1.0;
-        for r in 1..m {
-            v[r] = packed[(j + 1 + r, j)];
-        }
-        crate::householder::larf(
-            crate::householder::ReflectSide::Left,
-            &v[..m],
-            tau[j],
-            &mut q.view_mut(j + 1, j + 1, m, m),
-        );
-    }
-    q
-}
-
 /// Eigenvalues of a symmetric tridiagonal matrix by the implicit QL
 /// method with Wilkinson shifts (EISPACK `TQL1` / LAPACK `DSTERF`
 /// organization). Eigenvalues only, returned in ascending order.
-pub fn steqr_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, crate::hseqr::NoConvergence> {
+pub fn steqr_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence> {
     let n = d.len();
     if n == 0 {
         return Ok(vec![]);
     }
     assert_eq!(e.len(), n.saturating_sub(1), "steqr: e length");
     let mut d = d.to_vec();
+    ql_implicit(&mut d, e, None)?;
+    d.sort_by(|a, b| a.total_cmp(b));
+    Ok(d)
+}
+
+/// Eigenvalues **and eigenvectors** of a symmetric tridiagonal matrix by
+/// the implicit QL method with accumulated rotations (EISPACK `TQL2` /
+/// LAPACK `DSTEQR` job `'V'`).
+///
+/// `z0` seeds the accumulation: pass the `Q` of a [`sytd2`]/[`sytrd`]
+/// reduction to obtain the eigenvectors of the *original* symmetric
+/// matrix directly (`A = Z·Λ·Zᵀ`); `None` uses the identity (vectors of
+/// the tridiagonal matrix itself). Returns `(λ ascending, Z)` with
+/// eigenvector `k` in column `k`.
+pub fn steqr_full(
+    d: &[f64],
+    e: &[f64],
+    z0: Option<Matrix>,
+) -> Result<(Vec<f64>, Matrix), NoConvergence> {
+    let n = d.len();
+    let mut z = z0.unwrap_or_else(|| Matrix::identity(n));
+    assert_eq!(z.cols(), n, "steqr_full: Z must have n columns");
+    if n == 0 {
+        return Ok((vec![], z));
+    }
+    assert_eq!(e.len(), n.saturating_sub(1), "steqr_full: e length");
+    let mut d = d.to_vec();
+    ql_implicit(&mut d, e, Some(&mut z))?;
+
+    // Sort eigenvalues ascending, permuting the vectors alongside
+    // (selection sort, as DSTEQR does).
+    for i in 0..n {
+        let mut kmin = i;
+        for j in i + 1..n {
+            if d[j] < d[kmin] {
+                kmin = j;
+            }
+        }
+        if kmin != i {
+            d.swap(i, kmin);
+            z.swap_cols(i, kmin);
+        }
+    }
+    Ok((d, z))
+}
+
+/// The implicit QL iteration shared by [`steqr_eigenvalues`] and
+/// [`steqr_full`]: diagonalizes the tridiagonal `(d, e)`, leaving the
+/// unsorted eigenvalues in `d`, and applies every rotation to the columns
+/// of `z` when one is given.
+fn ql_implicit(d: &mut [f64], e: &[f64], mut z: Option<&mut Matrix>) -> Result<(), NoConvergence> {
+    let n = d.len();
     // Working sub-diagonal with a trailing zero sentinel.
     let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
 
@@ -377,7 +402,7 @@ pub fn steqr_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, crate::hseqr:
                 break; // d[l] converged
             }
             if its == 60 {
-                return Err(crate::hseqr::NoConvergence { index: l });
+                return Err(NoConvergence { index: l });
             }
             its += 1;
             // Wilkinson shift.
@@ -407,100 +432,13 @@ pub fn steqr_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, crate::hseqr:
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-            }
-            if underflow {
-                continue;
-            }
-            d[l] -= p;
-            e[l] = g;
-            e[m] = 0.0;
-        }
-    }
-    d.sort_by(|a, b| a.total_cmp(b));
-    Ok(d)
-}
-
-#[inline]
-fn sign(a: f64, b: f64) -> f64 {
-    if b >= 0.0 {
-        a.abs()
-    } else {
-        -a.abs()
-    }
-}
-
-/// Eigenvalues **and eigenvectors** of a symmetric tridiagonal matrix by
-/// the implicit QL method with accumulated rotations (EISPACK `TQL2` /
-/// LAPACK `DSTEQR` job `'V'`).
-///
-/// `z0` seeds the accumulation: pass the `Q` of a [`sytd2`]/[`sytrd`]
-/// reduction to obtain the eigenvectors of the *original* symmetric
-/// matrix directly (`A = Z·Λ·Zᵀ`); `None` uses the identity (vectors of
-/// the tridiagonal matrix itself). Returns `(λ ascending, Z)` with
-/// eigenvector `k` in column `k`.
-pub fn steqr_full(
-    d: &[f64],
-    e: &[f64],
-    z0: Option<Matrix>,
-) -> Result<(Vec<f64>, Matrix), crate::hseqr::NoConvergence> {
-    let n = d.len();
-    let mut z = z0.unwrap_or_else(|| Matrix::identity(n));
-    assert_eq!(z.cols(), n, "steqr_full: Z must have n columns");
-    if n == 0 {
-        return Ok((vec![], z));
-    }
-    assert_eq!(e.len(), n.saturating_sub(1), "steqr_full: e length");
-    let zrows = z.rows();
-    let mut d = d.to_vec();
-    let mut e: Vec<f64> = e.iter().copied().chain(std::iter::once(0.0)).collect();
-
-    for l in 0..n {
-        let mut its = 0;
-        loop {
-            let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
-                m += 1;
-            }
-            if m == l {
-                break;
-            }
-            if its == 60 {
-                return Err(crate::hseqr::NoConvergence { index: l });
-            }
-            its += 1;
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = g.hypot(1.0);
-            g = d[m] - d[l] + e[l] / (g + sign(r, g));
-            let (mut s, mut c) = (1.0f64, 1.0f64);
-            let mut p = 0.0f64;
-            let mut underflow = false;
-            for i in (l..m).rev() {
-                let f = s * e[i];
-                let b = c * e[i];
-                r = f.hypot(g);
-                e[i + 1] = r;
-                if r == 0.0 {
-                    d[i + 1] -= p;
-                    e[m] = 0.0;
-                    underflow = true;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = d[i + 1] - p;
-                r = (d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                d[i + 1] = g + p;
-                g = c * r - b;
                 // Accumulate the rotation into Z (columns i, i+1).
-                for k in 0..zrows {
-                    let f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
+                if let Some(z) = z.as_deref_mut() {
+                    for k in 0..z.rows() {
+                        let f = z[(k, i + 1)];
+                        z[(k, i + 1)] = s * z[(k, i)] + c * f;
+                        z[(k, i)] = c * z[(k, i)] - s * f;
+                    }
                 }
             }
             if underflow {
@@ -511,22 +449,7 @@ pub fn steqr_full(
             e[m] = 0.0;
         }
     }
-
-    // Sort eigenvalues ascending, permuting the vectors alongside
-    // (selection sort, as DSTEQR does).
-    for i in 0..n {
-        let mut kmin = i;
-        for j in i + 1..n {
-            if d[j] < d[kmin] {
-                kmin = j;
-            }
-        }
-        if kmin != i {
-            d.swap(i, kmin);
-            z.swap_cols(i, kmin);
-        }
-    }
-    Ok((d, z))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -9,10 +9,6 @@
 //! skew. Callers that need a coarse elapsed time (e.g. the FT driver's
 //! `wall_seconds` report field) use [`Stopwatch`]; everything finer goes
 //! through spans.
-//!
-//! This module is compiled unconditionally — it does not depend on the
-//! `enabled` feature, so reports keep real timings even in no-trace
-//! builds.
 
 use std::sync::OnceLock;
 use std::time::Instant;

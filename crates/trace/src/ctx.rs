@@ -10,9 +10,8 @@
 //! through every layer.
 //!
 //! The context is a thread-local `Cell` — reading it is two loads with
-//! no synchronization, cheap enough to leave unconditional (it is not
-//! gated on the `enabled` feature: a context with nothing recording is
-//! simply never observed).
+//! no synchronization, cheap enough to leave unconditional (a context
+//! with nothing recording is simply never observed).
 
 use std::cell::Cell;
 

@@ -30,7 +30,10 @@ pub const KNOBS: &[(&str, &str)] = &[
         "FT_BLAS_SIMD",
         "microkernel ISA path (`auto`/`avx2`/`portable`; `scalar` aliases `portable`)",
     ),
-    ("FT_SERVE_BACKEND", "default backend for submitted jobs"),
+    (
+        "FT_SERVE_BACKEND",
+        "each executor worker's BLAS backend (`FT_BLAS_BACKEND` grammar)",
+    ),
     (
         "FT_SERVE_DEADLINE_MS",
         "per-job deadline; 0 or unset disables",

@@ -20,9 +20,7 @@
 //!   associative and commutative: shard-local snapshots can be combined
 //!   in any order (loadgen merges one per client thread).
 
-use std::sync::atomic::AtomicU64;
-#[cfg(feature = "enabled")]
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Number of linear sub-bucket bits per binary order of magnitude.
@@ -62,7 +60,7 @@ fn bucket_high(idx: usize) -> u64 {
 /// A named concurrent histogram: relaxed atomic buckets, snapshot on
 /// read. Construction is `const` (the bucket bank is lazily allocated on
 /// first record) so the registry can hand out `'static` references and
-/// the `enabled`-off dummy costs nothing.
+/// a never-recorded histogram costs no allocation.
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
@@ -91,22 +89,16 @@ impl Histogram {
     }
 
     // ft-check: hot
-    /// Records one observation (relaxed atomics; no-op with the
-    /// `enabled` feature off).
+    /// Records one observation (relaxed atomics).
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let counts = self
-                .counts
-                .get_or_init(|| (0..BUCKETS).map(|_| AtomicU64::new(0)).collect());
-            counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
+        let counts = self
+            .counts
+            .get_or_init(|| (0..BUCKETS).map(|_| AtomicU64::new(0)).collect());
+        counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// A point-in-time copy (buckets are read relaxed; a snapshot taken
@@ -277,7 +269,6 @@ mod tests {
         assert_eq!(a, before);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn atomic_histogram_snapshot_matches_plain() {
         static H: Histogram = Histogram::new("test.hist");

@@ -138,7 +138,7 @@ pub fn to_jsonl(records: &[JournalRecord]) -> String {
     out
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctx;

@@ -50,16 +50,9 @@
 //! adds the simulated-clock intervals; [`finish`] drains the rings'
 //! wall and sim events into the chosen sink. The retained window is the
 //! per-thread ring capacity, so tracing never grows memory without
-//! bound. The mode is parsed once, on first use; tests and benches can
-//! override it programmatically with [`set_mode`].
-//!
-//! # Compile-time gate: the `enabled` cargo feature
-//!
-//! Building with `--no-default-features` compiles every ring write and
-//! counter write to a no-op (the rings never record; timed spans still
-//! feed their caller-owned totals). This is the hard floor beneath the
-//! runtime gate for deployments that want the instrumentation erased
-//! entirely.
+//! bound. Both variables are read together, once, on first use; tests
+//! and benches can then override the mode with [`set_mode`] and the
+//! recorder knob with [`recorder::configure`].
 //!
 //! # Span taxonomy
 //!
@@ -100,6 +93,8 @@ pub use span::{current_tid, record_sim, totals, Event, SpanGuard, SpanTotal};
 pub use writer::{summary_string, to_chrome_json, to_jsonl};
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// What the process does with collected trace data (parsed from
 /// `FT_TRACE`; see the crate docs for the accepted spellings).
@@ -147,83 +142,89 @@ impl TraceMode {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod gate {
-    use super::TraceMode;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+/// The runtime gate: the `FT_TRACE` mode and the recorder knob, read
+/// from both variables together on first use. [`set_mode`] and
+/// [`recorder::configure`] each override their half afterwards.
+pub(crate) struct Settings {
+    mode: TraceMode,
+    /// Recorder knob: the rings record even without collection.
+    pub(crate) recorder_on: bool,
+    /// Slots of each ring created from now on (floor 8).
+    pub(crate) capacity: usize,
+    /// Where [`recorder::dump`] writes, if anywhere.
+    pub(crate) dump: Option<PathBuf>,
+}
 
-    pub(super) static COLLECT: AtomicBool = AtomicBool::new(false);
-    /// `FT_TRACE` collection OR the recorder knob: the rings record, and
-    /// the single hot-path gate. When both are off, span construction is
-    /// one relaxed load of this atomic.
-    static ACTIVE: AtomicBool = AtomicBool::new(false);
-    static INITTED: AtomicBool = AtomicBool::new(false);
-    static MODE: Mutex<Option<TraceMode>> = Mutex::new(None);
+impl Settings {
+    /// Sets the recorder knob (`FT_TRACE_RECORDER` or
+    /// [`recorder::configure`]).
+    pub(crate) fn set_recorder(&mut self, on: bool, capacity: usize, dump: Option<PathBuf>) {
+        self.recorder_on = on;
+        self.capacity = capacity.max(8);
+        self.dump = dump;
+    }
 
-    #[cold]
-    fn init_from_env() {
-        let mut m = MODE.lock().unwrap();
-        if m.is_none() {
-            let parsed = super::env_knob::parse_with("FT_TRACE", |v| Some(TraceMode::parse(v)))
-                .unwrap_or(TraceMode::Off);
-            COLLECT.store(parsed.collects(), Ordering::Relaxed);
-            *m = Some(parsed);
-        }
-        super::recorder::ensure_init();
-        recompute_active();
+    /// Derives the two hot-path flags from the settings.
+    fn publish(&self) {
+        COLLECT.store(self.mode.collects(), Ordering::Relaxed);
+        RECORDING.store(self.mode.collects() || self.recorder_on, Ordering::Relaxed);
         INITTED.store(true, Ordering::Release);
     }
+}
 
-    pub(super) fn recompute_active() {
-        ACTIVE.store(
-            COLLECT.load(Ordering::Relaxed) || super::recorder::is_on_raw(),
-            Ordering::Relaxed,
-        );
-    }
+static SETTINGS: Mutex<Settings> = Mutex::new(Settings {
+    mode: TraceMode::Off,
+    recorder_on: true,
+    capacity: recorder::DEFAULT_CAPACITY,
+    dump: None,
+});
+/// Set once both variables have been read into [`SETTINGS`]: stored with
+/// `Release` after the flags below, loaded with `Acquire` before them, so
+/// a thread that sees it set sees the flags derived with it.
+static INITTED: AtomicBool = AtomicBool::new(false);
+/// `FT_TRACE` collects.
+static COLLECT: AtomicBool = AtomicBool::new(false);
+/// `FT_TRACE` collects or the recorder knob is on: the rings record.
+static RECORDING: AtomicBool = AtomicBool::new(false);
 
-    #[inline]
-    pub(super) fn enabled() -> bool {
-        if !INITTED.load(Ordering::Acquire) {
-            init_from_env();
-        }
-        COLLECT.load(Ordering::Relaxed)
+/// Locks the settings, reading `FT_TRACE` and `FT_TRACE_RECORDER` into
+/// them on first use. Writers go through [`update`]. Service workers
+/// reach this through [`recorder::dump`] and must not panic here; a
+/// poisoned lock still yields usable settings, since every field is
+/// valid after every assignment.
+pub(crate) fn settings() -> MutexGuard<'static, Settings> {
+    let mut s = SETTINGS.lock().unwrap_or_else(|e| e.into_inner());
+    if !INITTED.load(Ordering::Relaxed) {
+        s.mode =
+            env_knob::parse_with("FT_TRACE", |v| Some(TraceMode::parse(v))).unwrap_or_default();
+        let knob = env_knob::raw("FT_TRACE_RECORDER").unwrap_or_default();
+        let (on, capacity, dump) = recorder::parse_knob(&knob);
+        s.set_recorder(on, capacity, dump);
+        s.publish();
     }
+    s
+}
 
-    #[inline]
-    pub(super) fn recording() -> bool {
-        if !INITTED.load(Ordering::Acquire) {
-            init_from_env();
-        }
-        ACTIVE.load(Ordering::Relaxed)
-    }
+/// Changes the settings under the lock, then re-derives the flags.
+pub(crate) fn update(f: impl FnOnce(&mut Settings)) {
+    let mut s = settings();
+    f(&mut s);
+    s.publish();
+}
 
-    pub(super) fn mode() -> TraceMode {
-        enabled();
-        MODE.lock().unwrap().clone().unwrap_or_default()
-    }
-
-    pub(super) fn set_mode(mode: TraceMode) {
-        COLLECT.store(mode.collects(), Ordering::Relaxed);
-        *MODE.lock().unwrap() = Some(mode);
-        super::recorder::ensure_init();
-        recompute_active();
-        INITTED.store(true, Ordering::Release);
-    }
+#[cold]
+fn init() {
+    drop(settings());
 }
 
 /// `true` when `FT_TRACE` collects (for a sink to drain at [`finish`]):
 /// the gate on simulated-clock intervals.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        gate::enabled()
+    if !INITTED.load(Ordering::Acquire) {
+        init();
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    COLLECT.load(Ordering::Relaxed)
 }
 
 /// `true` when the rings record — `FT_TRACE` collects or the recorder
@@ -231,47 +232,22 @@ pub fn enabled() -> bool {
 /// relaxed atomic load once initialized.
 #[inline]
 pub fn recording() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        gate::recording()
+    if !INITTED.load(Ordering::Acquire) {
+        init();
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
-}
-
-/// Recomputes the combined recording gate after a recorder reconfigure
-/// (crate-internal; [`set_mode`] and the gate's init do it themselves).
-pub(crate) fn refresh_recording_gate() {
-    #[cfg(feature = "enabled")]
-    gate::recompute_active();
+    RECORDING.load(Ordering::Relaxed)
 }
 
 /// The active trace mode (initialized from `FT_TRACE` on first use).
 pub fn mode() -> TraceMode {
-    #[cfg(feature = "enabled")]
-    {
-        gate::mode()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        TraceMode::Off
-    }
+    settings().mode.clone()
 }
 
 /// Overrides the trace mode programmatically (benches force collection
 /// around a measured run; tests pin `Off` to prove the zero-write
-/// contract). With the `enabled` feature off this is a no-op.
+/// contract). The recorder knob keeps its value.
 pub fn set_mode(mode: TraceMode) {
-    #[cfg(feature = "enabled")]
-    {
-        gate::set_mode(mode)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = mode;
-    }
+    update(|s| s.mode = mode);
 }
 
 /// Reads the rings' wall and sim events and emits them according to

@@ -97,7 +97,7 @@ pub fn mangle(name: &str) -> String {
     name.replace('.', "_")
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

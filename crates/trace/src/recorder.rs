@@ -323,49 +323,33 @@ fn leak_or_static(name: &str) -> &'static str {
 }
 
 // ---------------------------------------------------------------------
-// Global recorder wiring (per-thread rings, config, dumps). Compiled
-// out under `--cfg loom` (model executions own their rings directly)
-// and inert without the `enabled` feature.
+// Global recorder wiring (per-thread rings). Compiled out under
+// `--cfg loom` (model executions own their rings directly).
 // ---------------------------------------------------------------------
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_CAPACITY: usize = 4096;
 
-#[cfg(all(feature = "enabled", not(loom)))]
+#[cfg(not(loom))]
 mod global {
     use super::ring::{RawEvent, Ring};
     use super::RecorderStats;
     use crate::ctx;
     use std::cell::Cell;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    pub(super) static ON: AtomicBool = AtomicBool::new(false);
-    static CAPACITY: AtomicUsize = AtomicUsize::new(super::DEFAULT_CAPACITY);
-    static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
     static RINGS: Mutex<Vec<&'static Ring>> = Mutex::new(Vec::new());
 
     thread_local! {
         static RING: Cell<Option<&'static Ring>> = const { Cell::new(None) };
     }
 
-    pub(super) fn apply(on: bool, capacity: usize, dump: Option<PathBuf>) {
-        CAPACITY.store(capacity.max(8), Ordering::Relaxed);
-        *DUMP_PATH.lock().unwrap() = dump;
-        ON.store(on, Ordering::Relaxed);
-    }
-
-    pub(super) fn dump_path() -> Option<PathBuf> {
-        DUMP_PATH.lock().unwrap().clone()
-    }
-
     fn thread_ring() -> &'static Ring {
         RING.with(|r| match r.get() {
             Some(ring) => ring,
             None => {
-                let ring: &'static Ring =
-                    Box::leak(Box::new(Ring::new(CAPACITY.load(Ordering::Relaxed))));
+                let capacity = crate::settings().capacity;
+                let ring: &'static Ring = Box::leak(Box::new(Ring::new(capacity)));
                 RINGS.lock().unwrap().push(ring);
                 r.set(Some(ring));
                 ring
@@ -388,11 +372,12 @@ mod global {
     }
 
     pub(super) fn stats() -> RecorderStats {
+        let capacity = crate::settings().capacity;
         let rings = RINGS.lock().unwrap();
         RecorderStats {
             occupancy: rings.iter().map(|r| r.len()).sum(),
             rings: rings.len(),
-            capacity: CAPACITY.load(Ordering::Relaxed),
+            capacity,
             dropped: rings.iter().map(|r| r.dropped()).sum(),
         }
     }
@@ -403,7 +388,6 @@ mod global {
 /// sets the per-thread event capacity, `dump:<path>` sets the dump
 /// destination. Unset or unknown tokens keep the defaults (on,
 /// [`DEFAULT_CAPACITY`], no dump file).
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 pub(crate) fn parse_knob(s: &str) -> (bool, usize, Option<PathBuf>) {
     let mut on = true;
     let mut capacity = DEFAULT_CAPACITY;
@@ -427,69 +411,27 @@ pub(crate) fn parse_knob(s: &str) -> (bool, usize, Option<PathBuf>) {
     (on, capacity, dump)
 }
 
-static INITTED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Initializes the recorder from `FT_TRACE_RECORDER` if neither the env
-/// path nor [`configure`] ran yet (called by the trace gate's cold init
-/// and by `set_mode`). Idempotent; a racing duplicate init applies the
-/// same parsed config twice, which is harmless.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-pub(crate) fn ensure_init() {
-    use std::sync::atomic::Ordering;
-    if INITTED.load(Ordering::Acquire) {
-        return;
-    }
-    let (on, capacity, dump) = match crate::env_knob::raw("FT_TRACE_RECORDER") {
-        Some(v) => parse_knob(&v),
-        None => (true, DEFAULT_CAPACITY, None),
-    };
-    #[cfg(all(feature = "enabled", not(loom)))]
-    global::apply(on, capacity, dump);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (on, capacity, dump);
-    INITTED.store(true, Ordering::Release);
-}
-
-/// Recorder knob state without triggering gate init (gate-internal).
-pub(crate) fn is_on_raw() -> bool {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    {
-        global::ON.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    {
-        false
-    }
-}
-
-/// `true` when the recorder knob is on (initializes the trace gate on
-/// first call). The rings also record while `FT_TRACE` collects; see
-/// [`crate::recording`].
-#[inline]
+/// `true` when the recorder knob is on. The rings also record while
+/// `FT_TRACE` collects; see [`crate::recording`].
 pub fn is_on() -> bool {
-    crate::recording(); // ensures the env knobs were parsed
-    is_on_raw()
+    crate::settings().recorder_on
 }
 
 /// Reconfigures the recorder programmatically (tests/benches): enable
 /// flag, per-thread capacity for rings created *after* this call, and
-/// dump destination. Takes precedence over `FT_TRACE_RECORDER`.
+/// dump destination. Takes precedence over `FT_TRACE_RECORDER`; the
+/// `FT_TRACE` mode keeps its value.
 pub fn configure(on: bool, capacity: usize, dump: Option<PathBuf>) {
-    #[cfg(all(feature = "enabled", not(loom)))]
-    global::apply(on, capacity, dump);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    let _ = (on, capacity, dump);
-    INITTED.store(true, std::sync::atomic::Ordering::Release);
-    crate::refresh_recording_gate();
+    crate::update(|s| s.set_recorder(on, capacity, dump));
 }
 
 /// Writes one event into the calling thread's ring, stamped with the
 /// ambient trace context. Callers check [`crate::recording`] first.
 #[inline]
 pub(crate) fn write(ev: ring::RawEvent) {
-    #[cfg(all(feature = "enabled", not(loom)))]
+    #[cfg(not(loom))]
     global::write(ev);
-    #[cfg(not(all(feature = "enabled", not(loom))))]
+    #[cfg(loom)]
     let _ = ev;
 }
 
@@ -530,7 +472,7 @@ pub(crate) fn note_counter(name: &'static str, delta: u64) {
 /// Every committed event of every ring in wire form, oldest first.
 pub(crate) fn raw_snapshot() -> Vec<ring::RawEvent> {
     let mut raw: Vec<(u64, ring::RawEvent)> = Vec::new();
-    #[cfg(all(feature = "enabled", not(loom)))]
+    #[cfg(not(loom))]
     global::snapshot_into(&mut raw);
     let mut out: Vec<ring::RawEvent> = raw.into_iter().map(|(_, ev)| ev).collect();
     out.sort_by(|a, b| f64::from_bits(a.t0).total_cmp(&f64::from_bits(b.t0)));
@@ -590,11 +532,11 @@ pub struct RecorderStats {
 
 /// Current ring occupancy.
 pub fn stats() -> RecorderStats {
-    #[cfg(all(feature = "enabled", not(loom)))]
+    #[cfg(not(loom))]
     {
         global::stats()
     }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
+    #[cfg(loom)]
     {
         RecorderStats::default()
     }
@@ -628,23 +570,16 @@ pub fn dump_string(reason: &str) -> String {
 /// the path. `Ok(None)` when the recorder is off or no destination is
 /// configured (the recorder never writes files it was not pointed at).
 pub fn dump(reason: &str) -> std::io::Result<Option<PathBuf>> {
-    if !is_on() {
-        return Ok(None);
-    }
-    #[cfg(all(feature = "enabled", not(loom)))]
-    {
-        match global::dump_path() {
-            Some(path) => {
-                dump_to(&path, reason)?;
-                Ok(Some(path))
-            }
-            None => Ok(None),
+    let dest = {
+        let s = crate::settings();
+        s.dump.clone().filter(|_| s.recorder_on)
+    };
+    match dest {
+        Some(path) => {
+            dump_to(&path, reason)?;
+            Ok(Some(path))
         }
-    }
-    #[cfg(not(all(feature = "enabled", not(loom))))]
-    {
-        let _ = reason;
-        Ok(None)
+        None => Ok(None),
     }
 }
 
@@ -657,7 +592,7 @@ pub fn dump_to(path: &Path, reason: &str) -> std::io::Result<()> {
 /// a flight-recorder dump with reason `"panic"` before the default
 /// handler runs. `ft-serve` calls this when a service starts.
 pub fn install_panic_dump_hook() {
-    #[cfg(all(feature = "enabled", not(loom)))]
+    #[cfg(not(loom))]
     {
         use std::sync::Once;
         static HOOK: Once = Once::new();

@@ -12,7 +12,6 @@
 //! is the workspace idiom; the reference itself is then a plain pointer).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "enabled")]
 use std::sync::Mutex;
 
 /// A monotonically increasing named counter.
@@ -35,20 +34,15 @@ impl Counter {
         self.name
     }
 
-    /// Adds `n` (relaxed; compiled out with the `enabled` feature off).
-    /// While the rings record, the delta is also retained as a counter
-    /// event attributable to the ambient trace context.
+    /// Adds `n` (relaxed). While the rings record, the delta is also
+    /// retained as a counter event attributable to the ambient trace
+    /// context.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            self.value.fetch_add(n, Ordering::Relaxed);
-            if crate::recording() {
-                crate::recorder::note_counter(self.name, n);
-            }
+        self.value.fetch_add(n, Ordering::Relaxed);
+        if crate::recording() {
+            crate::recorder::note_counter(self.name, n);
         }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Adds one.
@@ -84,46 +78,33 @@ impl Gauge {
         self.name
     }
 
-    /// Sets the gauge (relaxed; no-op with the `enabled` feature off).
+    /// Sets the gauge (relaxed).
     #[inline]
     pub fn set(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         self.value.store(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
-    /// Adds `n` to the gauge (relaxed; no-op with the `enabled` feature
-    /// off). Pairs with [`Gauge::sub`] for in-flight style gauges.
+    /// Adds `n` to the gauge (relaxed). Pairs with [`Gauge::sub`] for
+    /// in-flight style gauges.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_add(n, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
-    /// Subtracts `n` from the gauge, saturating at zero (relaxed; no-op
-    /// with the `enabled` feature off).
+    /// Subtracts `n` from the gauge, saturating at zero (relaxed).
     #[inline]
     pub fn sub(&self, n: u64) {
-        #[cfg(feature = "enabled")]
         let _ = self
             .value
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(n))
             });
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
     }
 
     /// Raises the gauge to at least `v` (high-water-mark semantics).
     #[inline]
     pub fn record_max(&self, v: u64) {
-        #[cfg(feature = "enabled")]
         self.value.fetch_max(v, Ordering::Relaxed);
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
     }
 
     /// Current value.
@@ -132,134 +113,78 @@ impl Gauge {
     }
 }
 
-#[cfg(feature = "enabled")]
 static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
-#[cfg(feature = "enabled")]
 static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
-#[cfg(feature = "enabled")]
 static HISTOGRAMS: Mutex<Vec<&'static crate::hist::Histogram>> = Mutex::new(Vec::new());
-
-#[cfg(not(feature = "enabled"))]
-static DUMMY_COUNTER: Counter = Counter::new("disabled");
-#[cfg(not(feature = "enabled"))]
-static DUMMY_GAUGE: Gauge = Gauge::new("disabled");
-#[cfg(not(feature = "enabled"))]
-static DUMMY_HISTOGRAM: crate::hist::Histogram = crate::hist::Histogram::new("disabled");
 
 /// Returns the process-wide counter named `name`, registering it on first
 /// use. The reference is `'static` — cache it at hot call sites.
 pub fn counter(name: &'static str) -> &'static Counter {
-    #[cfg(feature = "enabled")]
-    {
-        let mut reg = COUNTERS.lock().unwrap();
-        if let Some(c) = reg.iter().find(|c| c.name == name) {
-            return c;
-        }
-        let c: &'static Counter = Box::leak(Box::new(Counter::new(name)));
-        reg.push(c);
-        c
+    let mut reg = COUNTERS.lock().unwrap();
+    if let Some(c) = reg.iter().find(|c| c.name == name) {
+        return c;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        &DUMMY_COUNTER
-    }
+    let c: &'static Counter = Box::leak(Box::new(Counter::new(name)));
+    reg.push(c);
+    c
 }
 
 /// Returns the process-wide gauge named `name`, registering it on first
 /// use.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    #[cfg(feature = "enabled")]
-    {
-        let mut reg = GAUGES.lock().unwrap();
-        if let Some(g) = reg.iter().find(|g| g.name == name) {
-            return g;
-        }
-        let g: &'static Gauge = Box::leak(Box::new(Gauge::new(name)));
-        reg.push(g);
-        g
+    let mut reg = GAUGES.lock().unwrap();
+    if let Some(g) = reg.iter().find(|g| g.name == name) {
+        return g;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        &DUMMY_GAUGE
-    }
+    let g: &'static Gauge = Box::leak(Box::new(Gauge::new(name)));
+    reg.push(g);
+    g
 }
 
 /// Returns the process-wide histogram named `name`, registering it on
 /// first use. The reference is `'static` — cache it at hot call sites.
 pub fn histogram(name: &'static str) -> &'static crate::hist::Histogram {
-    #[cfg(feature = "enabled")]
-    {
-        let mut reg = HISTOGRAMS.lock().unwrap();
-        if let Some(h) = reg.iter().find(|h| h.name() == name) {
-            return h;
-        }
-        let h: &'static crate::hist::Histogram =
-            Box::leak(Box::new(crate::hist::Histogram::new(name)));
-        reg.push(h);
-        h
+    let mut reg = HISTOGRAMS.lock().unwrap();
+    if let Some(h) = reg.iter().find(|h| h.name() == name) {
+        return h;
     }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        &DUMMY_HISTOGRAM
-    }
+    let h: &'static crate::hist::Histogram = Box::leak(Box::new(crate::hist::Histogram::new(name)));
+    reg.push(h);
+    h
 }
 
 /// Snapshot of every registered counter as `(name, value)`, registration
 /// order.
 pub fn counters() -> Vec<(&'static str, u64)> {
-    #[cfg(feature = "enabled")]
-    {
-        COUNTERS
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|c| (c.name, c.get()))
-            .collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    COUNTERS
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|c| (c.name, c.get()))
+        .collect()
 }
 
 /// Snapshot of every registered gauge as `(name, value)`.
 pub fn gauges() -> Vec<(&'static str, u64)> {
-    #[cfg(feature = "enabled")]
-    {
-        GAUGES
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|g| (g.name, g.get()))
-            .collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    GAUGES
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|g| (g.name, g.get()))
+        .collect()
 }
 
 /// Snapshot of every registered histogram as `(name, snapshot)`.
 pub fn histograms() -> Vec<(&'static str, crate::hist::HistSnapshot)> {
-    #[cfg(feature = "enabled")]
-    {
-        HISTOGRAMS
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|h| (h.name(), h.snapshot()))
-            .collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
+    HISTOGRAMS
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|h| (h.name(), h.snapshot()))
+        .collect()
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
