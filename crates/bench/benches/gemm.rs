@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ft_bench::{cores, write_bench_json, Record};
 use ft_blas::{
-    active_simd_path, gemm, gemm_ft, gemm_with_algo, gemv, pool, trmm, with_backend, AbftOptions,
-    Backend, Diag, GemmAlgo, Side, Trans, Uplo,
+    active_simd_path, gemm, gemm_with_algo, gemv, pool, trmm, with_backend, Backend, Diag,
+    GemmAlgo, Side, Trans, Uplo,
 };
 use ft_matrix::{MatViewMut, Matrix};
 use std::time::Instant;
@@ -153,16 +153,6 @@ fn bench_gemm_backends(c: &mut Criterion) {
     }
     group.finish();
 
-    let abft_sizes: &[(usize, usize)] = if smoke() {
-        &[(256, 5)]
-    } else {
-        // More minima samples at 512 (cheap pairs); fewer at 1024,
-        // where each pair costs ~130 ms.
-        &[(512, 33), (1024, 17)]
-    };
-    for &(n, iters) in abft_sizes {
-        records.push(abft_overhead_record(n, iters));
-    }
     records.push(dispatch_overhead_record());
     records.extend(gemm_shape_records());
     records.extend(level2_shape_records());
@@ -184,8 +174,10 @@ const GEHRD_SHAPES: &[(usize, usize, usize, Trans, Trans)] = &[
 ];
 
 /// One `gemm_shape` record per [`GEHRD_SHAPES`] entry: serial GFLOP/s
-/// from the per-call minimum, the shapes timed in strict rotation (the
-/// `abft_overhead_record` method, so drift lands on every shape alike).
+/// from the per-call minimum, the shapes timed in strict rotation. Timing
+/// noise on a shared box is one-sided — interruptions only ever add
+/// time — so the per-call minimum estimates the undisturbed cost, and the
+/// rotation lands slow drift (thermal, co-tenants) on every shape alike.
 fn gemm_shape_records() -> Vec<Record> {
     let iters = if smoke() { 3 } else { 50 };
     let mut cases: Vec<(Matrix, Matrix, Matrix, f64)> = GEHRD_SHAPES
@@ -379,79 +371,6 @@ fn level2_shape_records() -> Vec<Record> {
             },
         )
         .collect()
-}
-
-/// Measures the fused online-ABFT kernel against the plain path at the
-/// trailing-update sizes the run covers: the checksum encode rides the
-/// kernel's own passes and the verify re-reads each macro-tile once, so
-/// the paper-style claim is overhead of a few percent, shrinking with
-/// size (`O(n²)` fused work against `O(n³)` kernel work).
-///
-/// Methodology: the two paths are timed per call, strictly alternating
-/// (plain, fused, plain, fused, …), and each keeps its minimum. Timing
-/// noise on a shared box is one-sided — interruptions only ever add
-/// time — so the per-call minimum estimates the undisturbed cost, and
-/// alternation keeps slow drift (thermal, co-tenants) from landing on
-/// one path only. Back-to-back block averages were seen to mis-state
-/// this overhead by 3×.
-fn abft_overhead_record(n: usize, iters: usize) -> Record {
-    let a = ft_matrix::random::uniform(n, n, 5);
-    let b = ft_matrix::random::uniform(n, n, 6);
-    let mut cmat = Matrix::zeros(n, n);
-    let plain = |cmat: &mut Matrix| {
-        let t0 = Instant::now();
-        gemm(
-            Trans::No,
-            Trans::No,
-            1.0,
-            &a.as_view(),
-            &b.as_view(),
-            0.0,
-            &mut cmat.as_view_mut(),
-        );
-        std::hint::black_box(cmat.as_slice()[0]);
-        t0.elapsed().as_secs_f64()
-    };
-    let fused = |cmat: &mut Matrix| {
-        let t0 = Instant::now();
-        let r = gemm_ft(
-            Trans::No,
-            Trans::No,
-            1.0,
-            &a.as_view(),
-            &b.as_view(),
-            0.0,
-            &mut cmat.as_view_mut(),
-            AbftOptions::default(),
-        );
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(r.detected, 0, "clean bench run must not flag errors");
-        std::hint::black_box(cmat.as_slice()[0]);
-        dt
-    };
-    // Warm the workspace arena (both paths), then measure.
-    plain(&mut cmat);
-    fused(&mut cmat);
-    let (mut tp, mut tf) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..iters {
-        tp = tp.min(plain(&mut cmat));
-        tf = tf.min(fused(&mut cmat));
-    }
-    let overhead_pct = 100.0 * (tf - tp) / tp;
-    println!(
-        "gemm_ft overhead @ n={n}: plain {:.2} ms, fused-abft {:.2} ms -> {overhead_pct:.2}%",
-        tp * 1e3,
-        tf * 1e3,
-    );
-    Record::new()
-        .str("kind", "abft_overhead")
-        .int("n", n as u64)
-        .num("plain_ms", tp * 1e3)
-        .num("fused_abft_ms", tf * 1e3)
-        .num("ft_overhead_pct", overhead_pct)
-        .str("isa", active_simd_path())
-        .int("cores", cores())
-        .bool("smoke", smoke())
 }
 
 /// Measures the pool's per-kernel dispatch overhead against the per-call

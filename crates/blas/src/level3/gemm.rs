@@ -9,7 +9,6 @@
 //! tiled parallel path therefore produce **bit-identical** results — the
 //! invariant the FT driver's checksum thresholds rely on.
 
-use super::abft::AbftSink;
 use super::microkernel::{self, Isa, MR, NR};
 use crate::backend;
 use crate::flops::{model, record};
@@ -23,9 +22,9 @@ use ft_matrix::{MatView, MatViewMut};
 /// slice in flight stays L1-resident. These are upper bounds: each call's
 /// pack buffers are sized to the largest block it actually packs
 /// (`min(MC, m)` rounded up to `MR`, by `min(KC, k)`; likewise for `B`).
-pub(super) const MC: usize = 128;
-pub(super) const KC: usize = 256;
-pub(super) const NC: usize = 1024;
+const MC: usize = 128;
+const KC: usize = 256;
+const NC: usize = 1024;
 
 /// Minimum problem volume (`m·n·k`) before the packed kernel pays off.
 /// The parallel gate lives in [`backend`] (`PARALLEL_MIN_VOLUME`), shared
@@ -50,7 +49,7 @@ pub enum GemmAlgo {
 }
 
 #[inline]
-pub(super) fn op_dims(trans: Trans, a: &MatView<'_>) -> (usize, usize) {
+fn op_dims(trans: Trans, a: &MatView<'_>) -> (usize, usize) {
     match trans {
         Trans::No => (a.rows(), a.cols()),
         Trans::Yes => (a.cols(), a.rows()),
@@ -58,7 +57,7 @@ pub(super) fn op_dims(trans: Trans, a: &MatView<'_>) -> (usize, usize) {
 }
 
 #[inline(always)]
-pub(super) fn op_at(trans: Trans, a: &MatView<'_>, i: usize, k: usize) -> f64 {
+fn op_at(trans: Trans, a: &MatView<'_>, i: usize, k: usize) -> f64 {
     // SAFETY: callers index within op(A)'s bounds, checked at entry.
     unsafe {
         match trans {
@@ -68,7 +67,7 @@ pub(super) fn op_at(trans: Trans, a: &MatView<'_>, i: usize, k: usize) -> f64 {
     }
 }
 
-pub(super) fn check_dims(
+fn check_dims(
     transa: Trans,
     transb: Trans,
     a: &MatView<'_>,
@@ -195,7 +194,7 @@ fn ref_body_fma(
 }
 
 #[inline]
-pub(super) fn scale_c(beta: f64, c: &mut MatViewMut<'_>) {
+fn scale_c(beta: f64, c: &mut MatViewMut<'_>) {
     if beta == 1.0 {
         return;
     }
@@ -208,11 +207,8 @@ pub(super) fn scale_c(beta: f64, c: &mut MatViewMut<'_>) {
 
 // ft-check: hot
 /// Packs a `mc × kc` block of `op(A)` into row-panels of height `MR`,
-/// zero-padding the ragged edge. The online-ABFT column sums are *not*
-/// fused here — `AbftSink::accum_asum` re-reads the packed (cache-hot)
-/// buffer with the vector-dispatched sum pass, keeping this loop
-/// identical for the plain and fused paths.
-pub(super) fn pack_a(
+/// zero-padding the ragged edge.
+fn pack_a(
     transa: Trans,
     a: &MatView<'_>,
     i0: usize,
@@ -239,11 +235,8 @@ pub(super) fn pack_a(
 
 // ft-check: hot
 /// Packs a `kc × nc` block of `op(B)` into column-panels of width `NR`,
-/// zero-padding the ragged edge. The online-ABFT row sums are *not*
-/// fused here — `AbftSink::accum_bsum` re-reads the packed (cache-hot)
-/// buffer instead, because it needs them partitioned per verification
-/// band.
-pub(super) fn pack_b(
+/// zero-padding the ragged edge.
+fn pack_b(
     transb: Trans,
     b: &MatView<'_>,
     p0: usize,
@@ -272,15 +265,8 @@ pub(super) fn pack_b(
 /// over one region of `C`, with `β` applied up front. Both the serial
 /// entry points and every macro-tile of the threaded path run exactly this
 /// code, which is what makes the partition irrelevant to the result bits.
-///
-/// When `abft` is given, the online-ABFT encode rides the packing stage
-/// (`asum` fused into `pack_a`, `bsum` from a cache-hot pass over the
-/// packed `B` panels) and the verification sums ride the final-`pc`
-/// epilogue — see [`super::abft`]. The region may span any number of
-/// `jc` blocks; [`super::abft::gemm_ft`] hands each worker one
-/// band-aligned region so `A` is packed exactly once per `pc` block.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_block_serial(
+fn gemm_block_serial(
     isa: Isa,
     transa: Trans,
     transb: Trans,
@@ -289,21 +275,14 @@ pub(super) fn gemm_block_serial(
     b: &MatView<'_>,
     beta: f64,
     c: &mut MatViewMut<'_>,
-    mut abft: Option<&mut AbftSink<'_>>,
 ) {
     let (m, k) = op_dims(transa, a);
     let n = c.cols();
     debug_assert_eq!(c.rows(), m);
     debug_assert_eq!(op_dims(transb, b), (k, n));
 
-    match abft.as_deref_mut() {
-        Some(sink) => sink.scale_and_base(beta, c),
-        None => scale_c(beta, c),
-    }
+    scale_c(beta, c);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        if let Some(sink) = abft {
-            sink.finish_no_update();
-        }
         return;
     }
 
@@ -312,30 +291,19 @@ pub(super) fn gemm_block_serial(
     // owns its own arena, so the threaded path packs per macro-tile with
     // zero steady-state allocation). They are sized to the largest block
     // this call packs, and their stale contents are never read: packing
-    // writes every element the microkernel and the ABFT sums touch.
+    // writes every element the microkernel touches.
     let (mb, nb, kb) = (MC.min(m), NC.min(n), KC.min(k));
     let mut abuf = workspace::scratch(mb.div_ceil(MR) * MR * kb);
     let mut bbuf = workspace::scratch(nb.div_ceil(NR) * NR * kb);
 
-    let last_pc = (k - 1) / KC * KC;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            if let Some(sink) = abft.as_deref_mut() {
-                sink.begin_block(kc);
-            }
             pack_b(transb, b, pc, jc, kc, nc, &mut bbuf);
-            if let Some(sink) = abft.as_deref_mut() {
-                sink.accum_bsum(jc, nc, kc, &bbuf);
-            }
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 pack_a(transa, a, ic, pc, mc, kc, &mut abuf);
-                if let Some(sink) = abft.as_deref_mut() {
-                    sink.accum_asum(mc, kc, &abuf);
-                    sink.accum_rowpred(ic, mc, kc, &abuf, jc, nc);
-                }
                 for jr in (0..nc).step_by(NR) {
                     let w = NR.min(nc - jr);
                     let bpanel = &bbuf[(jr / NR) * NR * kc..(jr / NR + 1) * NR * kc];
@@ -356,18 +324,6 @@ pub(super) fn gemm_block_serial(
                         );
                     }
                 }
-                // Fresh-sum epilogue: once per finished block of the
-                // final `pc` pass, while the block is cache-warm. Kept
-                // out of the tile loops so the inner nest stays identical
-                // to the plain path.
-                if pc == last_pc {
-                    if let Some(sink) = abft.as_deref_mut() {
-                        sink.block_fresh_sums(c, ic, mc, jc, nc);
-                    }
-                }
-            }
-            if let Some(sink) = abft.as_deref_mut() {
-                sink.accum_colpred(jc, nc, kc, &bbuf);
             }
         }
     }
@@ -387,17 +343,11 @@ pub fn gemm_blocked(
     let (m, n, k) = check_dims(transa, transb, a, b, c);
     record(model::gemm(m, n, k));
     let isa = microkernel::resolve_isa();
-    gemm_block_serial(isa, transa, transb, alpha, a, b, beta, c, None);
+    gemm_block_serial(isa, transa, transb, alpha, a, b, beta, c);
 }
 
 /// The sub-view of `a` corresponding to rows `[i0, i0+h)` of `op(A)`.
-pub(super) fn op_row_slice<'a>(
-    transa: Trans,
-    a: &MatView<'a>,
-    i0: usize,
-    h: usize,
-    k: usize,
-) -> MatView<'a> {
+fn op_row_slice<'a>(transa: Trans, a: &MatView<'a>, i0: usize, h: usize, k: usize) -> MatView<'a> {
     match transa {
         Trans::No => a.subview(i0, 0, h, k),
         Trans::Yes => a.subview(0, i0, k, h),
@@ -405,13 +355,7 @@ pub(super) fn op_row_slice<'a>(
 }
 
 /// The sub-view of `b` corresponding to columns `[j0, j0+w)` of `op(B)`.
-pub(super) fn op_col_slice<'b>(
-    transb: Trans,
-    b: &MatView<'b>,
-    j0: usize,
-    w: usize,
-    k: usize,
-) -> MatView<'b> {
+fn op_col_slice<'b>(transb: Trans, b: &MatView<'b>, j0: usize, w: usize, k: usize) -> MatView<'b> {
     match transb {
         Trans::No => b.subview(0, j0, k, w),
         Trans::Yes => b.subview(j0, 0, w, k),
@@ -475,7 +419,7 @@ pub fn gemm_threaded(
     backend::for_each_tile(c.rb_mut(), tr, tc, |i0, j0, mut tile| {
         let av = op_row_slice(transa, a, i0, tile.rows(), k);
         let bv = op_col_slice(transb, b, j0, tile.cols(), k);
-        gemm_block_serial(isa, transa, transb, alpha, &av, &bv, beta, &mut tile, None);
+        gemm_block_serial(isa, transa, transb, alpha, &av, &bv, beta, &mut tile);
     });
 }
 

@@ -9,19 +9,13 @@
 //! over the persistent worker pool ([`crate::pool`]) — data-race free by
 //! construction (each worker owns a disjoint `MatViewMut`) and
 //! bit-identical to the serial kernel by the contract in
-//! [`crate::backend`]. [`gemm_ft`] fuses an online-ABFT detector into
-//! the same kernel ([`abft`]). `trmm` gains the same pooled split when
-//! the active [`crate::backend::Backend`] is threaded.
+//! [`crate::backend`]. `trmm` gains the same pooled split when the
+//! active [`crate::backend::Backend`] is threaded.
 
-mod abft;
 mod gemm;
 mod microkernel;
 mod trmm;
 
-pub use abft::{
-    gemm_ft, gemm_ft_with_inject, match_deficits, AbftError, AbftInject, AbftOptions, AbftReport,
-    ABFT_BAND,
-};
 pub use gemm::{gemm, gemm_blocked, gemm_ref, gemm_threaded, gemm_with_algo, GemmAlgo};
 pub use microkernel::{active_simd_path, simd_available, with_simd_path, SimdPath};
 pub(crate) use microkernel::{resolve_isa, Isa};

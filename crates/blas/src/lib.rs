@@ -10,7 +10,7 @@
 //!   strided vectors (rows of a column-major matrix are strided);
 //! * **level 2** — `gemv`, `ger`, `trmv` on [`ft_matrix`] views;
 //! * **level 3** — `gemm` (reference, cache-blocked packed, and
-//!   threaded, plus the fused online-ABFT `gemm_ft`) and `trmm`;
+//!   threaded) and `trmm`;
 //! * **execution backends** — a [`backend`] knob selecting between the
 //!   serial kernels and a threaded path built on a lazily-initialized
 //!   persistent worker [`pool`], bit-identical to serial for every thread
@@ -45,8 +45,7 @@ pub use flops::{
 pub use level1::{asum, axpy, copy, dot, nrm2, scal, swap};
 pub use level2::{gemv, ger, trmv};
 pub use level3::{
-    active_simd_path, gemm, gemm_blocked, gemm_ft, gemm_ft_with_inject, gemm_ref, gemm_threaded,
-    gemm_with_algo, match_deficits, simd_available, trmm, with_simd_path, AbftError, AbftInject,
-    AbftOptions, AbftReport, GemmAlgo, SimdPath, ABFT_BAND,
+    active_simd_path, gemm, gemm_blocked, gemm_ref, gemm_threaded, gemm_with_algo, simd_available,
+    trmm, with_simd_path, GemmAlgo, SimdPath,
 };
 pub use types::{Diag, Side, Trans, Uplo};

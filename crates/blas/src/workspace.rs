@@ -14,8 +14,7 @@
 //! kernel left there is still there, and only storage the buffer has to
 //! grow by is zero-filled (safe Rust has no uninitialized `f64`s). Every
 //! caller initializes what it reads: GEMM's `pack_a`/`pack_b` write every
-//! element the microkernel and the ABFT sums read, padding included, and
-//! the ABFT aggregate checkout zero-fills itself. Results therefore never
+//! element the microkernel reads, padding included. Results therefore never
 //! depend on what a previous kernel left behind, which keeps the backend
 //! bit-identity contract intact.
 

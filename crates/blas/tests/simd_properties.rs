@@ -1,23 +1,15 @@
-//! Property suite for the register-tiled SIMD microkernel and the fused
-//! online-ABFT kernel.
+//! Property suite for the register-tiled SIMD microkernel.
 //!
-//! Two contracts are pinned here:
-//!
-//! * **bit-identity** — the AVX2 path, the scalar fallback, and every
-//!   thread count produce the *same bits* for every transpose combination,
-//!   odd/prime shape, strided sub-view, and alpha/beta edge case. This is
-//!   what lets the FT driver treat ISA and thread count as pure
-//!   performance knobs: checksums, detection thresholds, and reversal
-//!   exactness never depend on them.
-//! * **detection equivalence** — the fused (encode-in-packing,
-//!   verify-in-epilogue) ABFT detector reaches the same verdicts as the
-//!   classic separate-pass detector it replaced: standalone checksum
-//!   passes before and after the multiply.
+//! The contract pinned here is **bit-identity**: the AVX2 path, the
+//! scalar fallback, and every thread count produce the *same bits* for
+//! every transpose combination, odd/prime shape, strided sub-view, and
+//! alpha/beta edge case. This is what lets the FT driver treat ISA and
+//! thread count as pure performance knobs: checksums, detection
+//! thresholds, and reversal exactness never depend on them.
 
 use ft_blas::{
-    gemm_blocked, gemm_ft_with_inject, gemm_ref, gemm_threaded, gemv, ger, trmm, trmv,
-    with_backend, with_simd_path, AbftInject, AbftOptions, Backend, Diag, Side, SimdPath, Trans,
-    Uplo,
+    gemm_blocked, gemm_ref, gemm_threaded, gemv, ger, trmm, trmv, with_backend, with_simd_path,
+    Backend, Diag, Side, SimdPath, Trans, Uplo,
 };
 use ft_matrix::Matrix;
 use proptest::prelude::*;
@@ -409,37 +401,6 @@ proptest! {
     ) {
         check_trmm_trmv(SIDES[oi], SIDES[ci], pad, seed, specials);
     }
-
-    /// The fused-ABFT kernel's clean-run output is bit-identical to the
-    /// plain kernel under every SIMD path (its hard invariant: enabling
-    /// protection must not perturb results or checksum aggregates).
-    #[test]
-    fn fused_abft_clean_runs_bit_identical(
-        mi in 0usize..SIDES.len(),
-        ni in 0usize..SIDES.len(),
-        ki in 0usize..SIDES.len(),
-        seed in any::<u64>(),
-        alpha in scalar(),
-        beta in scalar(),
-    ) {
-        let (m, n, k) = (SIDES[mi], SIDES[ni], SIDES[ki]);
-        let a = mat(m, k, seed);
-        let b = mat(k, n, seed ^ 1);
-        let c0 = mat(m, n, seed ^ 2);
-        let mut plain = c0.clone();
-        gemm_blocked(Trans::No, Trans::No, alpha, &a.as_view(), &b.as_view(), beta, &mut plain.as_view_mut());
-        for path in [SimdPath::Portable, SimdPath::Auto] {
-            let mut c = c0.clone();
-            let report = with_simd_path(path, || {
-                gemm_ft_with_inject(
-                    Trans::No, Trans::No, alpha, &a.as_view(), &b.as_view(), beta,
-                    &mut c.as_view_mut(), AbftOptions::default(), &[],
-                )
-            });
-            prop_assert!(report.detected == 0, "clean run flagged under {:?}", path);
-            prop_assert!(bits(&c) == bits(&plain), "fused path diverged under {:?}", path);
-        }
-    }
 }
 
 /// Shapes past the fork gates, so `Threaded(2)`/`Threaded(4)` really
@@ -484,224 +445,4 @@ fn level2_and_trmm_above_fork_gate_bit_identical() {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Detection equivalence: fused online ABFT vs the separate-pass detector.
-
-/// The classic two-pass ABFT detector the fused kernel replaced: column
-/// and row checksums computed in standalone passes before the multiply,
-/// fresh sums computed in a standalone pass after it, residuals
-/// thresholded. Returns the flagged (rows, cols).
-#[allow(clippy::too_many_arguments)]
-fn separate_pass_detect(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c_before: &Matrix,
-    c_after: &Matrix,
-    tol: f64,
-) -> (Vec<usize>, Vec<usize>) {
-    let (m, n) = (c_before.rows(), c_before.cols());
-    let k = match ta {
-        Trans::No => a.cols(),
-        Trans::Yes => a.rows(),
-    };
-    let opa = |i: usize, p: usize| match ta {
-        Trans::No => a[(i, p)],
-        Trans::Yes => a[(p, i)],
-    };
-    let opb = |p: usize, j: usize| match tb {
-        Trans::No => b[(p, j)],
-        Trans::Yes => b[(j, p)],
-    };
-    // Pass 1 (before): operand and C checksums.
-    let asum: Vec<f64> = (0..k).map(|p| (0..m).map(|i| opa(i, p)).sum()).collect();
-    let bsum: Vec<f64> = (0..k).map(|p| (0..n).map(|j| opb(p, j)).sum()).collect();
-    let colbase: Vec<f64> = (0..n)
-        .map(|j| (0..m).map(|i| c_before[(i, j)]).sum())
-        .collect();
-    let rowbase: Vec<f64> = (0..m)
-        .map(|i| (0..n).map(|j| c_before[(i, j)]).sum())
-        .collect();
-    // Pass 2 (after): fresh sums of the stored result.
-    let colnew: Vec<f64> = (0..n)
-        .map(|j| (0..m).map(|i| c_after[(i, j)]).sum())
-        .collect();
-    let rownew: Vec<f64> = (0..m)
-        .map(|i| (0..n).map(|j| c_after[(i, j)]).sum())
-        .collect();
-    // Predicted sums from the operand checksums.
-    let colpred: Vec<f64> = (0..n)
-        .map(|j| (0..k).map(|p| asum[p] * opb(p, j)).sum())
-        .collect();
-    let rowpred: Vec<f64> = (0..m)
-        .map(|i| (0..k).map(|p| opa(i, p) * bsum[p]).sum())
-        .collect();
-    let rows: Vec<usize> = (0..m)
-        .filter(|&i| (rownew[i] - (beta * rowbase[i] + alpha * rowpred[i])).abs() > tol)
-        .collect();
-    let cols: Vec<usize> = (0..n)
-        .filter(|&j| (colnew[j] - (beta * colbase[j] + alpha * colpred[j])).abs() > tol)
-        .collect();
-    (rows, cols)
-}
-
-/// Runs both detectors on the same injection scenario and checks they
-/// agree on the verdict and, for resolvable patterns, the locations.
-fn check_equivalence(
-    ta: Trans,
-    tb: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    seed: u64,
-    injections: &[AbftInject],
-) {
-    let (ar, ac) = match ta {
-        Trans::No => (m, k),
-        Trans::Yes => (k, m),
-    };
-    let (br, bc) = match tb {
-        Trans::No => (k, n),
-        Trans::Yes => (n, k),
-    };
-    let a = mat(ar, ac, seed);
-    let b = mat(br, bc, seed ^ 1);
-    let c0 = mat(m, n, seed ^ 2);
-    let (alpha, beta) = (1.0, 1.0);
-
-    // Fused path, correction off so `c_ft` keeps the injected faults.
-    let mut c_ft = c0.clone();
-    let report = gemm_ft_with_inject(
-        ta,
-        tb,
-        alpha,
-        &a.as_view(),
-        &b.as_view(),
-        beta,
-        &mut c_ft.as_view_mut(),
-        AbftOptions {
-            correct: false,
-            ..AbftOptions::default()
-        },
-        injections,
-    );
-
-    // Separate-pass path on the identical corrupted result, reusing the
-    // fused run's resolved threshold so the comparison is apples-to-apples.
-    let (rows, cols) = separate_pass_detect(ta, tb, alpha, &a, &b, beta, &c0, &c_ft, report.tol);
-
-    assert_eq!(
-        report.detected > 0,
-        !rows.is_empty() || !cols.is_empty(),
-        "detection verdicts disagree: fused {report:?}, separate rows {rows:?} cols {cols:?}"
-    );
-    if injections.is_empty() {
-        assert_eq!(report.detected, 0, "clean run must be clean: {report:?}");
-        assert!(rows.is_empty() && cols.is_empty(), "{rows:?} {cols:?}");
-        return;
-    }
-    // Both must flag exactly the injected rows and columns.
-    let mut want_rows: Vec<usize> = injections.iter().map(|f| f.row).collect();
-    let mut want_cols: Vec<usize> = injections.iter().map(|f| f.col).collect();
-    want_rows.sort_unstable();
-    want_rows.dedup();
-    want_cols.sort_unstable();
-    want_cols.dedup();
-    assert_eq!(rows, want_rows, "separate-pass rows");
-    assert_eq!(cols, want_cols, "separate-pass cols");
-    if report.resolved {
-        let mut got: Vec<(usize, usize)> = report.errors.iter().map(|e| (e.row, e.col)).collect();
-        got.sort_unstable();
-        let mut want: Vec<(usize, usize)> = injections.iter().map(|f| (f.row, f.col)).collect();
-        want.sort_unstable();
-        assert_eq!(got, want, "fused locations: {report:?}");
-        for e in &report.errors {
-            let inj = injections
-                .iter()
-                .find(|f| f.row == e.row && f.col == e.col)
-                .unwrap();
-            assert!(
-                (e.delta - inj.delta).abs() < 1e-6 * inj.delta.abs().max(1.0),
-                "delta estimate off: got {}, injected {}",
-                e.delta,
-                inj.delta
-            );
-        }
-    }
-}
-
-#[test]
-fn fused_detection_matches_separate_pass_single_flip() {
-    for &(m, n, k) in &[(90usize, 150usize, 60usize), (61, 61, 61), (8, 300, 16)] {
-        check_equivalence(
-            Trans::No,
-            Trans::No,
-            m,
-            n,
-            k,
-            m as u64,
-            &[AbftInject {
-                row: m / 2,
-                col: n - 1,
-                delta: 0.75,
-            }],
-        );
-    }
-}
-
-#[test]
-fn fused_detection_matches_separate_pass_scattered_flips() {
-    // Distinct rows and columns across different checksum bands.
-    check_equivalence(
-        Trans::No,
-        Trans::No,
-        120,
-        300,
-        50,
-        3,
-        &[
-            AbftInject {
-                row: 3,
-                col: 7,
-                delta: 0.5,
-            },
-            AbftInject {
-                row: 77,
-                col: 141,
-                delta: -1.25,
-            },
-            AbftInject {
-                row: 50,
-                col: 260,
-                delta: 2.0,
-            },
-        ],
-    );
-}
-
-#[test]
-fn fused_detection_matches_separate_pass_transposed_operands() {
-    check_equivalence(
-        Trans::Yes,
-        Trans::Yes,
-        70,
-        140,
-        45,
-        11,
-        &[AbftInject {
-            row: 69,
-            col: 130,
-            delta: -0.625,
-        }],
-    );
-}
-
-#[test]
-fn fused_detection_matches_separate_pass_clean() {
-    check_equivalence(Trans::No, Trans::Yes, 64, 200, 32, 21, &[]);
 }

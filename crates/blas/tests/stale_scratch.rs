@@ -9,15 +9,12 @@
 //! Its own test binary, so no other test shares (or refreshes) the pool
 //! workers' arenas while it runs.
 
-use ft_blas::{
-    gemm_blocked, gemm_ft, gemm_ref, gemm_threaded, with_backend, with_simd_path, workspace,
-    AbftOptions, Backend, SimdPath, Trans,
-};
+use ft_blas::{gemm_blocked, gemm_ref, gemm_threaded, with_simd_path, workspace, SimdPath, Trans};
 use ft_matrix::Matrix;
 
 /// Ragged against the blocking: `m % MR ≠ 0`, `n % NR ≠ 0`, `k > KC` with
 /// `k % KC ≠ 0`, one shape with several `MC` row blocks, and one above the
-/// parallel gate with two ABFT bands (so `gemm_ft` splits into regions).
+/// parallel gate.
 const SHAPES: &[(usize, usize, usize)] = &[
     (141, 139, 300),
     (13, 7, 259),
@@ -50,10 +47,10 @@ fn bits(m: &Matrix) -> Vec<u64> {
 
 /// Fills the caller's and the pool workers' pack buffers with NaN. Each
 /// of the three worker tiles of the poison GEMM is at least as large as
-/// every test shape's tiles and regions (`m ≥ MC`, `k ≥ KC`, 270 columns),
-/// so its NaN covers every element a later checkout on that thread can
-/// hand out. The caller's arena is also filled directly, so each of its
-/// nested checkouts (pack buffers, ABFT aggregates) starts from NaN.
+/// every test shape's tiles (`m ≥ MC`, `k ≥ KC`, 270 columns), so its
+/// NaN covers every element a later checkout on that thread can hand out.
+/// The caller's arena is also filled directly, so each of its nested
+/// checkouts starts from NaN.
 fn poison() {
     let (m, n, k) = (128, 810, 256);
     let a = Matrix::filled(m, k, f64::NAN);
@@ -113,15 +110,6 @@ fn gemm_ignores_stale_nan_scratch() {
                         let mut c = c0.clone();
                         gemm_threaded(3, ta, tb, 1.3, &av, &bv, beta, &mut c.as_view_mut());
                         assert_eq!(bits(&c), expect, "parallel(3), {what}");
-
-                        poison();
-                        let mut c = c0.clone();
-                        let report = with_backend(Backend::Threaded(3), || {
-                            let opts = AbftOptions::default();
-                            gemm_ft(ta, tb, 1.3, &av, &bv, beta, &mut c.as_view_mut(), opts)
-                        });
-                        assert_eq!(report.detected, 0, "gemm_ft flagged a clean run, {what}");
-                        assert_eq!(bits(&c), expect, "gemm_ft, {what}");
                     }
                 }
             }

@@ -112,8 +112,7 @@ fn has_dispatch(a: &Analysis<'_>, fi: usize, ki: usize) -> bool {
             if g.target_feature || (di == fi && gi == ki) || a.fn_in_test(di, gi) {
                 continue;
             }
-            // Free-call and `self.<name>()` method dispatch both count —
-            // the abft wrappers dispatch through inherent methods.
+            // Free-call and `self.<name>()` method dispatch both count.
             let calls_it = dm.calls[gi].iter().any(|c| !c.is_macro && c.name == f.name);
             if !calls_it {
                 continue;

@@ -29,11 +29,10 @@ use crate::qprotect::QProtection;
 use crate::recovery::{correct_errors, locate_errors, LocatedError};
 use crate::report::{FailureReason, FtReport, PhaseBreakdown, RecoveryEvent};
 use crate::reverse::{
-    left_update_ext_ft, reverse_left_update_ext, reverse_right_update_ext, right_update_panel_top,
-    right_update_trailing_ft,
+    left_update_ext, reverse_left_update_ext, reverse_right_update_ext, right_update_panel_top,
+    right_update_trailing,
 };
 use crate::threshold::ThresholdPolicy;
-use ft_blas::AbftOptions;
 use ft_fault::{classify, FaultPlan, Phase, Region, ScheduledFault};
 use ft_hybrid::{ExecMode, HybridCtx, OpClass, Work};
 use ft_lapack::{lahr2_within, HessFactorization, Panel};
@@ -66,15 +65,6 @@ pub struct FtConfig {
     /// [`ft_blas::backend`]), so it changes wall-clock time only — never
     /// results, checksums or detection behavior.
     pub backend: ft_blas::Backend,
-    /// Run the two trailing block updates through the fused online-ABFT
-    /// kernel ([`ft_blas::gemm_ft`]): checksums are encoded during operand
-    /// packing and verified in the kernel epilogue, catching a transient
-    /// strike inside the gemm itself before the iteration-level
-    /// `Sre`/`Sce` detector runs. Clean runs are bit-identical to the
-    /// plain kernels, so this changes detection latency and
-    /// [`FtReport::online_detections`] only — never results. Default
-    /// `false` (the paper's iteration-granularity scheme).
-    pub online_abft: bool,
 }
 
 impl Default for FtConfig {
@@ -87,7 +77,6 @@ impl Default for FtConfig {
             max_recovery_attempts: 3,
             checksum_scheme: ft_blas::SumScheme::Naive,
             backend: ft_blas::Backend::from_env(),
-            online_abft: false,
         }
     }
 }
@@ -105,11 +94,10 @@ impl FtConfig {
     /// fault-journal entry so post-mortems can correlate recovery
     /// behavior with the protection that was in force.
     pub fn protection_label(&self) -> &'static str {
-        match (self.protect_q, self.online_abft) {
-            (true, true) => "checksums+q+online",
-            (true, false) => "checksums+q",
-            (false, true) => "checksums+online",
-            (false, false) => "checksums",
+        if self.protect_q {
+            "checksums+q"
+        } else {
+            "checksums"
         }
     }
 }
@@ -311,7 +299,7 @@ impl Live {
 
         // Diskless checkpoint of the panel, then the iteration.
         let checkpoint = ax.raw().sub_matrix(0, k, n + 1, ib);
-        let mut it = run_iteration(ax, k, ib, cfg, report);
+        let mut it = run_iteration(ax, k, ib, &mut report.phases);
         let applied = plan.apply_due(iter, Phase::BeforeDetection, ax.raw_mut());
         report.injected.extend_from_slice(&applied);
         let mut detected = detect(ax, self.threshold, k, &mut report.phases);
@@ -350,7 +338,7 @@ impl Live {
             });
             // Re-execute the iteration (line: "the entire iteration is
             // repeated after the error correction").
-            it = run_iteration(ax, k, ib, cfg, report);
+            it = run_iteration(ax, k, ib, &mut report.phases);
             detected = detect(ax, self.threshold, k, &mut report.phases);
         }
         if detected {
@@ -387,7 +375,10 @@ impl Live {
             let _span = ft_trace::span!("ft.locate" => &mut report.phases.locate);
             locate_errors(&self.ax, self.tau.len(), self.loc_tol)
         };
-        if !out.errors.is_empty() {
+        // An unresolved pattern is flagged even when it locates nothing:
+        // faults that cancel within one finished-H column leave only row
+        // deficits.
+        if !out.errors.is_empty() || !out.resolved {
             {
                 let _span = ft_trace::span!("ft.correct" => &mut report.phases.correct);
                 correct_errors(&mut self.ax, &out.errors);
@@ -418,15 +409,8 @@ impl Live {
 
 /// One run of a panel iteration's arithmetic (lines 5–11 and the checksum
 /// refresh), also used verbatim for re-execution.
-fn run_iteration(
-    ax: &mut ExtMatrix,
-    k: usize,
-    ib: usize,
-    cfg: &FtConfig,
-    report: &mut FtReport,
-) -> Retained {
+fn run_iteration(ax: &mut ExtMatrix, k: usize, ib: usize, phases: &mut PhaseBreakdown) -> Retained {
     let n = ax.n();
-    let phases = &mut report.phases;
 
     // Panel factorization (line 5).
     let panel = {
@@ -458,18 +442,10 @@ fn run_iteration(
 
     // Right update to G + checksum borders (line 10) and the left update
     // (line 11, retaining W for reversal): the trailing-matrix phase.
-    // Under `online_abft` both run through the fused-checksum kernel,
-    // whose checks count as trailing time.
-    let abft = cfg.online_abft.then(AbftOptions::default);
     let w = {
         let _span = ft_trace::span!("ft.trailing", k => &mut phases.trailing);
-        let right = right_update_trailing_ft(ax, k, ib, &yx, &vx, abft);
-        let (w, left) = left_update_ext_ft(ax, k, ib, &vx, &panel.t, abft);
-        for r in [right, left].into_iter().flatten() {
-            report.online_detections += r.detected;
-            report.online_corrections += r.corrected;
-        }
-        w
+        right_update_trailing(ax, k, ib, &yx, &vx);
+        left_update_ext(ax, k, ib, &vx, &panel.t)
     };
 
     // Refresh the column checksums of the just-finished panel columns
@@ -782,75 +758,6 @@ mod tests {
     }
 
     #[test]
-    fn online_abft_clean_run_bit_identical() {
-        // Enabling the fused online-ABFT kernels must not change the
-        // factorization by a single bit, flag nothing on clean runs, and
-        // never trip the iteration-level detector.
-        for &(n, nb) in &[(64usize, 16usize), (50, 7)] {
-            let a = ft_matrix::random::uniform(n, n, n as u64 + 1);
-            let base = ft_gehrd_hybrid(
-                &a,
-                &FtConfig::with_nb(nb),
-                &mut full_ctx(),
-                &mut FaultPlan::none(),
-            );
-            let cfg = FtConfig {
-                online_abft: true,
-                ..FtConfig::with_nb(nb)
-            };
-            let on = ft_gehrd_hybrid(&a, &cfg, &mut full_ctx(), &mut FaultPlan::none());
-            assert_eq!(on.report.online_detections, 0, "n={n}");
-            assert_eq!(on.report.online_corrections, 0, "n={n}");
-            assert!(
-                on.report.recoveries.is_empty(),
-                "{:?}",
-                on.report.recoveries
-            );
-            let fb = base.result.unwrap();
-            let fo = on.result.unwrap();
-            assert_eq!(fb.tau, fo.tau, "taus must be bit-identical at n={n}");
-            for j in 0..n {
-                for i in 0..n {
-                    assert_eq!(
-                        fb.packed[(i, j)].to_bits(),
-                        fo.packed[(i, j)].to_bits(),
-                        "packed output differs at ({i},{j}) for n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn online_abft_memory_fault_still_recovered_at_iteration_level() {
-        // A strike landing in memory *between* kernels is input-consistent
-        // for the fused gemms (their base sums absorb it), so it must not
-        // fire the online detector spuriously — it flows through to the
-        // iteration-level Sre/Sce detector and is corrected there.
-        let n = 64;
-        let cfg = FtConfig {
-            online_abft: true,
-            ..FtConfig::with_nb(16)
-        };
-        let a = ft_matrix::random::uniform(n, n, 7);
-        let mut plan = FaultPlan::one(1, Fault::add(40, 50, 0.37));
-        let out = ft_gehrd_hybrid(&a, &cfg, &mut full_ctx(), &mut plan);
-        assert!(
-            !out.report.recoveries.is_empty(),
-            "iteration-level detector must still fire: {:?}",
-            out.report
-        );
-        let rec = &out.report.recoveries[0];
-        assert!(
-            rec.corrected.iter().any(|&(r, c, _)| r == 40 && c == 50),
-            "{rec:?}"
-        );
-        let f = out.result.unwrap();
-        let r = ResidualReport::compute(&a, &f.q(), &f.h());
-        assert!(r.acceptable(1e-12), "{r:?}");
-    }
-
-    #[test]
     fn area2_fault_detected_and_corrected() {
         let n = 64;
         // Fault in the trailing matrix at the start of iteration 1.
@@ -945,6 +852,31 @@ mod tests {
         let f = out.result.unwrap();
         let r = ResidualReport::compute(&a, &f.q(), &f.h());
         assert!(r.acceptable(1e-12), "{r:?} report={:?}", out.report);
+    }
+
+    #[test]
+    fn finished_h_cancelling_pair_is_flagged() {
+        // +0.5 at (2, 5) and −0.5 at (4, 5), one finished-H column: the
+        // final check sees row deficits at rows 2 and 4 and none on the
+        // columns. It locates nothing, and the run must not come back
+        // unflagged.
+        let strike = |row, delta| ft_fault::ScheduledFault {
+            iteration: 3,
+            phase: Phase::IterationStart,
+            fault: Fault::add(row, 5, delta),
+        };
+        let mut plan = FaultPlan::new(vec![strike(2, 0.5), strike(4, -0.5)]);
+        let (a, out) = run(64, 16, 11, &mut plan);
+        assert_eq!(plan.applied().len(), 2);
+        assert_eq!(
+            out.failure,
+            Some(crate::report::FailureReason::UnresolvedFinalCheck { iteration: 4 }),
+            "{:?}",
+            out.report.recoveries
+        );
+        let f = out.result.unwrap();
+        let r = ResidualReport::compute(&a, &f.q(), &f.h());
+        assert!(!r.acceptable(1e-11), "the pair does corrupt H: {r:?}");
     }
 
     #[test]

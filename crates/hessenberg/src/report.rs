@@ -18,9 +18,10 @@ pub enum FailureReason {
         /// Panel iteration whose detection could not be cleared.
         iteration: usize,
     },
-    /// The end-of-run whole-matrix consistency check located an error
-    /// pattern it could not resolve to unique positions (rectangular
-    /// ambiguity); corrections were applied best-effort.
+    /// The end-of-run whole-matrix consistency check found a deficit
+    /// pattern it could not resolve to unique positions (a rectangle, or
+    /// several one-sided deficits that locate nothing); corrections were
+    /// applied best-effort.
     UnresolvedFinalCheck {
         /// Iteration count at the time of the final check.
         iteration: usize,
@@ -58,13 +59,6 @@ pub struct FtReport {
     /// Indices of reflector scales repaired via the `tau` scalar checksum
     /// by the end-of-run check.
     pub tau_corrections: Vec<usize>,
-    /// Residual deficits flagged by the fused online-ABFT kernels
-    /// (`FtConfig::online_abft`); 0 when the mode is off or all gemms ran
-    /// clean. Unlike [`FtReport::recoveries`] these fire *inside* the
-    /// trailing updates, before the iteration-level detector.
-    pub online_detections: usize,
-    /// Elements corrected in place by the fused online-ABFT kernels.
-    pub online_corrections: usize,
     /// Faults injected by the test harness (provenance for reports).
     pub injected: Vec<AppliedFault>,
     /// Resolved detection threshold used.
@@ -93,8 +87,7 @@ pub struct PhaseBreakdown {
     pub encode: f64,
     /// Panel factorizations (`ft.panel`).
     pub panel: f64,
-    /// Trailing-matrix updates (`ft.trailing`), including the fused
-    /// online-ABFT checks when `FtConfig::online_abft` is on.
+    /// Trailing-matrix updates (`ft.trailing`).
     pub trailing: f64,
     /// Checksum-mismatch detection scans (`ft.detect`).
     pub detect: f64,

@@ -10,8 +10,8 @@
 //! up to one rounding of the add/subtract pair.
 
 use crate::encode::ExtMatrix;
-use ft_blas::{gemm, gemm_ft, trmm, AbftOptions, AbftReport, Diag, Side, Trans, Uplo};
-use ft_matrix::{MatView, MatViewMut, Matrix};
+use ft_blas::{gemm, trmm, Diag, Side, Trans, Uplo};
+use ft_matrix::Matrix;
 
 /// Forward right update (Algorithm 3 lines 8 & 10, extended):
 ///
@@ -27,26 +27,7 @@ pub fn right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx
 /// The trailing-columns half of [`right_update_ext`] alone (Algorithm 3
 /// line 10 — the `G` update, including both checksum borders).
 pub fn right_update_trailing(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
-    right_update_trailing_ft(ax, k, ib, yx, vx, None);
-}
-
-/// [`right_update_trailing`], through the fused online-ABFT kernel
-/// ([`ft_blas::gemm_ft`]) when `abft` is set: checksums of the trailing
-/// `G` update are encoded during packing and verified in the epilogue, so
-/// a transient strike *inside this gemm* is caught (and, when resolvable,
-/// corrected) before the iteration-level `Sre`/`Sce` detector ever runs.
-/// Returns the kernel's report, or `None` when the plain kernel ran.
-/// Clean runs are bit-identical either way — the fused path does not
-/// perturb the iteration aggregates.
-pub fn right_update_trailing_ft(
-    ax: &mut ExtMatrix,
-    k: usize,
-    ib: usize,
-    yx: &Matrix,
-    vx: &Matrix,
-    abft: Option<AbftOptions>,
-) -> Option<AbftReport> {
-    apply_right_trailing(ax, k, ib, yx, vx, -1.0, abft)
+    apply_right_trailing(ax, k, ib, yx, vx, -1.0);
 }
 
 /// The panel-columns half of [`right_update_ext`] alone (Algorithm 3
@@ -69,11 +50,11 @@ pub fn right_update_panel_top(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matr
 /// Exact reversal of [`right_update_ext`] **excluding** the panel-column
 /// part (the panel is restored from its checkpoint instead).
 pub fn reverse_right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
-    apply_right_trailing(ax, k, ib, yx, vx, 1.0, None);
+    apply_right_trailing(ax, k, ib, yx, vx, 1.0);
 }
 
 fn apply_right(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix, sign: f64) {
-    apply_right_trailing(ax, k, ib, yx, vx, sign, None);
+    apply_right_trailing(ax, k, ib, yx, vx, sign);
     // Panel columns k+1 ..= k+ib−1, rows above the panel.
     if ib > 1 {
         let data = ax.raw_mut();
@@ -96,8 +77,7 @@ fn apply_right_trailing(
     yx: &Matrix,
     vx: &Matrix,
     sign: f64,
-    abft: Option<AbftOptions>,
-) -> Option<AbftReport> {
+) {
     let n = ax.n();
     let m = n - k - 1;
     assert_eq!(yx.rows(), n + 1, "Yx must be (n+1) rows");
@@ -106,33 +86,15 @@ fn apply_right_trailing(
     assert_eq!(vx.cols(), ib);
     let jcount = m - ib + 2; // trailing real columns + checksum column
     let data = ax.raw_mut();
-    accumulate(
+    gemm(
+        Trans::No,
         Trans::Yes,
         sign,
         &yx.as_view(),
         &vx.view(ib - 1, 0, jcount, ib),
+        1.0,
         &mut data.view_mut(0, k + ib, n + 1, jcount),
-        abft,
-    )
-}
-
-/// `C += sign·A·op(B)` on the plain kernel, or on the fused online-ABFT
-/// kernel (whose report it returns) when `abft` is set.
-fn accumulate(
-    transb: Trans,
-    sign: f64,
-    a: &MatView<'_>,
-    b: &MatView<'_>,
-    c: &mut MatViewMut<'_>,
-    abft: Option<AbftOptions>,
-) -> Option<AbftReport> {
-    match abft {
-        Some(opts) => Some(gemm_ft(Trans::No, transb, sign, a, b, 1.0, c, opts)),
-        None => {
-            gemm(Trans::No, transb, sign, a, b, 1.0, c);
-            None
-        }
-    }
+    );
 }
 
 /// Forward left update (Algorithm 3 line 11, extended):
@@ -143,24 +105,6 @@ fn accumulate(
 /// Returns the inner product `W = Vᵀ·Ax(...)` — the retained intermediate
 /// that makes the reversal exact. `W` is `ib × (m−ib+2)`.
 pub fn left_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, vx: &Matrix, t: &Matrix) -> Matrix {
-    left_update_ext_ft(ax, k, ib, vx, t, None).0
-}
-
-/// [`left_update_ext`], with the fused online-ABFT kernel protecting the
-/// `Ax`-writing gemm when `abft` is set; returns `W` and the kernel's
-/// report (`None` when the plain kernel ran). The inner product
-/// `W = Vᵀ·Ax(...)` stays on the plain kernel: it writes scratch, not the
-/// protected matrix, and a strike there surfaces through the protected
-/// update it feeds (or the iteration-level aggregate test). Clean runs
-/// are bit-identical either way.
-pub fn left_update_ext_ft(
-    ax: &mut ExtMatrix,
-    k: usize,
-    ib: usize,
-    vx: &Matrix,
-    t: &Matrix,
-    abft: Option<AbftOptions>,
-) -> (Matrix, Option<AbftReport>) {
     let n = ax.n();
     let m = n - k - 1;
     let jcount = m - ib + 2;
@@ -177,8 +121,8 @@ pub fn left_update_ext_ft(
             &mut w.as_view_mut(),
         );
     }
-    let report = apply_left(ax, k, ib, vx, t, &w, -1.0, abft);
-    (w, report)
+    apply_left(ax, k, ib, vx, t, &w, -1.0);
+    w
 }
 
 /// Exact reversal of [`left_update_ext`] using the retained `W`.
@@ -190,10 +134,9 @@ pub fn reverse_left_update_ext(
     t: &Matrix,
     w: &Matrix,
 ) {
-    apply_left(ax, k, ib, vx, t, w, 1.0, None);
+    apply_left(ax, k, ib, vx, t, w, 1.0);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_left(
     ax: &mut ExtMatrix,
     k: usize,
@@ -202,8 +145,7 @@ fn apply_left(
     t: &Matrix,
     w: &Matrix,
     sign: f64,
-    abft: Option<AbftOptions>,
-) -> Option<AbftReport> {
+) {
     let n = ax.n();
     let m = n - k - 1;
     let jcount = m - ib + 2;
@@ -221,14 +163,15 @@ fn apply_left(
         &mut w2.as_view_mut(),
     );
     let data = ax.raw_mut();
-    accumulate(
+    gemm(
+        Trans::No,
         Trans::No,
         sign,
         &vx.as_view(),
         &w2.as_view(),
+        1.0,
         &mut data.view_mut(k + 1, k + ib, m + 1, jcount),
-        abft,
-    )
+    );
 }
 
 #[cfg(test)]
@@ -301,43 +244,6 @@ mod tests {
             for i in 0..=10 {
                 let d = (ax.raw()[(i, j)] - ax0.raw()[(i, j)]).abs();
                 assert!(d < 1e-12, "({i},{j}) differs by {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn ft_variants_bit_identical_to_plain_on_clean_runs() {
-        // The fused online-ABFT kernels must not perturb the update by a
-        // single ulp: the driver's Sre/Sce aggregates and the exactness of
-        // the reversal both depend on it.
-        let (ax0, yx, vx, t) = scenario(24, 3, 5, 9);
-        let mut plain = ax0.clone();
-        right_update_trailing(&mut plain, 3, 5, &yx, &vx);
-        let w_plain = left_update_ext(&mut plain, 3, 5, &vx, &t);
-        let mut ft = ax0.clone();
-        let opts = Some(AbftOptions::default());
-        let r1 = right_update_trailing_ft(&mut ft, 3, 5, &yx, &vx, opts);
-        let (w_ft, r2) = left_update_ext_ft(&mut ft, 3, 5, &vx, &t, opts);
-        for r in [r1, r2] {
-            let r = r.expect("the fused kernel ran");
-            assert_eq!(r.detected, 0, "clean update flagged: {r:?}");
-        }
-        for j in 0..=24usize {
-            for i in 0..=24usize {
-                assert_eq!(
-                    plain.raw()[(i, j)].to_bits(),
-                    ft.raw()[(i, j)].to_bits(),
-                    "Ax differs at ({i},{j})"
-                );
-            }
-        }
-        for j in 0..w_plain.cols() {
-            for i in 0..w_plain.rows() {
-                assert_eq!(
-                    w_plain[(i, j)].to_bits(),
-                    w_ft[(i, j)].to_bits(),
-                    "W differs at ({i},{j})"
-                );
             }
         }
     }

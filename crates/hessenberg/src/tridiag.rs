@@ -283,9 +283,10 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
         report.iterations += 1;
     }
 
-    // Final whole-matrix consistency pass + Q verification.
+    // Final whole-matrix consistency pass + Q verification. An unresolved
+    // pattern is recorded even when it locates nothing.
     let out = locate_errors(&ax, total, loc_tol);
-    if !out.errors.is_empty() {
+    if !out.errors.is_empty() || !out.resolved {
         let fixes: Vec<(usize, usize, f64)> =
             out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
         correct_errors(&mut ax, &out.errors);
@@ -547,7 +548,7 @@ fn restore_checksums(ax: &mut ExtMatrix, snap: &(Vec<f64>, Vec<f64>, f64)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ft_fault::Fault;
+    use ft_fault::{Fault, ScheduledFault};
     use ft_lapack::sytrd::{steqr_eigenvalues, sytd2};
 
     fn residuals(a0: &Matrix, f: &TridiagFactorization) -> (f64, f64) {
@@ -690,6 +691,32 @@ mod tests {
             "{fact} {orth} ({:?})",
             out.report.recoveries
         );
+        assert!(!out.report.any_unresolved(), "{:?}", out.report.recoveries);
+    }
+
+    #[test]
+    fn finished_column_cancelling_pair_is_flagged() {
+        // +0.5 on d[5] and −0.5 on e[5] after column 5 was reduced: the
+        // column checksum cancels, so the final pass sees two row
+        // deficits and no column deficit. It locates nothing and must
+        // still flag the run.
+        let n = 48;
+        let a = ft_matrix::random::symmetric(n, 25);
+        let mut plan = FaultPlan::new(vec![
+            ScheduledFault {
+                iteration: 1,
+                phase: Phase::IterationStart,
+                fault: Fault::add(5, 5, 0.5),
+            },
+            ScheduledFault {
+                iteration: 1,
+                phase: Phase::IterationStart,
+                fault: Fault::add(6, 5, -0.5),
+            },
+        ]);
+        let out = ft_sytd2(&a, &FtTridiagConfig::default(), &mut plan);
+        assert_eq!(plan.applied().len(), 2);
+        assert!(out.report.any_unresolved(), "{:?}", out.report.recoveries);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 /// Every counter name the workspace records (see DESIGN.md §9 for the
 /// meaning of each family).
 pub const COUNTERS: &[&str] = &[
-    "abft.corrected",
-    "abft.detected",
     "ft.corrections",
     "ft.recoveries",
     "pool.dispatch",
@@ -64,7 +62,6 @@ pub const HISTOGRAMS: &[&str] = &[
 /// Every span name the workspace opens. The `ft.*` entries are the
 /// disjoint leaf phases whose durations decompose a run's wall-clock.
 pub const SPANS: &[&str] = &[
-    "blas.abft",
     "ft.correct",
     "ft.detect",
     "ft.encode",

@@ -365,10 +365,12 @@ mod global {
         thread_ring().record(&ev);
     }
 
-    pub(super) fn snapshot_into(out: &mut Vec<(u64, RawEvent)>) {
+    pub(super) fn snapshot() -> Vec<(u64, RawEvent)> {
+        let mut out = Vec::new();
         for ring in RINGS.lock().unwrap().iter() {
-            ring.snapshot_into(out);
+            ring.snapshot_into(&mut out);
         }
+        out
     }
 
     pub(super) fn stats() -> RecorderStats {
@@ -471,9 +473,10 @@ pub(crate) fn note_counter(name: &'static str, delta: u64) {
 
 /// Every committed event of every ring in wire form, oldest first.
 pub(crate) fn raw_snapshot() -> Vec<ring::RawEvent> {
-    let mut raw: Vec<(u64, ring::RawEvent)> = Vec::new();
     #[cfg(not(loom))]
-    global::snapshot_into(&mut raw);
+    let raw = global::snapshot();
+    #[cfg(loom)]
+    let raw: Vec<(u64, ring::RawEvent)> = Vec::new();
     let mut out: Vec<ring::RawEvent> = raw.into_iter().map(|(_, ev)| ev).collect();
     out.sort_by(|a, b| f64::from_bits(a.t0).total_cmp(&f64::from_bits(b.t0)));
     out
