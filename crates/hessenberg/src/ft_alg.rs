@@ -20,13 +20,14 @@
 //!   formula corrects them, and the iteration re-executes (lines 14–16);
 //! * the `Q` reflectors are protected by host-side checksums generated on
 //!   the otherwise-idle CPU, overlapped with the device update (paper
-//!   §IV-E), and verified once at the end (§IV-F), together with a final
-//!   whole-matrix consistency pass that also covers finished `H` columns.
+//!   §IV-E), and verified once at the end (§IV-F), after a final
+//!   whole-matrix consistency pass that also covers finished `H` columns
+//!   (`recovery::final_check`, shared with the tridiagonal driver).
 
 use crate::encode::{extend_v, extend_y, ExtMatrix};
 use crate::hybrid_alg::{panel_costs, S0, S1};
 use crate::qprotect::QProtection;
-use crate::recovery::{correct_errors, locate_errors, LocatedError};
+use crate::recovery::{correct_errors, final_check, fixes, locate_errors, log_recovery};
 use crate::report::{FailureReason, FtReport, PhaseBreakdown, RecoveryEvent};
 use crate::reverse::{
     left_update_ext, reverse_left_update_ext, reverse_right_update_ext, right_update_panel_top,
@@ -121,20 +122,6 @@ impl FtOutcome {
     pub fn is_unrecoverable(&self) -> bool {
         self.failure.is_some()
     }
-}
-
-/// Registry counter `ft.recoveries`: detection-and-recovery episodes
-/// (one per [`RecoveryEvent`] pushed, including end-of-run repairs).
-fn ft_recovery_counter() -> &'static ft_trace::Counter {
-    static C: std::sync::OnceLock<&'static ft_trace::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| ft_trace::counter("ft.recoveries"))
-}
-
-/// Registry counter `ft.corrections`: individual element corrections
-/// applied from checksum residues.
-fn ft_correction_counter() -> &'static ft_trace::Counter {
-    static C: std::sync::OnceLock<&'static ft_trace::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| ft_trace::counter("ft.corrections"))
 }
 
 /// The driver's numerical state. It exists only in [`ExecMode::Full`];
@@ -232,29 +219,35 @@ fn ft_gehrd_hybrid_inner(
 
         report.redone_iterations += outcome.recoveries.len();
         for event in outcome.recoveries {
-            log_recovery(&mut report, cfg, "recovery", event);
+            log_recovery(&mut report, cfg.protection_label(), "recovery", event);
         }
         if outcome.gave_up {
             // Surgical repair failed and the checksums were refreshed from
             // the current data so the factorization could continue: flag it.
-            ft_recovery_counter().incr();
-            ft_trace::journal::record(iter, "giveup", cfg.protection_label(), 0, f64::NAN, false);
-            report.recoveries.push(RecoveryEvent {
+            let event = RecoveryEvent {
                 iteration: iter,
                 mismatch: f64::NAN,
                 corrected: vec![],
                 resolved: false,
-            });
+            };
+            log_recovery(&mut report, cfg.protection_label(), "giveup", event);
             failure.get_or_insert(FailureReason::RecoveryExhausted { iteration: iter });
         }
         report.iterations += 1;
     }
 
     // ---- final verification ---------------------------------------------
-    // (a) whole-matrix consistency, (b) the Q storage check (paper §IV-F,
-    // once at the end), then the result back to the host.
+    // (a) whole-matrix consistency, which covers finished-H corruption the
+    // per-iteration aggregate test cannot see, (b) the Q storage and tau
+    // checks (paper §IV-F, once at the end), then the result back to the
+    // host.
     if let Some(l) = &mut live {
-        l.final_checks(cfg, &mut report, &mut failure);
+        let qprot = cfg.protect_q.then_some(&l.qprot);
+        let label = cfg.protection_label();
+        if !final_check(&mut l.ax, qprot, &mut l.tau, l.loc_tol, label, &mut report) {
+            let iteration = report.iterations;
+            failure.get_or_insert(FailureReason::UnresolvedFinalCheck { iteration });
+        }
     }
     ctx.device(S0, OpClass::DeviceVector, Work::Flops(4.0 * (n * n) as f64));
     if cfg.protect_q {
@@ -360,51 +353,6 @@ impl Live {
             gave_up: detected,
         }
     }
-
-    /// The end-of-run checks: a whole-matrix consistency pass, which
-    /// covers finished-H corruption that the per-iteration aggregate test
-    /// cannot see (never-touched columns), then the `Q` storage check.
-    fn final_checks(
-        &mut self,
-        cfg: &FtConfig,
-        report: &mut FtReport,
-        failure: &mut Option<FailureReason>,
-    ) {
-        let iter = report.iterations;
-        let out = {
-            let _span = ft_trace::span!("ft.locate" => &mut report.phases.locate);
-            locate_errors(&self.ax, self.tau.len(), self.loc_tol)
-        };
-        // An unresolved pattern is flagged even when it locates nothing:
-        // faults that cancel within one finished-H column leave only row
-        // deficits.
-        if !out.errors.is_empty() || !out.resolved {
-            {
-                let _span = ft_trace::span!("ft.correct" => &mut report.phases.correct);
-                correct_errors(&mut self.ax, &out.errors);
-            }
-            let event = RecoveryEvent {
-                iteration: iter,
-                mismatch: f64::NAN,
-                corrected: fixes(&out.errors),
-                resolved: out.resolved,
-            };
-            log_recovery(report, cfg, "final", event);
-            if !out.resolved {
-                failure.get_or_insert(FailureReason::UnresolvedFinalCheck { iteration: iter });
-            }
-        }
-        if cfg.protect_q {
-            let _span = ft_trace::span!("ft.qprotect" => &mut report.phases.qprotect);
-            let q_fixes = self
-                .qprot
-                .verify_and_correct(self.ax.raw_mut(), self.loc_tol.max(1e-12));
-            report.q_corrections = q_fixes.iter().map(|f| (f.row, f.col, f.delta)).collect();
-            if let Some(idx) = self.qprot.verify_taus(&mut self.tau, 1e-10) {
-                report.tau_corrections.push(idx);
-            }
-        }
-    }
 }
 
 /// One run of a panel iteration's arithmetic (lines 5–11 and the checksum
@@ -468,10 +416,12 @@ fn detect(ax: &ExtMatrix, threshold: f64, k: usize, phases: &mut PhaseBreakdown)
 /// iteration's faults and decides from their positions whether the
 /// aggregate test would fire.
 ///
-/// A fault that struck after the iteration's updates ran
+/// A data strike that landed after the iteration's updates ran
 /// (`Phase::BeforeDetection`) cannot perturb that iteration's aggregates;
 /// it becomes visible — if at all — once the *next* iteration's updates
-/// run over it, so it is carried forward one boundary in `carried`.
+/// run over it, so it is carried forward one boundary in `carried`. A
+/// strike on a checksum border is never carried: it moves `Sre` or `Sce`
+/// directly (see [`visible`]).
 fn timing_outcome(
     plan: &mut FaultPlan,
     carried: &mut Vec<ScheduledFault>,
@@ -484,14 +434,15 @@ fn timing_outcome(
     let mut due = std::mem::take(carried);
     due.extend(plan.peek_due(iter, Phase::IterationStart));
     plan.consume_due(iter, Phase::IterationStart);
-    carried.extend(plan.peek_due(iter, Phase::BeforeDetection));
+    let (border, data): (Vec<_>, Vec<_>) = plan
+        .peek_due(iter, Phase::BeforeDetection)
+        .into_iter()
+        .partition(|f| f.fault.row == n || f.fault.col == n);
     plan.consume_due(iter, Phase::BeforeDetection);
+    due.extend(border);
+    *carried = data;
 
-    let detected = due.iter().any(|f| {
-        let row = f.fault.row.min(n - 1);
-        let col = f.fault.col.min(n - 1);
-        aggregate_visible(n, k, ib, row, col)
-    });
+    let detected = due.iter().any(|f| visible(n, k, ib, f));
     // One recovery clears the strike, so the re-executed iteration passes.
     let attempts = usize::from(detected && cfg.max_recovery_attempts > 0);
     let event = RecoveryEvent {
@@ -606,31 +557,11 @@ fn charge_recovery(ctx: &mut HybridCtx, n: usize, k: usize, ib: usize) {
     ctx.d2h(S0, 2 * n * 8);
 }
 
-/// Counts, journals and reports one recovery episode.
-fn log_recovery(report: &mut FtReport, cfg: &FtConfig, phase: &'static str, event: RecoveryEvent) {
-    ft_recovery_counter().incr();
-    ft_correction_counter().add(event.corrected.len() as u64);
-    ft_trace::journal::record(
-        event.iteration,
-        phase,
-        cfg.protection_label(),
-        event.corrected.len(),
-        event.mismatch,
-        event.resolved,
-    );
-    report.recoveries.push(event);
-}
-
-/// The `(row, col, delta)` triples a [`RecoveryEvent`] records.
-fn fixes(errors: &[LocatedError]) -> Vec<(usize, usize, f64)> {
-    errors.iter().map(|e| (e.row, e.col, e.delta)).collect()
-}
-
-/// Whether a strike at `(row, col)`, present when the iteration reducing
-/// columns `k..k + ib` started, perturbs the `Sre − Sce` aggregate test
-/// run at that iteration's end.
+/// Whether strike `f` — in extended-matrix coordinates, where row or
+/// column `n` is a checksum border — perturbs the `Sre − Sce` test run at
+/// the end of the iteration reducing columns `k..k + ib`.
 ///
-/// Detection runs after the iteration completes, so in the
+/// Data strikes: detection runs after the iteration completes, so in the
 /// [`classify`] frontier convention (`k` = columns already reduced) the
 /// frontier is `k + ib`. The in-flight panel needs its own carve-out,
 /// though: a strike inside columns `k..k + ib` happened *before* they
@@ -640,13 +571,26 @@ fn fixes(errors: &[LocatedError]) -> Vec<(usize, usize, f64)> {
 /// finished `H`. Strikes left of the panel touch data this iteration
 /// never reads: the aggregates cannot see them, and they are repaired by
 /// the end-of-run whole-matrix and `Q`/`tau` checks without any rollback.
-fn aggregate_visible(n: usize, k: usize, ib: usize, row: usize, col: usize) -> bool {
+///
+/// Border strikes: the corner `(n, n)` is in neither aggregate, and
+/// `refresh_chk_row` overwrites an `IterationStart` strike on the
+/// checksum-row entry of an in-flight panel column. Every other border
+/// strike changes `Sre` or `Sce` itself.
+fn visible(n: usize, k: usize, ib: usize, f: &ScheduledFault) -> bool {
+    let (row, col) = (f.fault.row, f.fault.col);
     let in_flight_panel = (k..k + ib).contains(&col);
-    in_flight_panel
-        || matches!(
-            classify(n, (k + ib).min(n), row, col),
-            Region::Area1 | Region::Area2
-        )
+    match (row == n, col == n) {
+        (true, true) => false,
+        (true, false) => !(f.phase == Phase::IterationStart && in_flight_panel),
+        (false, true) => true,
+        (false, false) => {
+            in_flight_panel
+                || matches!(
+                    classify(n, (k + ib).min(n), row, col),
+                    Region::Area1 | Region::Area2
+                )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -957,16 +901,29 @@ mod tests {
         //  * a Q-storage strike ((30, 5) at iteration 2) likewise costs
         //    nothing per-iteration;
         //  * a BeforeDetection strike in the trailing matrix lands after
-        //    the updates ran and is only detected one iteration later.
+        //    the updates ran and is only detected one iteration later;
+        //  * checksum-border strikes (row or column n) move Sre or Sce
+        //    themselves and are detected in the iteration they land, in
+        //    either phase — except the corner, which is in neither
+        //    aggregate, and an IterationStart strike on the checksum-row
+        //    entry of an in-flight panel column, which refresh_chk_row
+        //    overwrites.
         let n = 96;
         let nb = 16;
         let cfg = FtConfig::with_nb(nb);
         let a = ft_matrix::random::uniform(n, n, 13);
-        let scenarios: [(usize, Phase, usize, usize); 4] = [
+        let scenarios: [(usize, Phase, usize, usize); 11] = [
             (1, Phase::IterationStart, 40, 20),
             (2, Phase::IterationStart, 2, 3),
             (2, Phase::IterationStart, 30, 5),
             (1, Phase::BeforeDetection, 40, 50),
+            (0, Phase::IterationStart, n, 0),
+            (2, Phase::BeforeDetection, n, 40),
+            (1, Phase::IterationStart, n, 5),
+            (1, Phase::BeforeDetection, n, 90),
+            (2, Phase::IterationStart, 10, n),
+            (2, Phase::BeforeDetection, n - 1, n),
+            (3, Phase::IterationStart, n, n),
         ];
         for &(iteration, phase, row, col) in &scenarios {
             let make_plan = || {

@@ -6,6 +6,13 @@
 //! per column suffices to locate and correct an error, and the check only
 //! needs to run once, at the end of the factorization.
 //!
+//! The check has no matcher of its own: it hands the row and column
+//! deficits to the trailing-matrix matcher ([`crate::recovery`]), so a
+//! cancelling pair in one row or column, an equal-magnitude rectangle and
+//! a NaN or infinite entry come back unresolved instead of being guessed
+//! at. The drivers' end-of-run check corrects a resolved pattern, locates
+//! again, and flags whatever is still deficient.
+//!
 //! Checksum maintenance mirrors Figure 5 of the paper: when a panel
 //! finishes, its per-row partial sums are folded into the running
 //! row-checksum vector (`Qr_chk`, the dashed line on the left) and its
@@ -14,6 +21,7 @@
 //! which is never touched again. The reflector scales `tau` carry their
 //! own scalar checksum.
 
+use crate::recovery::{locate_deficits, LocateOutcome};
 use ft_matrix::Matrix;
 
 /// Running checksums over the `Q` (Householder-vector) storage region.
@@ -29,17 +37,6 @@ pub struct QProtection {
     tau_sum: f64,
     /// Columns absorbed so far (the frontier).
     frontier: usize,
-}
-
-/// An error found (and fixed) by the final `Q` verification.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QCorrection {
-    /// Corrected row.
-    pub row: usize,
-    /// Corrected column.
-    pub col: usize,
-    /// `stored − correct`.
-    pub delta: f64,
 }
 
 impl QProtection {
@@ -88,14 +85,11 @@ impl QProtection {
         self.frontier = k + ib;
     }
 
-    /// Recomputes both checksum vectors from the stored data and corrects
-    /// any located errors in place (paper §IV-F, applied once at the end).
-    ///
-    /// Returns the corrections performed. Uses the same deficit-matching
-    /// logic as the trailing-matrix recovery: single errors and
-    /// non-rectangle multi-error patterns are corrected.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must count as exceeded
-    pub fn verify_and_correct(&self, packed: &mut Matrix, tol: f64) -> Vec<QCorrection> {
+    /// Locates errors in the reflector storage of `packed`: fresh row and
+    /// column sums against the running checksums, matched by the
+    /// trailing-matrix rule of [`crate::recovery`] (Huang–Abraham: a
+    /// rectangle, or several deficits on one axis, is unresolved).
+    pub(crate) fn locate(&self, packed: &Matrix, tol: f64) -> LocateOutcome {
         let n = self.n;
         let mut row_sums = vec![0.0; n];
         let mut col_sums = vec![0.0; n];
@@ -106,85 +100,26 @@ impl QProtection {
             &mut row_sums,
             &mut col_sums[..self.frontier.min(n)],
         );
-        let row_def: Vec<(usize, f64)> = (0..n)
-            .filter_map(|i| {
-                let d = row_sums[i] - self.qr_chk[i];
-                if !(d.abs() <= tol) {
-                    Some((i, d))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let col_def: Vec<(usize, f64)> = (0..n)
-            .filter_map(|j| {
-                let d = col_sums[j] - self.qc_chk[j];
-                if !(d.abs() <= tol) {
-                    Some((j, d))
-                } else {
-                    None
-                }
-            })
-            .collect();
+        locate_deficits(
+            row_sums.iter().zip(&self.qr_chk).map(|(s, c)| s - c),
+            col_sums.iter().zip(&self.qc_chk).map(|(s, c)| s - c),
+            tol,
+        )
+    }
 
-        let mut corrections = vec![];
-        match (row_def.len(), col_def.len()) {
-            (0, 0) => {}
-            (1, _) => {
-                let (r, _) = row_def[0];
-                for &(c, d) in &col_def {
-                    corrections.push(QCorrection {
-                        row: r,
-                        col: c,
-                        delta: d,
-                    });
-                }
-            }
-            (_, 1) => {
-                let (c, _) = col_def[0];
-                for &(r, d) in &row_def {
-                    corrections.push(QCorrection {
-                        row: r,
-                        col: c,
-                        delta: d,
-                    });
-                }
-            }
-            _ => {
-                // Peel unique magnitude matches (non-rectangle patterns).
-                let mut rows = row_def;
-                let mut cols = col_def;
-                while !rows.is_empty() && !cols.is_empty() {
-                    let mut advanced = false;
-                    'outer: for ri in 0..rows.len() {
-                        let (r, rd) = rows[ri];
-                        let cands: Vec<usize> = (0..cols.len())
-                            .filter(|&ci| (rd - cols[ci].1).abs() <= tol.max(1e-9 * rd.abs()))
-                            .collect();
-                        if cands.len() == 1 {
-                            let (c, d) = cols[cands[0]];
-                            corrections.push(QCorrection {
-                                row: r,
-                                col: c,
-                                delta: d,
-                            });
-                            rows.remove(ri);
-                            cols.remove(cands[0]);
-                            advanced = true;
-                            break 'outer;
-                        }
-                    }
-                    if !advanced {
-                        break;
-                    }
-                }
+    /// One locate-and-correct round over the reflector storage (paper
+    /// §IV-F): fresh row and column sums against the running checksums,
+    /// matched by the trailing-matrix rule of [`crate::recovery`]; a
+    /// resolved pattern is corrected in place. The drivers' end-of-run
+    /// check locates again after every correction.
+    pub fn verify_and_correct(&self, packed: &mut Matrix, tol: f64) -> LocateOutcome {
+        let out = self.locate(packed, tol);
+        if out.resolved {
+            for e in &out.errors {
+                packed[(e.row, e.col)] -= e.delta;
             }
         }
-        for c in &corrections {
-            let old = packed[(c.row, c.col)];
-            packed[(c.row, c.col)] = old - c.delta;
-        }
-        corrections
+        out
     }
 
     /// Verifies and repairs a single corrupted `tau` via the scalar
@@ -290,8 +225,8 @@ mod tests {
     #[test]
     fn clean_q_verifies_clean() {
         let (mut a, _tau, q) = protected(24, 6, 1);
-        let fixes = q.verify_and_correct(&mut a, 1e-10);
-        assert!(fixes.is_empty());
+        let out = q.verify_and_correct(&mut a, 1e-10);
+        assert!(out.resolved && out.errors.is_empty(), "{out:?}");
     }
 
     #[test]
@@ -299,10 +234,12 @@ mod tests {
         let (mut a, _tau, q) = protected(24, 6, 2);
         let truth = a[(15, 4)]; // below sub-diagonal of a reduced column
         a[(15, 4)] += 0.125;
-        let fixes = q.verify_and_correct(&mut a, 1e-10);
-        assert_eq!(fixes.len(), 1);
-        assert_eq!((fixes[0].row, fixes[0].col), (15, 4));
+        let out = q.verify_and_correct(&mut a, 1e-10);
+        assert!(out.resolved);
+        assert_eq!(out.errors.len(), 1);
+        assert_eq!((out.errors[0].row, out.errors[0].col), (15, 4));
         assert!((a[(15, 4)] - truth).abs() < 1e-12);
+        assert!(q.locate(&a, 1e-10).errors.is_empty());
     }
 
     #[test]
@@ -312,10 +249,39 @@ mod tests {
         let t2 = a[(22, 17)];
         a[(10, 3)] += 0.5;
         a[(22, 17)] -= 0.25;
-        let fixes = q.verify_and_correct(&mut a, 1e-10);
-        assert_eq!(fixes.len(), 2);
+        let out = q.verify_and_correct(&mut a, 1e-10);
+        assert!(out.resolved);
+        assert_eq!(out.errors.len(), 2);
         assert!((a[(10, 3)] - t1).abs() < 1e-12);
         assert!((a[(22, 17)] - t2).abs() < 1e-12);
+    }
+
+    /// Patterns the matcher cannot attribute to elements: they come back
+    /// unresolved, and `verify_and_correct` leaves the storage as it is.
+    #[test]
+    fn unresolved_q_patterns_are_reported_and_left_alone() {
+        let cases: [&[(usize, usize, f64)]; 5] = [
+            // A cancelling pair in one column: two row deficits only.
+            &[(20, 5, 0.5), (40, 5, -0.5)],
+            // A cancelling pair in one row: two column deficits only.
+            &[(30, 5, 0.5), (30, 9, -0.5)],
+            // An equal-magnitude rectangle.
+            &[(20, 5, 0.5), (20, 9, 0.5), (40, 5, 0.5), (40, 9, 0.5)],
+            // A NaN and an infinity: their deficits never match.
+            &[(30, 5, f64::NAN)],
+            &[(30, 5, f64::INFINITY)],
+        ];
+        for strikes in cases {
+            let (mut a, _tau, q) = protected(48, 8, 4);
+            for &(i, j, d) in strikes {
+                a[(i, j)] += d;
+            }
+            let struck = a.clone();
+            let out = q.verify_and_correct(&mut a, 1e-10);
+            assert!(!out.resolved, "{strikes:?}: {out:?}");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&struck), "{strikes:?}");
+        }
     }
 
     #[test]

@@ -21,8 +21,15 @@
 //! data faults cancelling within one column or row leave), a deficit
 //! within `CHECKSUM_ENTRY_MARGIN·tol` (possibly a data fault whose
 //! partner deficit fell under `tol`), and NaN.
+//!
+//! The same matcher serves the trailing-matrix recovery, the end-of-run
+//! check of the finished `H` region and the `Q` storage check
+//! ([`crate::qprotect`]). Both drivers run the end-of-run check through
+//! [`final_check`], which locates again after every correction.
 
 use crate::encode::ExtMatrix;
+use crate::qprotect::QProtection;
+use crate::report::{FtReport, RecoveryEvent};
 
 /// How far a lone one-sided deficit must clear `tol` to be read as a
 /// corrupted checksum entry. A data fault's row and column deficits agree
@@ -59,25 +66,28 @@ pub struct LocateOutcome {
 /// `frontier` is the number of fully reduced columns (the Hessenberg mask
 /// boundary); `tol` the deficit significance threshold (same scale as the
 /// detection threshold).
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must count as exceeded
 pub fn locate_errors(ax: &ExtMatrix, frontier: usize, tol: f64) -> LocateOutcome {
-    let n = ax.n();
     let row_sums = ax.math_row_sums(frontier);
     let col_sums = ax.math_col_sums(frontier);
-    let mut row_def: Vec<(usize, f64)> = vec![];
-    let mut col_def: Vec<(usize, f64)> = vec![];
-    for i in 0..n {
-        let d = row_sums[i] - ax.chk_col()[i];
-        if !(d.abs() <= tol) {
-            row_def.push((i, d));
-        }
-    }
-    for j in 0..n {
-        let d = col_sums[j] - ax.chk_row(j);
-        if !(d.abs() <= tol) {
-            col_def.push((j, d));
-        }
-    }
+    locate_deficits(
+        row_sums.iter().zip(ax.chk_col()).map(|(s, c)| s - c),
+        col_sums.iter().enumerate().map(|(j, s)| s - ax.chk_row(j)),
+        tol,
+    )
+}
+
+/// Locates errors from the deficits `fresh sum − stored checksum` of every
+/// row and every column, in index order: the deficits beyond `tol` (NaN
+/// included) go to [`match_deficits`].
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // deliberate: NaN must count as exceeded
+pub(crate) fn locate_deficits(
+    row_deficits: impl Iterator<Item = f64>,
+    col_deficits: impl Iterator<Item = f64>,
+    tol: f64,
+) -> LocateOutcome {
+    let significant = |(i, d): (usize, f64)| (!(d.abs() <= tol)).then_some((i, d));
+    let row_def = row_deficits.enumerate().filter_map(significant).collect();
+    let col_def = col_deficits.enumerate().filter_map(significant).collect();
     let (errors, resolved) = match_deficits(row_def, col_def, tol);
     LocateOutcome { errors, resolved }
 }
@@ -187,6 +197,112 @@ pub fn correct_errors(ax: &mut ExtMatrix, errors: &[LocatedError]) {
         let old = ax.raw()[(e.row, e.col)];
         ax.raw_mut()[(e.row, e.col)] = old - e.delta;
     }
+}
+
+/// The `(row, col, delta)` triples a [`RecoveryEvent`] records.
+pub(crate) fn fixes(errors: &[LocatedError]) -> Vec<(usize, usize, f64)> {
+    errors.iter().map(|e| (e.row, e.col, e.delta)).collect()
+}
+
+/// Locate-and-correct rounds of the end-of-run check. Correcting an
+/// overflow-scale strike `x` subtracts `fl(x − c) = x` and leaves 0 where
+/// the true value was; the second round's deficits are that value. A third
+/// round changed nothing on the grid of `tests/final_check_faults.rs`.
+const FINAL_ROUNDS: usize = 2;
+
+/// The end-of-run check of both FT drivers (paper §IV-F): the finished
+/// region of `ax` under the frontier `tau.len()`, then — with `qprot` —
+/// the `Q` storage and `tau`. Each region goes through [`check_region`].
+///
+/// Logs one `final` episode per check that corrected or flagged anything.
+/// `Q` repairs are reported in [`FtReport::q_corrections`] instead, so the
+/// `Q` check's episode only flags. Returns `false` when either region is
+/// still deficient or unresolved.
+pub(crate) fn final_check(
+    ax: &mut ExtMatrix,
+    qprot: Option<&QProtection>,
+    tau: &mut [f64],
+    tol: f64,
+    protection: &'static str,
+    report: &mut FtReport,
+) -> bool {
+    let frontier = tau.len();
+    let phases = &mut report.phases;
+    let (h_fixes, h_clean) = check_region(
+        ax,
+        |ax| {
+            let _span = ft_trace::span!("ft.locate" => &mut phases.locate);
+            locate_errors(ax, frontier, tol)
+        },
+        |ax, errors| {
+            let _span = ft_trace::span!("ft.correct" => &mut phases.correct);
+            correct_errors(ax, errors);
+        },
+    );
+    let q_clean = qprot.is_none_or(|qprot| {
+        let _span = ft_trace::span!("ft.qprotect" => &mut report.phases.qprotect);
+        let q_tol = tol.max(1e-12);
+        let (q_fixes, clean) = check_region(ax, |ax| qprot.locate(ax.raw(), q_tol), correct_errors);
+        report.q_corrections = q_fixes;
+        report.tau_corrections.extend(qprot.verify_taus(tau, 1e-10));
+        clean
+    });
+    for (corrected, resolved) in [(h_fixes, h_clean), (vec![], q_clean)] {
+        if !corrected.is_empty() || !resolved {
+            let event = RecoveryEvent {
+                iteration: report.iterations,
+                mismatch: f64::NAN,
+                corrected,
+                resolved,
+            };
+            log_recovery(report, protection, "final", event);
+        }
+    }
+    h_clean && q_clean
+}
+
+/// One region of [`final_check`]: locate, correct a resolved pattern and
+/// locate again, at most [`FINAL_ROUNDS`] times; an unresolved pattern is
+/// left as it is. Returns the corrections, one entry per element with the
+/// rounds' deltas summed, and whether the last locate found nothing.
+fn check_region(
+    ax: &mut ExtMatrix,
+    mut locate: impl FnMut(&ExtMatrix) -> LocateOutcome,
+    mut correct: impl FnMut(&mut ExtMatrix, &[LocatedError]),
+) -> (Vec<(usize, usize, f64)>, bool) {
+    let mut fixes: Vec<(usize, usize, f64)> = vec![];
+    let mut out = locate(ax);
+    for _ in 0..FINAL_ROUNDS {
+        if !out.resolved || out.errors.is_empty() {
+            break;
+        }
+        correct(ax, &out.errors);
+        for e in &out.errors {
+            match fixes.iter_mut().find(|f| (f.0, f.1) == (e.row, e.col)) {
+                Some(f) => f.2 += e.delta,
+                None => fixes.push((e.row, e.col, e.delta)),
+            }
+        }
+        out = locate(ax);
+    }
+    (fixes, out.resolved && out.errors.is_empty())
+}
+
+/// Counts one recovery episode (`ft.recoveries`, and its corrections in
+/// `ft.corrections`), journals it under the `protection` label and
+/// reports it.
+pub(crate) fn log_recovery(
+    report: &mut FtReport,
+    protection: &'static str,
+    phase: &'static str,
+    event: RecoveryEvent,
+) {
+    let corrected = event.corrected.len();
+    ft_trace::counter("ft.recoveries").incr();
+    ft_trace::counter("ft.corrections").add(corrected as u64);
+    let (iteration, mismatch, resolved) = (event.iteration, event.mismatch, event.resolved);
+    ft_trace::journal::record(iteration, phase, protection, corrected, mismatch, resolved);
+    report.recoveries.push(event);
 }
 
 #[cfg(test)]
@@ -304,6 +420,74 @@ mod tests {
     }
 
     const TOL: f64 = 1e-10;
+
+    /// `check_region` against scripted locate outcomes: how many locates
+    /// it runs, what it corrects, and what it calls clean.
+    fn scripted(script: Vec<LocateOutcome>) -> (Vec<(usize, usize, f64)>, bool, usize, usize) {
+        let mut ax = consistent(4, 10);
+        let mut script = script.into_iter();
+        let (mut locates, mut corrections) = (0, 0);
+        let (fixes, clean) = check_region(
+            &mut ax,
+            |_| {
+                locates += 1;
+                script.next().expect("locate called past the script")
+            },
+            |_, _| corrections += 1,
+        );
+        (fixes, clean, locates, corrections)
+    }
+
+    fn found(errors: &[(usize, usize, f64)]) -> LocateOutcome {
+        LocateOutcome {
+            errors: errors
+                .iter()
+                .map(|&(row, col, delta)| LocatedError { row, col, delta })
+                .collect(),
+            resolved: true,
+        }
+    }
+
+    #[test]
+    fn check_region_locates_again_after_each_correction() {
+        let clean = found(&[]);
+        // Nothing found: one locate, clean.
+        assert_eq!(scripted(vec![clean.clone()]), (vec![], true, 1, 0));
+        // A repair is trusted only once a fresh locate finds nothing.
+        assert_eq!(
+            scripted(vec![found(&[(3, 1, 0.5)]), clean.clone()]),
+            (vec![(3, 1, 0.5)], true, 2, 1)
+        );
+        // The second round's delta at the same element is summed into its
+        // entry; a new element gets its own.
+        assert_eq!(
+            scripted(vec![
+                found(&[(3, 1, 0.75)]),
+                found(&[(3, 1, -0.25), (2, 0, 0.5)]),
+                clean.clone(),
+            ]),
+            (vec![(3, 1, 0.5), (2, 0, 0.5)], true, 3, 2)
+        );
+        // Still deficient after two rounds: not clean, no third correction.
+        assert_eq!(
+            scripted(vec![
+                found(&[(3, 1, 0.5)]),
+                found(&[(3, 1, 0.5)]),
+                found(&[(3, 1, 0.5)]),
+            ]),
+            (vec![(3, 1, 1.0)], false, 3, 2)
+        );
+        // An unresolved pattern is neither corrected nor clean.
+        let unresolved = LocateOutcome {
+            errors: vec![LocatedError {
+                row: 3,
+                col: 1,
+                delta: f64::NAN,
+            }],
+            resolved: false,
+        };
+        assert_eq!(scripted(vec![unresolved]), (vec![], false, 1, 0));
+    }
 
     #[test]
     fn matched_deficits_locate_each_error() {

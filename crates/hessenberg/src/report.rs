@@ -18,10 +18,12 @@ pub enum FailureReason {
         /// Panel iteration whose detection could not be cleared.
         iteration: usize,
     },
-    /// The end-of-run whole-matrix consistency check found a deficit
-    /// pattern it could not resolve to unique positions (a rectangle, or
-    /// several one-sided deficits that locate nothing); corrections were
-    /// applied best-effort.
+    /// The end-of-run check — of the finished `H` region or of the `Q`
+    /// reflector storage — found a deficit pattern it could not resolve
+    /// to unique positions (a rectangle, several one-sided deficits that
+    /// locate nothing, or a NaN or infinite entry), or a region was still
+    /// deficient after its correction rounds. An unresolved pattern is
+    /// left uncorrected.
     UnresolvedFinalCheck {
         /// Iteration count at the time of the final check.
         iteration: usize,
@@ -54,7 +56,9 @@ pub struct FtReport {
     pub redone_iterations: usize,
     /// Detection episodes (each may correct several simultaneous errors).
     pub recoveries: Vec<RecoveryEvent>,
-    /// Errors corrected in `Q` storage by the end-of-run check.
+    /// Errors corrected in `Q` storage by the end-of-run check, one entry
+    /// per element (`row, col, delta`; a second round's delta at the same
+    /// element is added into its entry).
     pub q_corrections: Vec<(usize, usize, f64)>,
     /// Indices of reflector scales repaired via the `tau` scalar checksum
     /// by the end-of-run check.

@@ -21,7 +21,8 @@ use ft_matrix::Matrix;
 ///   `Ax(0..=k, ·) −= Yx(0..=k, :) · Vx(0..ib−1, :)ᵀ`
 ///   (the panel rows below were finished inside the panel factorization).
 pub fn right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
-    apply_right(ax, k, ib, yx, vx, -1.0);
+    right_update_trailing(ax, k, ib, yx, vx);
+    right_update_panel_top(ax, k, ib, yx, vx);
 }
 
 /// The trailing-columns half of [`right_update_ext`] alone (Algorithm 3
@@ -51,23 +52,6 @@ pub fn right_update_panel_top(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matr
 /// part (the panel is restored from its checkpoint instead).
 pub fn reverse_right_update_ext(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix) {
     apply_right_trailing(ax, k, ib, yx, vx, 1.0);
-}
-
-fn apply_right(ax: &mut ExtMatrix, k: usize, ib: usize, yx: &Matrix, vx: &Matrix, sign: f64) {
-    apply_right_trailing(ax, k, ib, yx, vx, sign);
-    // Panel columns k+1 ..= k+ib−1, rows above the panel.
-    if ib > 1 {
-        let data = ax.raw_mut();
-        gemm(
-            Trans::No,
-            Trans::Yes,
-            sign,
-            &yx.view(0, 0, k + 1, ib),
-            &vx.view(0, 0, ib - 1, ib),
-            1.0,
-            &mut data.view_mut(0, k + 1, k + 1, ib - 1),
-        );
-    }
 }
 
 fn apply_right_trailing(

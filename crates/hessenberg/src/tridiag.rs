@@ -18,8 +18,10 @@
 //!   runs.
 //!
 //! Detection runs every [`FtTridiagConfig::check_every`] columns (the
-//! cadence analogue of the Hessenberg panel iteration), and `Q` storage is
-//! protected by the same end-of-run checksums ([`crate::qprotect`]).
+//! cadence analogue of the Hessenberg panel iteration), and the run ends
+//! with the Hessenberg driver's end-of-run check: the finished region,
+//! then `Q` storage ([`crate::qprotect`]) and `tau`. What it cannot clear
+//! is recorded as an unresolved [`RecoveryEvent`].
 //!
 //! # Detection for symmetric updates: mixed-path checksum routing
 //!
@@ -47,7 +49,7 @@
 
 use crate::encode::ExtMatrix;
 use crate::qprotect::QProtection;
-use crate::recovery::{correct_errors, locate_errors};
+use crate::recovery::{correct_errors, final_check, fixes, locate_errors, log_recovery};
 use crate::report::{FtReport, RecoveryEvent};
 use crate::threshold::ThresholdPolicy;
 use ft_blas::{dot, gemv, ger, Trans};
@@ -228,8 +230,6 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
 
             // Locate and correct on the restored, consistent state.
             let out = locate_errors(&ax, gk, loc_tol);
-            let fixes: Vec<(usize, usize, f64)> =
-                out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
             correct_errors(&mut ax, &out.errors);
             if out.errors.is_empty() {
                 // Checksum-side corruption: rebuild from data.
@@ -240,20 +240,13 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
                 // were snapshotted pre-error, so refresh them to match.
                 wchk.reencode(&ax, gk);
             }
-            ft_trace::journal::record(
-                iter,
-                "recovery",
-                tridiag_protection(cfg),
-                fixes.len(),
-                mismatch,
-                out.resolved,
-            );
-            report.recoveries.push(RecoveryEvent {
+            let event = RecoveryEvent {
                 iteration: iter,
                 mismatch,
-                corrected: fixes,
+                corrected: fixes(&out.errors),
                 resolved: out.resolved,
-            });
+            };
+            log_recovery(&mut report, tridiag_protection(cfg), "recovery", event);
 
             // Re-execute the group.
             artifacts = reduce_group(&mut ax, &mut wchk, gk, glen, &mut tau_all);
@@ -262,13 +255,13 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
         if detected {
             ax.reencode(gk + glen);
             wchk.reencode(&ax, gk + glen);
-            ft_trace::journal::record(iter, "giveup", tridiag_protection(cfg), 0, f64::NAN, false);
-            report.recoveries.push(RecoveryEvent {
+            let event = RecoveryEvent {
                 iteration: iter,
                 mismatch: f64::NAN,
                 corrected: vec![],
                 resolved: false,
-            });
+            };
+            log_recovery(&mut report, tridiag_protection(cfg), "giveup", event);
         }
 
         // Commit: absorb the verified columns into Q protection.
@@ -283,33 +276,11 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
         report.iterations += 1;
     }
 
-    // Final whole-matrix consistency pass + Q verification. An unresolved
-    // pattern is recorded even when it locates nothing.
-    let out = locate_errors(&ax, total, loc_tol);
-    if !out.errors.is_empty() || !out.resolved {
-        let fixes: Vec<(usize, usize, f64)> =
-            out.errors.iter().map(|e| (e.row, e.col, e.delta)).collect();
-        correct_errors(&mut ax, &out.errors);
-        ft_trace::journal::record(
-            iter,
-            "final",
-            tridiag_protection(cfg),
-            fixes.len(),
-            f64::NAN,
-            out.resolved,
-        );
-        report.recoveries.push(RecoveryEvent {
-            iteration: iter,
-            mismatch: f64::NAN,
-            corrected: fixes,
-            resolved: out.resolved,
-        });
-    }
-    if cfg.protect_q {
-        let fixes = qprot.verify_and_correct(ax.raw_mut(), loc_tol.max(1e-12));
-        report.q_corrections = fixes.iter().map(|f| (f.row, f.col, f.delta)).collect();
-        let _ = qprot.verify_taus(&mut tau_all, 1e-10);
-    }
+    // Final whole-matrix consistency pass + Q and tau verification; what
+    // it cannot clear is recorded as an unresolved episode.
+    let qprot = cfg.protect_q.then_some(&qprot);
+    let label = tridiag_protection(cfg);
+    final_check(&mut ax, qprot, &mut tau_all, loc_tol, label, &mut report);
 
     // Extract d, e from the band of the packed result.
     let packed = ax.into_packed();

@@ -18,15 +18,13 @@ pub struct ResidualReport {
 }
 
 impl ResidualReport {
-    /// Computes the report from the original matrix and the factors.
+    /// Computes the report from the original matrix and the factors. A
+    /// NaN anywhere in the factors makes the affected numbers NaN.
     pub fn compute(a0: &Matrix, q: &Matrix, h: &Matrix) -> Self {
         let n = h.rows();
-        let mut defect = 0.0f64;
-        for j in 0..n {
-            for i in (j + 2)..n {
-                defect = defect.max(h[(i, j)].abs());
-            }
-        }
+        let defect = (0..n)
+            .flat_map(|j| (j + 2..n).map(move |i| h[(i, j)].abs()))
+            .fold(0.0, ft_matrix::nan_max);
         ResidualReport {
             factorization: factorization_residual(a0, q, h),
             orthogonality: orthogonality_residual(q),
@@ -55,6 +53,31 @@ mod tests {
         let f = HessFactorization { packed, tau };
         let r = ResidualReport::compute(&a, &f.q(), &f.h());
         assert!(r.acceptable(1e-14), "{r:?}");
+    }
+
+    #[test]
+    fn nan_in_packed_storage_is_not_acceptable() {
+        // One NaN in the H part, then one in the reflector (Q) storage.
+        let n = 32;
+        let a = ft_matrix::random::uniform(n, n, 73);
+        let mut packed = a.clone();
+        let tau = gehrd(&mut packed, &GehrdConfig::default());
+        for at in [(3, 7), (20, 5)] {
+            let mut f = HessFactorization {
+                packed: packed.clone(),
+                tau: tau.clone(),
+            };
+            f.packed[at] = f64::NAN;
+            let r = ResidualReport::compute(&a, &f.q(), &f.h());
+            assert!(r.factorization.is_nan(), "NaN at {at:?}: {r:?}");
+            assert!(!r.acceptable(1e-11), "NaN at {at:?}: {r:?}");
+        }
+        // A NaN below the sub-diagonal of H is a NaN defect.
+        let f = HessFactorization { packed, tau };
+        let mut h = f.h();
+        h[(9, 2)] = f64::NAN;
+        let r = ResidualReport::compute(&a, &f.q(), &h);
+        assert!(r.hessenberg_defect.is_nan(), "{r:?}");
     }
 
     #[test]

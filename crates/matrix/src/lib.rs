@@ -26,5 +26,5 @@ pub mod view;
 
 pub use assertions::{approx_eq, assert_matrix_eq, max_abs_diff, rel_diff};
 pub use dense::Matrix;
-pub use norms::{fro_norm, grand_sum, inf_norm, max_abs, one_norm};
+pub use norms::{fro_norm, grand_sum, inf_norm, max_abs, nan_max, one_norm};
 pub use view::{MatView, MatViewMut};

@@ -2,18 +2,29 @@
 //!
 //! The paper reports two normalized residuals, both built on the 1-norm:
 //! `‖A − QHQᵀ‖₁ / (N·‖A‖₁)` (Table II) and `‖QQᵀ − I‖₁ / N` (Table III).
+//!
+//! The max-based norms propagate NaN, as LAPACK's `dlange` does: a
+//! residual over a factorization that holds a NaN is NaN, never a
+//! passing number.
 
 use crate::view::MatView;
 use crate::Matrix;
 
+/// The larger of `best` and `v`, NaN if either is NaN (`dlange`'s
+/// `value < temp .or. disnan(temp)` rule; `f64::max` drops NaN instead).
+pub fn nan_max(best: f64, v: f64) -> f64 {
+    if best < v || v.is_nan() {
+        v
+    } else {
+        best
+    }
+}
+
 /// 1-norm: the maximum absolute column sum.
 pub fn one_norm(a: &MatView<'_>) -> f64 {
-    let mut best = 0.0f64;
-    for j in 0..a.cols() {
-        let s: f64 = a.col(j).iter().map(|v| v.abs()).sum();
-        best = best.max(s);
-    }
-    best
+    (0..a.cols())
+        .map(|j| a.col(j).iter().map(|v| v.abs()).sum::<f64>())
+        .fold(0.0, nan_max)
 }
 
 /// Infinity norm: the maximum absolute row sum.
@@ -24,7 +35,7 @@ pub fn inf_norm(a: &MatView<'_>) -> f64 {
             sums[i] += v.abs();
         }
     }
-    sums.into_iter().fold(0.0, f64::max)
+    sums.into_iter().fold(0.0, nan_max)
 }
 
 /// Frobenius norm with overflow-safe scaling (LAPACK `dlange('F')` style).
@@ -49,13 +60,9 @@ pub fn fro_norm(a: &MatView<'_>) -> f64 {
 
 /// The largest absolute element.
 pub fn max_abs(a: &MatView<'_>) -> f64 {
-    let mut best = 0.0f64;
-    for j in 0..a.cols() {
-        for &v in a.col(j) {
-            best = best.max(v.abs());
-        }
-    }
-    best
+    (0..a.cols())
+        .flat_map(|j| a.col(j).iter().map(|v| v.abs()))
+        .fold(0.0, nan_max)
 }
 
 /// The sum of all elements (not absolute values). This is the quantity the
@@ -126,6 +133,23 @@ mod tests {
         assert_eq!(a.inf_norm(), 0.0);
         assert_eq!(a.fro_norm(), 0.0);
         assert_eq!(a.grand_sum(), 0.0);
+    }
+
+    #[test]
+    fn max_norms_propagate_nan() {
+        // A NaN anywhere — first, middle or last — makes the norm NaN.
+        for at in [(0, 0), (1, 2), (2, 1)] {
+            let mut a =
+                Matrix::from_rows(&[&[1.0, -2.0, 3.0], &[4.0, 5.0, -6.0], &[7.0, 8.0, 9.0]]);
+            a[at] = f64::NAN;
+            assert!(a.one_norm().is_nan(), "one_norm, NaN at {at:?}");
+            assert!(a.inf_norm().is_nan(), "inf_norm, NaN at {at:?}");
+            assert!(a.max_abs().is_nan(), "max_abs, NaN at {at:?}");
+        }
+        assert!(nan_max(f64::NAN, 1.0).is_nan());
+        assert!(nan_max(1.0, f64::NAN).is_nan());
+        assert_eq!(nan_max(1.0, 2.0), 2.0);
+        assert_eq!(nan_max(2.0, 1.0), 2.0);
     }
 
     #[test]
