@@ -1,11 +1,10 @@
-//! Criterion bench: symmetric tridiagonal reduction — unblocked `sytd2`
-//! vs blocked `sytrd` (the §VII extension's substrate), plus the
-//! fault-tolerant wrapper's overhead.
+//! Criterion bench: symmetric tridiagonal reduction — `sytd2` (the §VII
+//! extension's substrate) against the fault-tolerant wrapper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ft_fault::FaultPlan;
 use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
-use ft_lapack::sytrd::{sytd2, sytrd};
+use ft_lapack::sytrd::sytd2;
 
 fn bench_sytrd(c: &mut Criterion) {
     let mut group = c.benchmark_group("sytrd");
@@ -18,12 +17,6 @@ fn bench_sytrd(c: &mut Criterion) {
             bench.iter(|| {
                 let mut w = a.clone();
                 std::hint::black_box(sytd2(&mut w).d[0]);
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("blocked_nb16", n), &n, |bench, _| {
-            bench.iter(|| {
-                let mut w = a.clone();
-                std::hint::black_box(sytrd(&mut w, 16).d[0]);
             });
         });
         group.bench_with_input(BenchmarkId::new("ft_unblocked", n), &n, |bench, _| {

@@ -12,11 +12,6 @@ pub fn scaled_sizes() -> Vec<usize> {
     vec![254, 382, 510, 766, 1022]
 }
 
-/// Small sizes for quick smoke runs.
-pub fn smoke_sizes() -> Vec<usize> {
-    vec![126, 190, 254]
-}
-
 /// `true` when `FT_BENCH_SMOKE` asks for the fast, CI-sized bench run
 /// (set and not `0`/`false`/`off`/`no`). The one place every bench target
 /// reads the knob — shared so the accepted spellings can't drift between

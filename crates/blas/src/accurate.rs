@@ -1,4 +1,4 @@
-//! Accurate summation and dot products.
+//! Accurate summation.
 //!
 //! The paper closes its numerical-stability discussion by pointing at
 //! Castaldo, Whaley & Chronopoulos ("Reducing floating point error in dot
@@ -61,45 +61,6 @@ pub fn sum_superblock(x: &[f64]) -> f64 {
     partials[0]
 }
 
-/// Compensated dot product (Neumaier accumulation over the products).
-pub fn dot_compensated(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_compensated: length mismatch");
-    let mut sum = 0.0f64;
-    let mut comp = 0.0f64;
-    for (&a, &b) in x.iter().zip(y) {
-        let v = a * b;
-        let t = sum + v;
-        if sum.abs() >= v.abs() {
-            comp += (sum - t) + v;
-        } else {
-            comp += (v - t) + sum;
-        }
-        sum = t;
-    }
-    sum + comp
-}
-
-/// Superblock dot product.
-pub fn dot_superblock(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot_superblock: length mismatch");
-    if x.len() <= SUPERBLOCK {
-        return x.iter().zip(y).map(|(a, b)| a * b).sum();
-    }
-    let mut partials: Vec<f64> = x
-        .chunks(SUPERBLOCK)
-        .zip(y.chunks(SUPERBLOCK))
-        .map(|(cx, cy)| cx.iter().zip(cy).map(|(a, b)| a * b).sum())
-        .collect();
-    while partials.len() > 1 {
-        let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-        for pair in partials.chunks(2) {
-            next.push(pair.iter().sum());
-        }
-        partials = next;
-    }
-    partials[0]
-}
-
 /// Which accumulation scheme a checksum producer should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SumScheme {
@@ -119,18 +80,6 @@ impl SumScheme {
             SumScheme::Naive => x.iter().sum(),
             SumScheme::Superblock => sum_superblock(x),
             SumScheme::Compensated => sum_compensated(x),
-        }
-    }
-
-    /// Dot product under this scheme.
-    pub fn dot(self, x: &[f64], y: &[f64]) -> f64 {
-        match self {
-            SumScheme::Naive => {
-                assert_eq!(x.len(), y.len(), "dot: length mismatch");
-                x.iter().zip(y).map(|(a, b)| a * b).sum()
-            }
-            SumScheme::Superblock => dot_superblock(x, y),
-            SumScheme::Compensated => dot_compensated(x, y),
         }
     }
 }
@@ -194,26 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_schemes_agree_and_compensated_is_best() {
-        let n = 4096;
-        let a = ft_matrix::random::uniform(n, 1, 3);
-        let b = ft_matrix::random::uniform(n, 1, 4);
-        let (x, y) = (a.as_slice(), b.as_slice());
-        let reference = dot_compensated(x, y);
-        for scheme in [
-            SumScheme::Naive,
-            SumScheme::Superblock,
-            SumScheme::Compensated,
-        ] {
-            let v = scheme.dot(x, y);
-            assert!(
-                (v - reference).abs() < 1e-10,
-                "{scheme:?}: {v} vs {reference}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_and_single() {
         for scheme in [
             SumScheme::Naive,
@@ -222,7 +151,6 @@ mod tests {
         ] {
             assert_eq!(scheme.sum(&[]), 0.0);
             assert_eq!(scheme.sum(&[42.0]), 42.0);
-            assert_eq!(scheme.dot(&[2.0], &[3.0]), 6.0);
         }
     }
 }

@@ -37,7 +37,7 @@ mod sync;
 pub mod types;
 pub mod workspace;
 
-pub use accurate::{dot_compensated, dot_superblock, sum_compensated, sum_superblock, SumScheme};
+pub use accurate::{sum_compensated, sum_superblock, SumScheme};
 pub use backend::{current_backend, parallel_chunks_into, set_backend, with_backend, Backend};
 pub use flops::{
     flop_count, gehrd_gflops, gehrd_nominal_flops, reset_flops, set_flop_counting, FlopGuard,

@@ -38,11 +38,9 @@ impl CampaignConfig {
     }
 
     /// Generates one trial of the `(region, moment)` cell deterministically
-    /// from the config seed — the unit [`Campaign::generate`] iterates, and
-    /// the hook per-job consumers (the `ft-serve` load generator) use to
-    /// derive a fresh [`FaultPlan`] per job without materializing a whole
-    /// campaign. Returns `None` when the region does not exist at the
-    /// moment's frontier (e.g. Area 1 at the very beginning).
+    /// from the config seed — the unit [`Campaign::generate`] iterates.
+    /// Returns `None` when the region does not exist at the moment's
+    /// frontier (e.g. Area 1 at the very beginning).
     ///
     /// The derived RNG stream depends only on `(seed, region, moment,
     /// trial_index)`, never on iteration order, so a trial generated here

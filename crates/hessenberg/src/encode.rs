@@ -16,7 +16,7 @@
 //! Hessenberg mask to reduced columns ([`ExtMatrix::math_at`]).
 
 use ft_blas::SumScheme;
-use ft_matrix::{MatView, MatViewMut, Matrix};
+use ft_matrix::{MatView, Matrix};
 
 /// An `(n+1) × (n+1)` checksum-extended matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,12 +113,6 @@ impl ExtMatrix {
     /// View of the real `n × n` part.
     pub fn real(&self) -> MatView<'_> {
         self.data.view(0, 0, self.n, self.n)
-    }
-
-    /// Mutable view of the real part.
-    pub fn real_mut(&mut self) -> MatViewMut<'_> {
-        let n = self.n;
-        self.data.view_mut(0, 0, n, n)
     }
 
     /// The real part as an owned matrix.

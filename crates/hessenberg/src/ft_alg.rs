@@ -110,8 +110,9 @@ pub struct FtOutcome {
     pub result: Option<HessFactorization>,
     /// Detection/recovery/timing report.
     pub report: FtReport,
-    /// `Some` when the run hit a terminal recovery failure (attempt
-    /// exhaustion or an unresolvable final check) and the result cannot be
+    /// `Some` exactly when the report holds an unresolved episode
+    /// ([`FtReport::any_unresolved`]: attempt exhaustion, an unresolved
+    /// recovery or an unresolvable final check), so the result cannot be
     /// trusted without independent verification. Retry-with-escalation
     /// layers key off this field.
     pub failure: Option<FailureReason>,
@@ -218,6 +219,7 @@ fn ft_gehrd_hybrid_inner(
         charge_panel(ctx, n, k, ib, cfg, &outcome);
 
         report.redone_iterations += outcome.recoveries.len();
+        let unresolved = outcome.recoveries.iter().any(|e| !e.resolved);
         for event in outcome.recoveries {
             log_recovery(&mut report, cfg.protection_label(), "recovery", event);
         }
@@ -232,6 +234,9 @@ fn ft_gehrd_hybrid_inner(
             };
             log_recovery(&mut report, cfg.protection_label(), "giveup", event);
             failure.get_or_insert(FailureReason::RecoveryExhausted { iteration: iter });
+        }
+        if unresolved {
+            failure.get_or_insert(FailureReason::UnresolvedRecovery { iteration: iter });
         }
         report.iterations += 1;
     }
@@ -341,12 +346,15 @@ impl Live {
             ax.reencode(k + ib);
         }
 
-        // Commit: absorb the verified panel into Q protection.
+        // Commit: absorb the verified panel's reflectors into Q
+        // protection — V as the run produced it (local row r is global
+        // row k + 1 + r), not the storage a strike may have hit since.
         self.tau[k..k + ib].copy_from_slice(&it.panel.tau);
         if cfg.protect_q {
             let _span = ft_trace::span!("ft.qprotect", k => &mut report.phases.qprotect);
+            let v = &it.panel.v;
             self.qprot
-                .absorb_panel(self.ax.raw(), k, ib, &self.tau[k..k + ib]);
+                .absorb_reflectors(|j| v.col(j - k), k + 1, k, ib, &self.tau[k..k + ib]);
         }
         Outcome {
             recoveries,
@@ -818,6 +826,31 @@ mod tests {
             "{:?}",
             out.report.recoveries
         );
+        let f = out.result.unwrap();
+        let r = ResidualReport::compute(&a, &f.q(), &f.h());
+        assert!(!r.acceptable(1e-11), "the pair does corrupt H: {r:?}");
+    }
+
+    #[test]
+    fn unresolved_recovery_sets_structured_failure() {
+        // +0.5 at (40, 50) and −0.5 at (50, 50), one trailing column: the
+        // recovery sees two row deficits and no column deficit. It locates
+        // nothing, re-encodes over the corrupt data and the re-executed
+        // iteration passes detection; the run must still fail.
+        let strike = |row, delta| ft_fault::ScheduledFault {
+            iteration: 1,
+            phase: Phase::IterationStart,
+            fault: Fault::add(row, 50, delta),
+        };
+        let mut plan = FaultPlan::new(vec![strike(40, 0.5), strike(50, -0.5)]);
+        let (a, out) = run(64, 16, 11, &mut plan);
+        assert_eq!(
+            out.failure,
+            Some(crate::report::FailureReason::UnresolvedRecovery { iteration: 1 }),
+            "{:?}",
+            out.report.recoveries
+        );
+        assert!(out.report.any_unresolved());
         let f = out.result.unwrap();
         let r = ResidualReport::compute(&a, &f.q(), &f.h());
         assert!(!r.acceptable(1e-11), "the pair does corrupt H: {r:?}");

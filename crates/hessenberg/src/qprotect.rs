@@ -4,7 +4,11 @@
 //! reduced columns. They are generated on the host, never modified — and
 //! never *read* — after their panel finishes, so one checksum per row and
 //! per column suffices to locate and correct an error, and the check only
-//! needs to run once, at the end of the factorization.
+//! needs to run once, at the end of the factorization. The drivers encode
+//! the reflectors their verified run produced (a panel's `V`, a column's
+//! `v`), as the paper's host encodes the panel it factorized, rather than
+//! reading them back from storage: a strike on the storage between the
+//! factorization and the commit stays a deficit for the end-of-run check.
 //!
 //! The check has no matcher of its own: it hands the row and column
 //! deficits to the trailing-matrix matcher ([`crate::recovery`]), so a
@@ -64,6 +68,22 @@ impl QProtection {
     /// has been verified — so a rolled-back iteration is never absorbed
     /// twice.
     pub fn absorb_panel(&mut self, packed: &Matrix, k: usize, ib: usize, taus: &[f64]) {
+        self.absorb_reflectors(|j| packed.col(j), 0, k, ib, taus);
+    }
+
+    /// [`QProtection::absorb_panel`] from a reflector source instead of
+    /// the packed storage: `col(j)` holds column `j`'s reflector, its
+    /// first element at global row `row0`. The drivers pass the reflectors
+    /// their verified run produced, so a strike on the storage after the
+    /// factorization wrote it stays a deficit for the end-of-run check.
+    pub(crate) fn absorb_reflectors<'a>(
+        &mut self,
+        col: impl Fn(usize) -> &'a [f64],
+        row0: usize,
+        k: usize,
+        ib: usize,
+        taus: &[f64],
+    ) {
         assert_eq!(k, self.frontier, "panels must be absorbed in order");
         assert_eq!(
             taus.len(),
@@ -73,7 +93,8 @@ impl QProtection {
         );
         let j1 = (k + ib).min(self.n);
         sweep_reflectors(
-            packed,
+            col,
+            row0,
             self.n,
             k,
             &mut self.qr_chk,
@@ -94,7 +115,8 @@ impl QProtection {
         let mut row_sums = vec![0.0; n];
         let mut col_sums = vec![0.0; n];
         sweep_reflectors(
-            packed,
+            |j| packed.col(j),
+            0,
             n,
             0,
             &mut row_sums,
@@ -150,14 +172,16 @@ impl QProtection {
     }
 }
 
-/// Adds the reflector entries of columns `j0..j0 + colsums.len()` of
-/// `packed` — rows `j + 2..n` of column `j` — into `rowsums`, and writes
-/// each column's sum into `colsums`. Every row sum receives its columns
-/// in ascending order and every column sum starts from `+0.0` and adds
-/// its rows in ascending order. Four columns share each pass over the
-/// rows below the group, so their sum chains run side by side.
-fn sweep_reflectors(
-    packed: &Matrix,
+/// Adds the reflector entries of columns `j0..j0 + colsums.len()` —
+/// rows `j + 2..n` of column `j`, read from `col(j)`, whose first element
+/// is at row `row0 ≤ j0 + 1` — into `rowsums`, and writes each column's
+/// sum into `colsums`. Every row sum receives its columns in ascending
+/// order and every column sum starts from `+0.0` and adds its rows in
+/// ascending order. Four columns share each pass over the rows below the
+/// group, so their sum chains run side by side.
+fn sweep_reflectors<'a>(
+    col: impl Fn(usize) -> &'a [f64],
+    row0: usize,
     n: usize,
     j0: usize,
     rowsums: &mut [f64],
@@ -170,8 +194,8 @@ fn sweep_reflectors(
         // by column, which keeps each row's column order ascending.
         let body = (j + 5).min(n);
         let mut s: [f64; 4] =
-            std::array::from_fn(|q| add_reflector_rows(packed, j + q, body, rowsums));
-        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|q| &packed.col(j + q)[body..n]);
+            std::array::from_fn(|q| add_reflector_rows(col(j + q), row0, j + q, body, rowsums));
+        let [c0, c1, c2, c3] = [0, 1, 2, 3].map(|q| &col(j + q)[body - row0..n - row0]);
         for (i, r) in rowsums[body..n].iter_mut().enumerate() {
             let v = [c0[i], c1[i], c2[i], c3[i]];
             *r = *r + v[0] + v[1] + v[2] + v[3];
@@ -184,18 +208,25 @@ fn sweep_reflectors(
         j += 4;
     }
     for (q, sq) in quads.into_remainder().iter_mut().enumerate() {
-        *sq = add_reflector_rows(packed, j + q, n, rowsums);
+        *sq = add_reflector_rows(col(j + q), row0, j + q, n, rowsums);
     }
 }
 
-/// Adds rows `c + 2..end` of column `c` to `rowsums`; returns their sum
-/// (from `+0.0`, ascending rows).
-fn add_reflector_rows(packed: &Matrix, c: usize, end: usize, rowsums: &mut [f64]) -> f64 {
+/// Adds rows `c + 2..end` of column `c` — `column`, whose first element
+/// is at row `row0` — to `rowsums`; returns their sum (from `+0.0`,
+/// ascending rows).
+fn add_reflector_rows(
+    column: &[f64],
+    row0: usize,
+    c: usize,
+    end: usize,
+    rowsums: &mut [f64],
+) -> f64 {
     let start = (c + 2).min(end);
     let mut s = 0.0;
     for (r, &v) in rowsums[start..end]
         .iter_mut()
-        .zip(&packed.col(c)[start..end])
+        .zip(&column[start - row0..end - row0])
     {
         *r += v;
         s += v;
@@ -303,8 +334,9 @@ mod tests {
     }
 
     /// The four-column sweep against the column-by-column loop it
-    /// replaced, bit for bit: every row sum and every column sum (from
-    /// +0.0) sees the same terms in the same order. The storage carries
+    /// replaced, bit for bit, from the storage and from a source that
+    /// starts lower: every row sum and every column sum (from +0.0) sees
+    /// the same terms in the same order. The storage carries
     /// an all-(−0.0) row and column, whose sums keep the sign of zero
     /// only from a +0.0 start, and a NaN.
     #[test]
@@ -339,14 +371,21 @@ mod tests {
                     }
                     want_cols[j - j0] = colsum;
                 }
-                let mut rows = seed_rows.clone();
-                let mut cols = vec![f64::NAN; j1 - j0];
-                ft_blas::with_backend(backend, || {
-                    sweep_reflectors(&packed, n, j0, &mut rows, &mut cols)
-                });
+                // The storage itself, and a source that starts at row
+                // j0 + 1 as a panel's reflectors do.
+                let row0 = j0 + 1;
+                let below = packed.sub_matrix(row0, 0, n + 1 - row0, n + 1);
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&rows), bits(&want_rows), "{backend:?} rows {j0}..{j1}");
-                assert_eq!(bits(&cols), bits(&want_cols), "{backend:?} cols {j0}..{j1}");
+                for (source, origin) in [(&packed, 0), (&below, row0)] {
+                    let mut rows = seed_rows.clone();
+                    let mut cols = vec![f64::NAN; j1 - j0];
+                    ft_blas::with_backend(backend, || {
+                        sweep_reflectors(|j| source.col(j), origin, n, j0, &mut rows, &mut cols)
+                    });
+                    let what = format!("{backend:?} {j0}..{j1} from row {origin}");
+                    assert_eq!(bits(&rows), bits(&want_rows), "rows {what}");
+                    assert_eq!(bits(&cols), bits(&want_cols), "cols {what}");
+                }
             }
         }
     }

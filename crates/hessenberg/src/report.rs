@@ -6,8 +6,9 @@ use ft_hybrid::ExecStats;
 
 /// Why a fault-tolerant run ended in a state the driver could not verify
 /// — the structured form of "unrecoverable corruption" that callers (and
-/// the `ft-serve` retry policy) branch on, instead of grepping
-/// [`FtReport::recoveries`] for unresolved episodes.
+/// the `ft-serve` retry policy) branch on. A run has a reason exactly when
+/// its report holds an unresolved episode ([`FtReport::any_unresolved`]);
+/// the earliest iteration with one names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FailureReason {
     /// An iteration's detector kept firing after
@@ -16,6 +17,15 @@ pub enum FailureReason {
     /// (possibly still corrupt) data so the factorization could finish.
     RecoveryExhausted {
         /// Panel iteration whose detection could not be cleared.
+        iteration: usize,
+    },
+    /// A recovery episode could not attribute its deficit pattern to
+    /// elements (several one-sided deficits, a rectangle, or NaN). The
+    /// driver re-encoded the checksums over the data as it stood, so the
+    /// re-executed iteration can pass detection with the corruption still
+    /// in it.
+    UnresolvedRecovery {
+        /// Panel iteration whose episode was unresolved.
         iteration: usize,
     },
     /// The end-of-run check — of the finished `H` region or of the `Q`

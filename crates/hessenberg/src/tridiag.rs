@@ -264,10 +264,12 @@ pub fn ft_sytd2(a: &Matrix, cfg: &FtTridiagConfig, plan: &mut FaultPlan) -> FtTr
             log_recovery(&mut report, tridiag_protection(cfg), "giveup", event);
         }
 
-        // Commit: absorb the verified columns into Q protection.
+        // Commit: absorb the verified columns' reflectors into Q
+        // protection — each `v` as the run produced it (its first element
+        // at row i + 1), not the storage a strike may have hit since.
         if cfg.protect_q {
             for art in &artifacts {
-                qprot.absorb_panel(ax.raw(), art.i, 1, &[art.tau]);
+                qprot.absorb_reflectors(|_| art.vx.as_slice(), art.i + 1, art.i, 1, &[art.tau]);
             }
         }
 

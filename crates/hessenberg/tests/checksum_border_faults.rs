@@ -31,8 +31,18 @@ fn run(a: &Matrix, faults: Vec<ScheduledFault>) -> FtOutcome {
     out
 }
 
+/// Whether the run flagged itself. The structured failure and the report
+/// must agree on it.
 fn flagged(out: &FtOutcome) -> bool {
-    out.failure.is_some() || out.report.any_unresolved()
+    let unresolved = out.report.any_unresolved();
+    assert_eq!(
+        out.failure.is_some(),
+        unresolved,
+        "failure {:?} vs recoveries {:?}",
+        out.failure,
+        out.report.recoveries
+    );
+    unresolved
 }
 
 /// Residual-acceptable and finite: the residual norms skip NaN entries,

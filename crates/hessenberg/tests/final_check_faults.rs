@@ -5,9 +5,12 @@
 //! The end-of-run check locates with the trailing-matrix matcher, corrects
 //! a resolved pattern and locates again. A run either comes back with an
 //! acceptable, finite factorization or flags itself; none may be silent.
-//! Every strike here lands at the start of iteration 3 (`nb = 16`, so
+//! Most strikes here land at the start of iteration 3 (`nb = 16`, so
 //! columns `0..48` are finished), or of group 1 for the tridiagonal
-//! driver.
+//! driver. The rest land in the reflector storage of the panel (or group)
+//! in flight, after its factorization wrote it and before detection: the
+//! `Q` checksums encode the reflectors the run produced, so the end-of-run
+//! check repairs those too.
 
 use ft_fault::{Fault, FaultKind, FaultPlan, Phase, ScheduledFault};
 use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
@@ -37,8 +40,18 @@ fn run(a: &Matrix, faults: Vec<ScheduledFault>) -> FtOutcome {
     out
 }
 
+/// Whether the run flagged itself. The structured failure and the report
+/// must agree on it.
 fn flagged(out: &FtOutcome) -> bool {
-    out.failure.is_some() || out.report.any_unresolved()
+    let unresolved = out.report.any_unresolved();
+    assert_eq!(
+        out.failure.is_some(),
+        unresolved,
+        "failure {:?} vs recoveries {:?}",
+        out.failure,
+        out.report.recoveries
+    );
+    unresolved
 }
 
 fn acceptable(a: &Matrix, out: &FtOutcome) -> bool {
@@ -155,5 +168,69 @@ fn tridiagonal_final_check_flags_cancelling_pair_and_nan() {
             "{what}: the final check must flag; recoveries {:?}",
             out.report.recoveries
         );
+    }
+}
+
+/// A `+0.5` strike on reflector storage of the panel in flight, after
+/// `lahr2` wrote it: `(iteration, row, col)` with the column inside the
+/// iteration's panel.
+#[test]
+fn in_flight_panel_q_strikes_are_corrected_at_the_end() {
+    let a = ft_matrix::random::uniform(N, N, 11);
+    for (iteration, row, col) in [(1, 40, 20), (1, 63, 16), (2, 50, 33), (0, 30, 5)] {
+        let out = run(
+            &a,
+            vec![ScheduledFault {
+                iteration,
+                phase: Phase::BeforeDetection,
+                fault: Fault::add(row, col, 0.5),
+            }],
+        );
+        let what = format!("({row},{col}) in iteration {iteration}");
+        assert!(!flagged(&out), "{what}: {:?}", out.report.recoveries);
+        match out.report.q_corrections.as_slice() {
+            &[(r, c, delta)] => {
+                assert_eq!((r, c), (row, col), "{what}");
+                assert!((delta - 0.5).abs() < 1e-12, "{what}: {delta}");
+            }
+            other => panic!("{what}: one correction expected, got {other:?}"),
+        }
+        assert!(acceptable(&a, &out), "{what}");
+    }
+}
+
+#[test]
+fn tridiagonal_in_flight_group_q_strikes_are_corrected_at_the_end() {
+    let n = 48;
+    let a = ft_matrix::random::symmetric(n, 31);
+    let cfg = FtTridiagConfig {
+        check_every: 32,
+        ..FtTridiagConfig::default()
+    };
+    for (row, col) in [(40, 30), (30, 5)] {
+        let mut plan = FaultPlan::new(vec![ScheduledFault {
+            iteration: 0,
+            phase: Phase::BeforeDetection,
+            fault: Fault::add(row, col, 0.5),
+        }]);
+        let out = ft_sytd2(&a, &cfg, &mut plan);
+        assert!(plan.is_exhausted(), "({row},{col}): the strike must land");
+        assert!(
+            !out.report.any_unresolved(),
+            "({row},{col}): {:?}",
+            out.report.recoveries
+        );
+        assert!(
+            matches!(out.report.q_corrections.as_slice(), &[(r, c, _)] if (r, c) == (row, col)),
+            "({row},{col}): {:?}",
+            out.report.q_corrections
+        );
+        // Reflector storage feeds neither T nor a later group, so only Q
+        // carries the correction's rounding.
+        let clean = ft_sytd2(&a, &cfg, &mut FaultPlan::none()).result;
+        assert_eq!(out.result.d, clean.d, "({row},{col})");
+        assert_eq!(out.result.e, clean.e, "({row},{col})");
+        let q_gap = ft_matrix::max_abs_diff(&out.result.q(), &clean.q());
+        assert!(q_gap < 1e-12, "({row},{col}): Q differs by {q_gap}");
     }
 }

@@ -69,11 +69,6 @@ impl HybridCtx {
         self.mode
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Sets the simulated host-parallelism factor (see
     /// [`CostModel::host_parallelism`]) — typically the worker count of
     /// the active `ft-blas` backend, so simulated host time tracks the

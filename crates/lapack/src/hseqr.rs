@@ -1,11 +1,14 @@
-//! Eigenvalues of an upper Hessenberg matrix by the Francis implicit
-//! double-shift QR iteration with deflation (the "Hessenberg QR algorithm"
-//! the paper's introduction motivates: reduction to Hessenberg form is the
-//! expensive first phase of the nonsymmetric eigenvalue problem).
+//! The Francis implicit double-shift QR iteration with deflation on an
+//! upper Hessenberg matrix (the "Hessenberg QR algorithm" the paper's
+//! introduction motivates: reduction to Hessenberg form is the expensive
+//! first phase of the nonsymmetric eigenvalue problem).
 //!
-//! Eigenvalues-only variant (LAPACK `DHSEQR` job `'E'`), following the
-//! classic EISPACK `hqr` organization: repeatedly deflate trailing 1×1 and
-//! 2×2 blocks, with exceptional shifts every 10 stalled iterations.
+//! One routine, `lahqr`, organized like LAPACK's `DLAHQR`, runs the
+//! iteration for both entry points: [`eigenvalues_hessenberg`]
+//! (eigenvalues only, `DHSEQR` job `'E'`) and
+//! [`crate::schur::real_schur`] (Schur form and vectors, job `'S'`). It
+//! repeatedly deflates trailing 1×1 and 2×2 blocks, with an exceptional
+//! shift every 10 stalled iterations.
 
 use ft_matrix::Matrix;
 
@@ -75,15 +78,32 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
         h.is_square(),
         "eigenvalues_hessenberg: matrix must be square"
     );
-    let n = h.rows();
-    let mut wr = vec![0.0f64; n];
-    let mut wi = vec![0.0f64; n];
-    if n == 0 {
-        return Ok(vec![]);
-    }
+    lahqr(&mut h.clone(), None)
+}
 
-    // Working copy; only the Hessenberg part is referenced.
-    let mut a = h.clone();
+/// The Francis double-shift QR iteration on the square upper Hessenberg
+/// `a` (LAPACK `DLAHQR`); entries below the first sub-diagonal are
+/// cleared first, so packed storage may be passed. Returns the
+/// eigenvalues in deflation order, complex pairs adjacent.
+///
+/// With `z` (`DLAHQR`'s `WANTT = WANTZ = true`) every transformation
+/// updates whole rows and columns of `a` and is accumulated into the
+/// columns of `z`, and each real 2×2 block is rotated to upper triangular
+/// form: `a` ends as the real Schur factor `T` with `H = Z·T·Zᵀ` relative
+/// to the `z` passed in. Without `z` only the active block is updated
+/// and the rest of `a` is left as scratch. The two modes run the same
+/// deflation, shifts and bulge chase on the active block, so they return
+/// the same eigenvalues bit for bit.
+pub(crate) fn lahqr(
+    a: &mut Matrix,
+    mut z: Option<&mut Matrix>,
+) -> Result<Vec<Eigenvalue>, NoConvergence> {
+    let n = a.rows();
+    for j in 0..n {
+        for i in j + 2..n {
+            a[(i, j)] = 0.0;
+        }
+    }
     // Norm used in the negligibility tests.
     let mut anorm = 0.0f64;
     for i in 0..n {
@@ -94,9 +114,11 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
     if anorm == 0.0 {
         return Ok(vec![Eigenvalue::real(0.0); n]);
     }
+    let wantt = z.is_some();
+    let mut wr = vec![0.0f64; n];
+    let mut wi = vec![0.0f64; n];
 
     let mut nn = n as isize - 1;
-    let mut t = 0.0f64;
     while nn >= 0 {
         let mut its = 0;
         loop {
@@ -117,7 +139,7 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
             let x = a[(nnu, nnu)];
             if l == nnu {
                 // One real root found.
-                wr[nnu] = x + t;
+                wr[nnu] = x;
                 wi[nnu] = 0.0;
                 nn -= 1;
                 break;
@@ -128,22 +150,24 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
                 // A 2×2 block deflates: two roots.
                 let p = 0.5 * (y - x);
                 let q = p * p + w;
-                let mut z = q.abs().sqrt();
-                let xx = x + t;
+                let mut zz = q.abs().sqrt();
                 if q >= 0.0 {
-                    z = p + sign(z, p);
-                    wr[nnu - 1] = xx + z;
+                    zz = p + sign(zz, p);
+                    wr[nnu - 1] = x + zz;
                     wr[nnu] = wr[nnu - 1];
-                    if z != 0.0 {
-                        wr[nnu] = xx - w / z;
+                    if zz != 0.0 {
+                        wr[nnu] = x - w / zz;
                     }
                     wi[nnu - 1] = 0.0;
                     wi[nnu] = 0.0;
+                    if let Some(z) = z.as_deref_mut() {
+                        triangularize_real_pair(a, z, nnu, zz);
+                    }
                 } else {
-                    wr[nnu - 1] = xx + p;
-                    wr[nnu] = xx + p;
-                    wi[nnu - 1] = -z;
-                    wi[nnu] = z;
+                    wr[nnu - 1] = x + p;
+                    wr[nnu] = x + p;
+                    wi[nnu - 1] = -zz;
+                    wi[nnu] = zz;
                 }
                 nn -= 2;
                 break;
@@ -152,29 +176,30 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
             if its == 60 {
                 return Err(NoConvergence { index: nnu });
             }
+            // An exceptional shift changes the shift values, never the
+            // matrix: the Schur form needs the matrix intact.
             let (mut x, mut y, mut w) = (x, y, w);
-            if its == 10 || its == 20 || its == 30 || its == 40 || its == 50 {
-                // Exceptional shift.
-                t += x;
-                for i in 0..=nnu {
-                    a[(i, i)] -= x;
-                }
+            if its > 0 && its % 10 == 0 {
                 let s = a[(nnu, nnu - 1)].abs() + a[(nnu - 1, nnu - 2)].abs();
-                x = 0.75 * s;
+                x = 0.75 * s + a[(nnu, nnu)];
                 y = x;
                 w = -0.4375 * s * s;
             }
             its += 1;
+            // The rows and columns a transformation covers (DLAHQR's
+            // I1/I2): the whole matrix for the Schur form, else the active
+            // block.
+            let (i1, i2) = if wantt { (0, n - 1) } else { (l, nnu) };
 
             // Look for two consecutive small sub-diagonal elements.
             let mut m = l;
             let (mut p, mut q, mut r) = (0.0f64, 0.0f64, 0.0f64);
             for mm in (l..=nnu - 2).rev() {
-                let z = a[(mm, mm)];
-                let rr = x - z;
-                let ss = y - z;
+                let zz = a[(mm, mm)];
+                let rr = x - zz;
+                let ss = y - zz;
                 p = (rr * ss - w) / a[(mm + 1, mm)] + a[(mm, mm + 1)];
-                q = a[(mm + 1, mm + 1)] - z - rr - ss;
+                q = a[(mm + 1, mm + 1)] - zz - rr - ss;
                 r = a[(mm + 2, mm + 1)];
                 let s = p.abs() + q.abs() + r.abs();
                 p /= s;
@@ -185,7 +210,8 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
                     break;
                 }
                 let u = a[(mm, mm - 1)].abs() * (q.abs() + r.abs());
-                let v = p.abs() * (a[(mm - 1, mm - 1)].abs() + z.abs() + a[(mm + 1, mm + 1)].abs());
+                let v =
+                    p.abs() * (a[(mm - 1, mm - 1)].abs() + zz.abs() + a[(mm + 1, mm + 1)].abs());
                 if u <= f64::EPSILON * v {
                     break;
                 }
@@ -197,12 +223,13 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
                 }
             }
 
-            // Double QR step on rows l..=nn, columns l..=nn.
+            // Double QR step on rows and columns k..=k + 2.
             for k in m..nnu {
+                let last = k == nnu - 1;
                 if k != m {
                     p = a[(k, k - 1)];
                     q = a[(k + 1, k - 1)];
-                    r = if k != nnu - 1 { a[(k + 2, k - 1)] } else { 0.0 };
+                    r = if last { 0.0 } else { a[(k + 2, k - 1)] };
                     x = p.abs() + q.abs() + r.abs();
                     if x != 0.0 {
                         p /= x;
@@ -220,33 +247,34 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
                     }
                 } else {
                     a[(k, k - 1)] = -s * x;
+                    // The reflector annihilates the bulge entries below;
+                    // zero their storage explicitly so T comes out clean.
+                    a[(k + 1, k - 1)] = 0.0;
+                    if !last {
+                        a[(k + 2, k - 1)] = 0.0;
+                    }
                 }
                 p += s;
                 x = p / s;
                 y = q / s;
-                let z = r / s;
+                let zz = r / s;
                 q /= p;
                 r /= p;
                 // Row modification.
-                for j in k..=nnu {
+                for j in k..=i2 {
                     let mut pp = a[(k, j)] + q * a[(k + 1, j)];
-                    if k != nnu - 1 {
+                    if !last {
                         pp += r * a[(k + 2, j)];
-                        a[(k + 2, j)] -= pp * z;
+                        a[(k + 2, j)] -= pp * zz;
                     }
                     a[(k + 1, j)] -= pp * y;
                     a[(k, j)] -= pp * x;
                 }
-                // Column modification.
-                let mmin = nnu.min(k + 3);
-                for i in l..=mmin {
-                    let mut pp = x * a[(i, k)] + y * a[(i, k + 1)];
-                    if k != nnu - 1 {
-                        pp += z * a[(i, k + 2)];
-                        a[(i, k + 2)] -= pp * r;
-                    }
-                    a[(i, k + 1)] -= pp * q;
-                    a[(i, k)] -= pp;
+                // Column modification, then the same into Z.
+                let coef = [x, y, zz, q, r];
+                reflect_columns(a, i1..=nnu.min(k + 3), k, last, coef);
+                if let Some(z) = z.as_deref_mut() {
+                    reflect_columns(z, 0..=n - 1, k, last, coef);
                 }
             }
         }
@@ -258,6 +286,57 @@ pub fn eigenvalues_hessenberg(h: &Matrix) -> Result<Vec<Eigenvalue>, NoConvergen
             im: wi[i],
         })
         .collect())
+}
+
+/// Right-multiplies columns `k..=k + 2` (`k..=k + 1` when `last`) of
+/// `rows` of `m` by one bulge-chasing reflector, given as
+/// `[x, y, z, q, r]` of `lahqr`'s sweep.
+fn reflect_columns(
+    m: &mut Matrix,
+    rows: std::ops::RangeInclusive<usize>,
+    k: usize,
+    last: bool,
+    [x, y, z, q, r]: [f64; 5],
+) {
+    for i in rows {
+        let mut pp = x * m[(i, k)] + y * m[(i, k + 1)];
+        if !last {
+            pp += z * m[(i, k + 2)];
+            m[(i, k + 2)] -= pp * r;
+        }
+        m[(i, k + 1)] -= pp * q;
+        m[(i, k)] -= pp;
+    }
+}
+
+/// Rotates the deflated real 2×2 block at rows and columns
+/// `nnu − 1..=nnu` of `a` to upper triangular form, over whole rows and
+/// columns, and accumulates the rotation into `z`. `zz` is the block's
+/// `p + sign(√q, p)` from `lahqr`.
+fn triangularize_real_pair(a: &mut Matrix, z: &mut Matrix, nnu: usize, zz: f64) {
+    let n = a.rows();
+    let xx = a[(nnu, nnu - 1)];
+    let s = xx.abs() + zz.abs();
+    let mut pp = xx / s;
+    let mut qq = zz / s;
+    let r = (pp * pp + qq * qq).sqrt();
+    pp /= r;
+    qq /= r;
+    // Row modification.
+    for j in nnu - 1..n {
+        let t1 = a[(nnu - 1, j)];
+        a[(nnu - 1, j)] = qq * t1 + pp * a[(nnu, j)];
+        a[(nnu, j)] = qq * a[(nnu, j)] - pp * t1;
+    }
+    // Column modification, then the same into Z.
+    for (m, rows) in [(&mut *a, 0..=nnu), (z, 0..=n - 1)] {
+        for i in rows {
+            let t1 = m[(i, nnu - 1)];
+            m[(i, nnu - 1)] = qq * t1 + pp * m[(i, nnu)];
+            m[(i, nnu)] = qq * m[(i, nnu)] - pp * t1;
+        }
+    }
+    a[(nnu, nnu - 1)] = 0.0;
 }
 
 /// Sorts eigenvalues by (re, im) for stable comparisons in tests.

@@ -18,11 +18,15 @@
 //!   Algorithm 1 of the paper) plus `Q` formation and residual helpers;
 //! * [`mod@geqrf`] — blocked QR factorization (substrate; also used to build
 //!   random orthogonal matrices for tests);
-//! * [`mod@sytrd`] — symmetric tridiagonal reduction and a tridiagonal QL
-//!   eigensolver (the second two-sided factorization, paper §VII);
-//! * [`mod@hseqr`] — Francis double-shift QR iteration computing the
-//!   eigenvalues of an upper Hessenberg matrix (what Hessenberg reduction
-//!   is *for*; used by the end-to-end examples).
+//! * [`mod@sytrd`] — unblocked symmetric tridiagonal reduction (`sytd2`)
+//!   and a tridiagonal QL eigensolver (the second two-sided factorization,
+//!   paper §VII);
+//! * [`mod@hseqr`] — the Francis double-shift QR iteration on an upper
+//!   Hessenberg matrix (what Hessenberg reduction is *for*; used by the
+//!   end-to-end examples): one routine, organized like LAPACK's `DLAHQR`,
+//!   behind both [`eigenvalues_hessenberg`] and [`real_schur`];
+//! * [`mod@schur`] — the real Schur decomposition `H = Z·T·Zᵀ` and the
+//!   eigenvectors of its real eigenvalues.
 //!
 //! The reflector storage convention matches LAPACK: after a reduction, the
 //! upper triangle plus first sub-diagonal of `A` hold `H`, and column `j`
@@ -52,4 +56,4 @@ pub use schur::{real_schur, SchurDecomposition};
 pub use wy::{larfb, larft};
 pub mod sytrd;
 
-pub use sytrd::{steqr_eigenvalues, steqr_full, sytd2, sytrd, TridiagFactorization};
+pub use sytrd::{steqr_eigenvalues, steqr_full, sytd2, TridiagFactorization};

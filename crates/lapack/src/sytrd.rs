@@ -68,25 +68,9 @@ pub fn sytd2(a: &mut Matrix) -> TridiagFactorization {
     assert!(a.is_square(), "sytd2: matrix must be square");
     let n = a.rows();
     let mut tau = vec![0.0; n.saturating_sub(2)];
-    if n == 0 {
-        return TridiagFactorization {
-            packed: a.clone(),
-            d: vec![],
-            e: vec![],
-            tau,
-        };
-    }
-    reduce_columns_unblocked(a, 0, &mut tau);
-    finish_tridiag(a, tau)
-}
-
-/// Unblocked reduction of columns `k0 .. n−2` (the shared tail used by
-/// both [`sytd2`] and the blocked [`sytrd`]).
-fn reduce_columns_unblocked(a: &mut Matrix, k0: usize, tau: &mut [f64]) {
-    let n = a.rows();
     let mut v = vec![0.0; n];
     let mut x = vec![0.0; n];
-    for i in k0..n.saturating_sub(2) {
+    for i in 0..n.saturating_sub(2) {
         let m = n - i - 1; // reflector length over rows i+1..n
 
         // Generate the reflector annihilating A(i+2.., i).
@@ -134,190 +118,11 @@ fn reduce_columns_unblocked(a: &mut Matrix, k0: usize, tau: &mut [f64]) {
         let b = a[(n - 1, n - 2)];
         a[(n - 2, n - 1)] = b;
     }
-}
-
-/// Collects `d` and `e` from the band of the packed storage.
-fn finish_tridiag(a: &Matrix, tau: Vec<f64>) -> TridiagFactorization {
-    let n = a.rows();
-    let mut d = vec![0.0; n];
-    let mut e = vec![0.0; n.saturating_sub(1)];
-    for i in 0..n {
-        d[i] = a[(i, i)];
-        if i + 1 < n {
-            e[i] = a[(i + 1, i)];
-        }
-    }
     TridiagFactorization {
         packed: a.clone(),
-        d,
-        e,
+        d: (0..n).map(|i| a[(i, i)]).collect(),
+        e: (1..n).map(|i| a[(i, i - 1)]).collect(),
         tau,
-    }
-}
-
-/// Panel width below which [`sytrd`] falls back to the unblocked code.
-const SYTRD_NX: usize = 32;
-
-/// Blocked symmetric tridiagonal reduction (LAPACK `DSYTRD`/`DLATRD`
-/// organization on the full-storage convention): per panel of `nb`
-/// columns, accumulate `V` (in place, explicit unit entries) and a
-/// separate `W` such that the deferred trailing update is the rank-2k
-/// `A₂₂ ← A₂₂ − V·Wᵀ − W·Vᵀ` — two GEMMs on full storage.
-pub fn sytrd(a: &mut Matrix, nb: usize) -> TridiagFactorization {
-    assert!(a.is_square(), "sytrd: matrix must be square");
-    let n = a.rows();
-    let nb = nb.max(1);
-    let mut tau = vec![0.0; n.saturating_sub(2)];
-    if n == 0 {
-        return TridiagFactorization {
-            packed: a.clone(),
-            d: vec![],
-            e: vec![],
-            tau,
-        };
-    }
-
-    let mut k = 0;
-    // Keep enough trailing columns for the unblocked tail to be cheap and
-    // for every panel to have a non-trivial trailing block.
-    while n.saturating_sub(k + 2) > nb.max(SYTRD_NX) {
-        latrd_panel(a, k, nb, &mut tau);
-        k += nb;
-    }
-    reduce_columns_unblocked(a, k, &mut tau);
-    finish_tridiag(a, tau)
-}
-
-/// One `DLATRD`-style panel: reduces columns `k .. k+nb`, leaves the
-/// reflector tails in place and applies the deferred rank-2k update to
-/// the trailing block.
-fn latrd_panel(a: &mut Matrix, k: usize, nb: usize, tau: &mut [f64]) {
-    let n = a.rows();
-    let mut w = Matrix::zeros(n, nb);
-    let mut betas = vec![0.0; nb];
-    let mut work = vec![0.0; nb];
-
-    for j in 0..nb {
-        let c = k + j;
-        let mrows = n - c; // rows c..n of the column being updated
-
-        // Deferred update of column c by the previous panel reflectors:
-        // A(c.., c) −= V_prev·W(c, :)ᵀ + W_prev·V(c, :)ᵀ.
-        if j > 0 {
-            let wrow: Vec<f64> = (0..j).map(|jj| w[(c, jj)]).collect();
-            let vrow: Vec<f64> = (0..j).map(|jj| a[(c, k + jj)]).collect();
-            // Split the borrow: columns k..c are V, column c is the target.
-            let (vblock, mut rest) = a.view_mut(0, 0, n, n).split_at_col(c);
-            let vpart = vblock.as_view().subview(c, k, mrows, j);
-            let target = &mut rest.col_mut(0)[c..n];
-            gemv(Trans::No, -1.0, &vpart, &wrow, 1.0, target);
-            gemv(
-                Trans::No,
-                -1.0,
-                &w.view(c, 0, mrows, j),
-                &vrow,
-                1.0,
-                &mut rest.col_mut(0)[c..n],
-            );
-        }
-
-        // Reflector annihilating A(c+2.., c).
-        let m = n - c - 1;
-        let alpha = a[(c + 1, c)];
-        let mut tail: Vec<f64> = (c + 2..n).map(|r| a[(r, c)]).collect();
-        let refl = larfg(alpha, &mut tail);
-        tau[c] = refl.tau;
-        betas[j] = refl.beta;
-        // Store v with an explicit unit (restored to β after the panel).
-        a[(c + 1, c)] = 1.0;
-        for (off, &val) in tail.iter().enumerate() {
-            a[(c + 2 + off, c)] = val;
-        }
-
-        // W(c+1.., j) per the DLATRD recurrence, on the *stale* (still
-        // symmetric) trailing block:
-        //   w = τ·A₂·v − τ·V(Wᵀv) − τ·W(Vᵀv) − (τ/2)(wᵀv)·v
-        if refl.tau != 0.0 {
-            let v_c: Vec<f64> = a.col(c)[c + 1..n].to_vec();
-            {
-                let (wcols, mut wj) = w.view_mut(0, 0, n, nb).split_at_col(j);
-                let wj_col = &mut wj.col_mut(0)[c + 1..n];
-                gemv(
-                    Trans::No,
-                    refl.tau,
-                    &a.view(c + 1, c + 1, m, m),
-                    &v_c,
-                    0.0,
-                    wj_col,
-                );
-                // work = W_prevᵀ v
-                gemv(
-                    Trans::Yes,
-                    1.0,
-                    &wcols.as_view().subview(c + 1, 0, m, j),
-                    &v_c,
-                    0.0,
-                    &mut work[..j],
-                );
-                // wj −= τ·V_prev·work
-                gemv(
-                    Trans::No,
-                    -refl.tau,
-                    &a.view(c + 1, k, m, j),
-                    &work[..j],
-                    1.0,
-                    &mut wj.col_mut(0)[c + 1..n],
-                );
-                // work = V_prevᵀ v
-                gemv(
-                    Trans::Yes,
-                    1.0,
-                    &a.view(c + 1, k, m, j),
-                    &v_c,
-                    0.0,
-                    &mut work[..j],
-                );
-                // wj −= τ·W_prev·work
-                gemv(
-                    Trans::No,
-                    -refl.tau,
-                    &wcols.as_view().subview(c + 1, 0, m, j),
-                    &work[..j],
-                    1.0,
-                    &mut wj.col_mut(0)[c + 1..n],
-                );
-                let coef = -0.5 * refl.tau * dot(&wj.col(0)[c + 1..n], &v_c);
-                let wj_col = &mut wj.col_mut(0)[c + 1..n];
-                for (r, x) in wj_col.iter_mut().enumerate() {
-                    *x += coef * v_c[r];
-                }
-            }
-        }
-    }
-
-    // Deferred rank-2k trailing update on full storage:
-    // A₂₂ ← A₂₂ − V·W₂ᵀ − W₂·Vᵀ over rows/cols k+nb..n.
-    let c1 = k + nb;
-    let mtrail = n - c1;
-    {
-        let (vblock, mut trail) = a.view_mut(0, 0, n, n).split_at_col(c1);
-        let v2 = vblock.as_view().subview(c1, k, mtrail, nb);
-        let w2 = w.view(c1, 0, mtrail, nb);
-        let mut t22 = trail.subview_mut(c1, 0, mtrail, mtrail);
-        ft_blas::gemm(Trans::No, Trans::Yes, -1.0, &v2, &w2, 1.0, &mut t22);
-        ft_blas::gemm(Trans::No, Trans::Yes, -1.0, &w2, &v2, 1.0, &mut t22);
-    }
-
-    // Restore the band storage for the panel columns: β on the
-    // sub-diagonal (replacing the explicit unit), β mirrored on the
-    // super-diagonal, explicit zeros beyond it.
-    for j in 0..nb {
-        let c = k + j;
-        a[(c + 1, c)] = betas[j];
-        a[(c, c + 1)] = betas[j];
-        for cc in c + 2..n {
-            a[(c, cc)] = 0.0;
-        }
     }
 }
 
@@ -340,8 +145,7 @@ pub fn steqr_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>, NoConvergence
 /// the implicit QL method with accumulated rotations (EISPACK `TQL2` /
 /// LAPACK `DSTEQR` job `'V'`).
 ///
-/// `z0` seeds the accumulation: pass the `Q` of a [`sytd2`]/[`sytrd`]
-/// reduction to obtain the eigenvectors of the *original* symmetric
+/// `z0` seeds the accumulation: pass the `Q` of a [`sytd2`] reduction to obtain the eigenvectors of the *original* symmetric
 /// matrix directly (`A = Z·Λ·Zᵀ`); `None` uses the identity (vectors of
 /// the tridiagonal matrix itself). Returns `(λ ascending, Z)` with
 /// eigenvector `k` in column `k`.
@@ -582,11 +386,11 @@ mod tests {
     #[test]
     fn steqr_full_eigendecomposition() {
         // Full symmetric eigendecomposition: A = Z·Λ·Zᵀ through
-        // sytrd + steqr_full seeded with Q.
+        // sytd2 + steqr_full seeded with Q.
         let n = 32;
         let a0 = ft_matrix::random::symmetric(n, 55);
         let mut a = a0.clone();
-        let f = sytrd(&mut a, 8);
+        let f = sytd2(&mut a);
         let (lambda, z) = steqr_full(&f.d, &f.e, Some(f.q())).unwrap();
         assert!(lambda.windows(2).all(|w| w[0] <= w[1]), "ascending order");
         // A z_k = λ_k z_k for every k.
@@ -619,37 +423,6 @@ mod tests {
         for (x, y) in lambda.iter().zip(&evs) {
             assert!((x - y).abs() < 1e-11);
         }
-    }
-
-    #[test]
-    fn blocked_sytrd_matches_unblocked() {
-        for &(n, nb) in &[(40usize, 4usize), (50, 8), (64, 16), (57, 5)] {
-            let a0 = ft_matrix::random::symmetric(n, (n * nb) as u64);
-            let mut au = a0.clone();
-            let fu = sytd2(&mut au);
-            let mut ab = a0.clone();
-            let fb = sytrd(&mut ab, nb);
-            for i in 0..n {
-                assert!((fu.d[i] - fb.d[i]).abs() < 1e-11, "n={n} nb={nb} d[{i}]");
-            }
-            for i in 0..n - 1 {
-                assert!((fu.e[i] - fb.e[i]).abs() < 1e-11, "n={n} nb={nb} e[{i}]");
-            }
-            for (x, y) in fu.tau.iter().zip(&fb.tau) {
-                assert!((x - y).abs() < 1e-11, "n={n} nb={nb} tau");
-            }
-            let diff = ft_matrix::max_abs_diff(&fu.packed, &fb.packed);
-            assert!(diff < 1e-10, "n={n} nb={nb}: packed diff {diff}");
-        }
-    }
-
-    #[test]
-    fn blocked_sytrd_residuals() {
-        let n = 80;
-        let a0 = ft_matrix::random::symmetric(n, 123);
-        let mut a = a0.clone();
-        let f = sytrd(&mut a, 16);
-        verify(&a0, &f, 1e-12 * n as f64);
     }
 
     #[test]

@@ -80,14 +80,6 @@ pub fn triangular_with_eigenvalues(diag: &[f64], seed: u64) -> Matrix {
     a
 }
 
-/// Scales entries to a given magnitude (useful to exercise the detection
-/// threshold at different data scales).
-pub fn uniform_scaled(rows: usize, cols: usize, scale: f64, seed: u64) -> Matrix {
-    let mut a = uniform(rows, cols, seed);
-    a.scale(scale);
-    a
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Job vocabulary: what callers submit and what they get back.
 
 use crate::oneshot::OneShot;
-use ft_fault::{CampaignConfig, FaultPlan, Moment, Region};
+use ft_fault::FaultPlan;
 use ft_hessenberg::{FailureReason, FtConfig, FtReport, HessFactorization};
 use ft_hybrid::ExecMode;
 use ft_matrix::Matrix;
@@ -51,39 +51,14 @@ pub enum FaultSpec {
     None,
     /// An explicit plan (tests, targeted experiments).
     Plan(FaultPlan),
-    /// One cell of a seeded fault campaign: the plan is derived
-    /// deterministically per job via [`CampaignConfig::trial`], so a job
-    /// spec carries the (cheap, cloneable) campaign description instead of
-    /// a materialized plan.
-    Campaign {
-        /// The campaign description (n/nb/seed/magnitude).
-        config: CampaignConfig,
-        /// Region to strike.
-        region: Region,
-        /// Moment to strike at.
-        moment: Moment,
-        /// Trial index within the cell.
-        trial_index: usize,
-    },
 }
 
 impl FaultSpec {
-    /// Builds the per-run plan. Campaign cells that do not exist at the
-    /// requested moment (e.g. Area 1 at the very beginning) degrade to a
-    /// fault-free plan.
+    /// Builds the per-run plan.
     pub fn materialize(&self) -> FaultPlan {
         match self {
             FaultSpec::None => FaultPlan::none(),
             FaultSpec::Plan(p) => p.clone(),
-            FaultSpec::Campaign {
-                config,
-                region,
-                moment,
-                trial_index,
-            } => config
-                .trial(*region, *moment, *trial_index)
-                .map(|t| t.plan)
-                .unwrap_or_else(FaultPlan::none),
         }
     }
 }

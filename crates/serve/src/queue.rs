@@ -103,11 +103,6 @@ impl<T> BoundedQueue<T> {
         [g.lanes[0].len(), g.lanes[1].len(), g.lanes[2].len()]
     }
 
-    /// `true` once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Non-blocking push: fails with [`SubmitError::QueueFull`] at
     /// capacity or [`SubmitError::Closed`] after close, handing the item
     /// back either way.

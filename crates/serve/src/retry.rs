@@ -1,8 +1,9 @@
 //! FT-aware retry: escalate protection before giving up.
 //!
 //! A job whose run reports unrecoverable corruption
-//! ([`ft_hessenberg::FailureReason`]: recovery-attempt exhaustion or an
-//! unresolvable final check) is not failed immediately — it is re-run with
+//! ([`ft_hessenberg::FailureReason`]: recovery-attempt exhaustion, an
+//! unresolved recovery episode or an unresolvable final check) is not
+//! failed immediately — it is re-run with
 //! *escalated* protection under capped exponential backoff. Escalation is
 //! monotone along every protection axis the driver exposes:
 //!
@@ -13,8 +14,10 @@
 //! * `max_recovery_attempts` raised (the exhaustion that triggered the
 //!   retry gets more rollback/repair/re-execute budget);
 //! * the checksum accumulation scheme upgraded to the compensated
-//!   (Neumaier) summation, which tightens `Sre`/`Sce` drift and with it
-//!   the effective detection resolution.
+//!   (Neumaier) summation, which changes the rounding of the initial
+//!   encode and of the two aggregate sums `Sre` and `Sce`. The detection
+//!   threshold does not depend on the scheme
+//!   ([`ft_hessenberg::ThresholdPolicy::resolve`]).
 
 use ft_hessenberg::FtConfig;
 use ft_hybrid::ExecMode;

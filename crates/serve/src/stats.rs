@@ -253,11 +253,6 @@ impl ServiceStats {
     pub fn latency_of(&self, p: Priority) -> &PriorityLatency {
         &self.latency[p.index()]
     }
-
-    /// Latency breakdown of one priority class.
-    pub fn lanes_of(&self, p: Priority) -> &LaneLatencies {
-        &self.lanes[p.index()]
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! priority scheduling, and both shutdown modes, all through the public
 //! API with real FT reductions underneath.
 
-use ft_fault::{Fault, FaultPlan};
+use ft_fault::{Fault, FaultPlan, Phase, ScheduledFault};
 use ft_hessenberg::{FailureReason, FtConfig};
 use ft_hybrid::ExecMode;
 use ft_serve::{
@@ -93,6 +93,29 @@ fn exhausted_retries_fail_with_report() {
     let stats = svc.shutdown(Shutdown::Drain);
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.retries, 0);
+}
+
+#[test]
+fn unresolved_recovery_fails_after_every_attempt() {
+    // A cancelling pair in one trailing column: no attempt can locate it,
+    // and escalation does not change that, so the job fails with its
+    // report once the retry budget is spent.
+    let svc = small_service(1);
+    let mut s = JobSpec::new(ft_matrix::random::uniform(64, 64, 11));
+    s.cfg = FtConfig::with_nb(16);
+    let strike = |row, delta| ScheduledFault {
+        iteration: 1,
+        phase: Phase::IterationStart,
+        fault: Fault::add(row, 50, delta),
+    };
+    s.faults = FaultSpec::Plan(FaultPlan::new(vec![strike(40, 0.5), strike(50, -0.5)]));
+    let r = svc.try_submit(s).unwrap().wait();
+    assert!(matches!(r.status, JobStatus::Failed(_)), "{:?}", r.status);
+    assert_eq!(r.attempts, 1 + RetryPolicy::default().max_retries);
+    assert!(r.report.is_some_and(|rep| rep.any_unresolved()));
+    assert!(r.result.is_none());
+    let stats = svc.shutdown(Shutdown::Drain);
+    assert_eq!(stats.failed, 1);
 }
 
 #[test]
