@@ -79,8 +79,8 @@ pub struct JobSpec {
     /// Priority class.
     pub priority: Priority,
     /// Deadline relative to submission; `None` uses the service default.
-    /// A job that is still queued (or between retry attempts) past its
-    /// deadline completes with [`JobStatus::DeadlineMissed`].
+    /// A job that is still queued (or waiting out a retry backoff) past
+    /// its deadline completes with [`JobStatus::DeadlineMissed`].
     pub deadline: Option<Duration>,
 }
 
@@ -123,13 +123,17 @@ pub struct JobId(pub u64);
 pub enum JobStatus {
     /// The run verified clean (possibly after recoveries and/or retries).
     Completed,
-    /// Every attempt reported unrecoverable corruption; the last reason.
+    /// Every attempt reported unrecoverable corruption, or the next
+    /// retry's backoff would end past the deadline; the last reason.
     Failed(FailureReason),
-    /// The deadline passed before the job could run (or between retry
-    /// attempts).
+    /// The deadline passed before the job's first attempt or its next
+    /// retry started. A retry that misses it keeps its attempt count and
+    /// last report.
     DeadlineMissed,
     /// The service was shut down with [`crate::Shutdown::Abort`] while the
-    /// job was still queued.
+    /// job was queued or waiting out a retry backoff, or while a failed
+    /// attempt was running (no attempt starts after an abort). A job
+    /// canceled between retries keeps its attempt count and last report.
     Canceled,
 }
 
@@ -157,7 +161,8 @@ pub struct JobResult {
     /// The factorization from the last successful run (`None` for
     /// timing-only jobs and non-completed statuses).
     pub result: Option<HessFactorization>,
-    /// Time spent queued before the first run started, microseconds.
+    /// Time spent queued before the first run started (the whole wait of
+    /// a job that never ran), microseconds. Retry backoffs are not in it.
     pub queue_us: u64,
     /// Submit-to-completion latency, microseconds.
     pub total_us: u64,
@@ -215,7 +220,15 @@ impl std::fmt::Debug for JobHandle {
     }
 }
 
-/// A job as it sits in the queue: the spec plus service-side bookkeeping.
+/// A job as it sits in the queue: the spec plus service-side bookkeeping,
+/// retry state included.
+///
+/// A worker runs one attempt per pop. A job whose attempt failed with
+/// retries left goes back to the queue with its backoff as the delay
+/// ([`crate::BoundedQueue::readmit`]), carrying what the next attempt and
+/// the final [`JobResult`] need: `spec.cfg` and `spec.exec` hold the
+/// escalated protection ([`crate::RetryPolicy::escalate`]), plus the
+/// fields below.
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
     pub(crate) id: JobId,
@@ -224,4 +237,14 @@ pub(crate) struct QueuedJob {
     pub(crate) submitted: Instant,
     /// Absolute deadline resolved at submission time.
     pub(crate) deadline: Option<Instant>,
+    /// Executed attempts.
+    pub(crate) attempts: u32,
+    /// Wait before the first attempt, µs (set when a worker first picks
+    /// the job up).
+    pub(crate) queue_us: u64,
+    /// When the last failed attempt ended: the start of the retry's
+    /// measured backoff wait (`None` before the first attempt).
+    pub(crate) failed_at: Option<Instant>,
+    /// The last attempt's report.
+    pub(crate) report: Option<FtReport>,
 }

@@ -20,16 +20,21 @@
 //!   the full FT driver ([`ft_hessenberg::ft_gehrd_hybrid`]) on a fresh
 //!   simulator context per job.
 //! * **Deadlines** — absolute, resolved at submission; a job whose
-//!   deadline passes while queued (or between retries) resolves to
-//!   [`JobStatus::DeadlineMissed`] without burning executor time.
+//!   deadline passes while queued (or while a retry waits out its
+//!   backoff) resolves to [`JobStatus::DeadlineMissed`] without burning
+//!   executor time.
 //! * **FT-aware retries** — a run that reports unrecoverable corruption
 //!   is re-run under escalated protection ([`RetryPolicy`]: TimingOnly →
 //!   Full, `protect_q` on, larger recovery budget, compensated checksums)
-//!   with capped exponential backoff before the job is failed — and a
-//!   failed job always carries its last [`ft_hessenberg::FtReport`].
+//!   after a capped exponential backoff before the job is failed — and a
+//!   failed job always carries its last [`ft_hessenberg::FtReport`]. The
+//!   backoff is waited out in the queue ([`BoundedQueue::readmit`]), not
+//!   on an executor: the worker moves on to the next job, and the retry
+//!   joins the back of its priority lane once due.
 //! * **Shutdown** — [`Service::shutdown`] with [`Shutdown::Drain`] (run
-//!   everything queued) or [`Shutdown::Abort`] (cancel the queue, finish
-//!   only in-flight jobs).
+//!   everything queued, waiting retries included) or [`Shutdown::Abort`]
+//!   (cancel the queue, waiting retries included; finish only the
+//!   attempts in flight).
 //! * **Observability** — [`Service::stats`] snapshots
 //!   ([`ServiceStats`]), mirrored into the `ft-trace` registry as the
 //!   `serve.*` counters/gauges.

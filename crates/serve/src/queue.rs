@@ -3,20 +3,33 @@
 //! Admission control is the backpressure mechanism: [`BoundedQueue::try_push`]
 //! fails fast with [`SubmitError::QueueFull`] when the queue is at
 //! capacity, and [`BoundedQueue::push_timeout`] blocks the caller until a
-//! slot frees (bounded by the timeout). Capacity counts *queued* jobs
-//! only — jobs being executed have left the queue.
+//! slot frees (bounded by the timeout). Capacity counts *queued* items —
+//! re-admitted ones still waiting out their delay included; jobs being
+//! executed have left the queue.
+//!
+//! [`BoundedQueue::readmit`] hands an admitted item back with a delay
+//! (the service's retry backoff). It keeps its admission: it is never
+//! refused for capacity, nor after [`BoundedQueue::close`]. Until it
+//! comes due it waits outside the lanes, counted in [`BoundedQueue::len`],
+//! [`BoundedQueue::lane_lens`] and against capacity.
 //!
 //! Ordering contract (pinned by `tests/queue_properties.rs`):
 //!
 //! * strict priority across lanes: a pop always returns the oldest item of
 //!   the highest non-empty lane;
 //! * FIFO within a lane;
+//! * a re-admitted item joins the *back* of its lane when a pop first
+//!   finds it due, so it never runs ahead of an item already waiting
+//!   there; items that come due together join in due order;
 //! * close/drain: after [`BoundedQueue::close`], pushes fail with
-//!   [`SubmitError::Closed`]; pops drain the remaining items and then
-//!   return `None` — no item is lost or duplicated.
+//!   [`SubmitError::Closed`]; pops drain the remaining items, sleeping
+//!   until waiting ones come due, and then return `None` — no item is
+//!   lost or duplicated;
+//! * abort: [`BoundedQueue::close_and_drain`] removes every item, waiting
+//!   ones included, and a later re-admission hands its item back.
 
 use crate::job::Priority;
-use crate::sync::{Condvar, Instant, Mutex};
+use crate::sync::{Condvar, Instant, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -48,14 +61,57 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// Queue state under a poisoned mutex cannot honor the no-loss close
+/// contract, so every lock and wait aborts on poisoning.
+const POISONED: &str = "ft-serve queue mutex poisoned";
+
+/// What the queue still accepts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Gate {
+    /// Pushes and re-admissions.
+    Open,
+    /// Re-admissions only ([`BoundedQueue::close`]).
+    Closed,
+    /// Nothing ([`BoundedQueue::close_and_drain`]).
+    Aborted,
+}
+
+/// A re-admitted item waiting for its due time.
+struct Waiting<T> {
+    due: Instant,
+    lane: usize,
+    item: T,
+}
+
 struct Inner<T> {
     lanes: [VecDeque<T>; 3],
+    /// Re-admitted items not yet moved to their lane, sorted by due time
+    /// (FIFO among equal due times).
+    waiting: Vec<Waiting<T>>,
+    /// Lane items plus waiting items.
     len: usize,
-    closed: bool,
+    gate: Gate,
+}
+
+impl<T> Inner<T> {
+    /// Moves every waiting item due by `now` to the back of its lane, in
+    /// due order.
+    fn promote_due(&mut self, now: Instant) {
+        let due = self.waiting.partition_point(|w| w.due <= now);
+        for w in self.waiting.drain(..due) {
+            self.lanes[w.lane].push_back(w.item);
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let item = self.lanes.iter_mut().find_map(VecDeque::pop_front)?;
+        self.len -= 1;
+        Some(item)
+    }
 }
 
 /// Bounded MPMC priority queue (three strict-priority lanes, FIFO within
-/// each).
+/// each, plus delayed re-admission).
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_full: Condvar,
@@ -69,8 +125,9 @@ impl<T> BoundedQueue<T> {
         BoundedQueue {
             inner: Mutex::new(Inner {
                 lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+                waiting: Vec::new(),
                 len: 0,
-                closed: false,
+                gate: Gate::Open,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -78,14 +135,18 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().expect(POISONED)
+    }
+
     /// The admission capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Currently queued items.
+    /// Currently queued items, waiting re-admissions included.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len
+        self.lock().len
     }
 
     /// `true` when nothing is queued.
@@ -93,22 +154,26 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// Currently queued items per priority lane, indexed by
-    /// [`Priority::index`] (the per-lane depth gauges' source). Workers
-    /// call this to refresh gauges and must not panic here; a poisoned
-    /// lock still yields the lengths, since every lane's length is valid
-    /// at every step of every update.
+    /// Currently queued items per priority lane, waiting re-admissions
+    /// included, indexed by [`Priority::index`] (the per-lane depth
+    /// gauges' source). Workers call this to refresh gauges and must not
+    /// panic here; a poisoned lock still yields the lengths, since they
+    /// are counted from the lanes and the waiting list themselves.
     pub fn lane_lens(&self) -> [usize; 3] {
         let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        [g.lanes[0].len(), g.lanes[1].len(), g.lanes[2].len()]
+        let mut lens = [g.lanes[0].len(), g.lanes[1].len(), g.lanes[2].len()];
+        for w in &g.waiting {
+            lens[w.lane] += 1;
+        }
+        lens
     }
 
     /// Non-blocking push: fails with [`SubmitError::QueueFull`] at
     /// capacity or [`SubmitError::Closed`] after close, handing the item
     /// back either way.
     pub fn try_push(&self, priority: Priority, item: T) -> Result<(), (SubmitError, T)> {
-        let mut g = self.inner.lock().unwrap();
-        if g.closed {
+        let mut g = self.lock();
+        if g.gate != Gate::Open {
             return Err((SubmitError::Closed, item));
         }
         if g.len >= self.capacity {
@@ -131,9 +196,9 @@ impl<T> BoundedQueue<T> {
         timeout: Duration,
     ) -> Result<(), (SubmitError, T)> {
         let deadline = Instant::now() + timeout;
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         loop {
-            if g.closed {
+            if g.gate != Gate::Open {
                 return Err((SubmitError::Closed, item));
             }
             if g.len < self.capacity {
@@ -147,45 +212,76 @@ impl<T> BoundedQueue<T> {
             if now >= deadline {
                 return Err((SubmitError::Timeout, item));
             }
-            let (guard, _res) = self.not_full.wait_timeout(g, deadline - now).unwrap();
+            let (guard, _res) = self
+                .not_full
+                .wait_timeout(g, deadline - now)
+                .expect(POISONED);
             g = guard;
         }
     }
 
-    fn pop_locked(g: &mut Inner<T>) -> Option<T> {
-        for lane in g.lanes.iter_mut() {
-            if let Some(item) = lane.pop_front() {
-                g.len -= 1;
-                return Some(item);
-            }
+    /// Hands an admitted item back, to pop again no sooner than `delay`
+    /// from now, from the back of its lane. Never refused for capacity
+    /// or after [`BoundedQueue::close`]; after
+    /// [`BoundedQueue::close_and_drain`] the item is handed back, since
+    /// nothing may start after an abort.
+    pub fn readmit(&self, priority: Priority, item: T, delay: Duration) -> Result<(), T> {
+        let mut g = self.lock();
+        if g.gate == Gate::Aborted {
+            return Err(item);
         }
-        None
+        let due = Instant::now() + delay;
+        let at = g.waiting.partition_point(|w| w.due <= due);
+        g.waiting.insert(
+            at,
+            Waiting {
+                due,
+                lane: priority.index(),
+                item,
+            },
+        );
+        g.len += 1;
+        drop(g);
+        if at == 0 {
+            // A new earliest due time: every sleeping popper re-times its
+            // sleep, so whichever stays idle wakes when the item is due.
+            self.not_empty.notify_all();
+        }
+        Ok(())
     }
 
     /// Blocking pop: returns the oldest item of the highest non-empty
-    /// lane, or `None` once the queue is closed *and* drained (the worker
-    /// exit signal).
+    /// lane (after moving due re-admissions to the back of their lanes),
+    /// or `None` once the queue is closed *and* drained, waiting items
+    /// included (the worker exit signal).
     pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().unwrap();
+        let mut g = self.lock();
         loop {
-            if let Some(item) = Self::pop_locked(&mut g) {
+            let now = Instant::now();
+            g.promote_due(now);
+            if let Some(item) = g.pop_front() {
                 drop(g);
                 self.not_full.notify_one();
                 return Some(item);
             }
-            if g.closed {
-                return None;
-            }
-            g = self.not_empty.wait(g).unwrap();
+            // Every item still waiting is due after `now`: sleep until the
+            // earliest one is, or until a push, re-admission or close.
+            g = match g.waiting.first().map(|w| w.due - now) {
+                Some(until_due) => self.not_empty.wait_timeout(g, until_due).expect(POISONED).0,
+                None if g.gate != Gate::Open => return None,
+                None => self.not_empty.wait(g).expect(POISONED),
+            };
         }
     }
 
     /// Closes the queue: subsequent pushes fail with
-    /// [`SubmitError::Closed`]; queued items remain poppable (drain
-    /// semantics). Idempotent.
+    /// [`SubmitError::Closed`]; queued and waiting items remain poppable
+    /// and re-admissions are still accepted (drain semantics). Idempotent.
     pub fn close(&self) {
-        let mut g = self.inner.lock().unwrap();
-        g.closed = true;
+        let mut g = self.lock();
+        if g.gate == Gate::Open {
+            g.gate = Gate::Closed;
+        }
         drop(g);
         // Wake every waiter: blocked pushers must fail, blocked poppers
         // must re-check the drain condition.
@@ -194,14 +290,19 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue and removes everything still queued (abort
-    /// semantics), returning the removed items in pop order.
+    /// semantics), returning the removed items: the lanes in pop order,
+    /// then the waiting items in due order. Later re-admissions are
+    /// handed back.
     pub fn close_and_drain(&self) -> Vec<T> {
-        let mut g = self.inner.lock().unwrap();
-        g.closed = true;
-        let mut out = Vec::with_capacity(g.len);
-        while let Some(item) = Self::pop_locked(&mut g) {
-            out.push(item);
+        let mut g = self.lock();
+        let inner = &mut *g;
+        inner.gate = Gate::Aborted;
+        let mut out = Vec::with_capacity(inner.len);
+        for lane in &mut inner.lanes {
+            out.extend(lane.drain(..));
         }
+        out.extend(inner.waiting.drain(..).map(|w| w.item));
+        inner.len = 0;
         drop(g);
         self.not_full.notify_all();
         self.not_empty.notify_all();
@@ -279,8 +380,27 @@ mod tests {
         let q = BoundedQueue::new(4);
         q.try_push(Priority::Low, 1).unwrap();
         q.try_push(Priority::High, 2).unwrap();
-        assert_eq!(q.close_and_drain(), vec![2, 1]);
+        q.readmit(Priority::High, 3, Duration::from_secs(3600))
+            .unwrap();
+        assert_eq!(q.close_and_drain(), vec![2, 1, 3]);
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+        assert_eq!(q.readmit(Priority::High, 4, Duration::ZERO), Err(4));
+    }
+
+    #[test]
+    fn readmission_skips_capacity_and_counts_against_it() {
+        let q = BoundedQueue::new(1);
+        q.try_push(Priority::Normal, 1).unwrap();
+        q.readmit(Priority::Normal, 2, Duration::from_secs(3600))
+            .unwrap();
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.lane_lens(), [0, 2, 0]);
+        let (e, _) = q.try_push(Priority::Normal, 3).unwrap_err();
+        assert_eq!(e, SubmitError::QueueFull);
+        assert_eq!(q.pop(), Some(1));
+        // The waiting item still holds the one slot.
+        let (e, _) = q.try_push(Priority::High, 4).unwrap_err();
+        assert_eq!(e, SubmitError::QueueFull);
     }
 }

@@ -4,7 +4,10 @@
 //! ([`ft_hessenberg::FailureReason`]: recovery-attempt exhaustion, an
 //! unresolved recovery episode or an unresolvable final check) is not
 //! failed immediately — it is re-run with
-//! *escalated* protection under capped exponential backoff. Escalation is
+//! *escalated* protection under capped exponential backoff. The backoff
+//! is a due time, not a sleep: the service re-admits the job to its queue
+//! ([`crate::BoundedQueue::readmit`]) and the worker takes the next job;
+//! once due, the retry joins the back of its priority lane. Escalation is
 //! monotone along every protection axis the driver exposes:
 //!
 //! * `TimingOnly → Full` execution (a timing-only estimate that signalled
@@ -28,7 +31,8 @@ use std::time::Duration;
 pub struct RetryPolicy {
     /// Extra attempts after the first run (0 disables retries).
     pub max_retries: u32,
-    /// Backoff before retry attempt 1.
+    /// Backoff before retry attempt 1: the least time the re-admitted
+    /// job waits in the queue before it can run again.
     pub backoff_base: Duration,
     /// Ceiling for the exponential backoff.
     pub backoff_cap: Duration,

@@ -5,8 +5,9 @@
 //!
 //! [`Service::start`] spawns a fixed set of executor worker threads. Each
 //! worker loops on the shared [`BoundedQueue`]: pop the next job (strict
-//! priority, FIFO within a class), run the FT reduction on a fresh
-//! simulator context, fulfill the caller's handle. Capacity is enforced at
+//! priority, FIFO within a class), run one attempt of the FT reduction on
+//! a fresh simulator context, then fulfill the caller's handle or hand the
+//! job back for a retry. Capacity is enforced at
 //! the queue, so admission control *is* the backpressure mechanism —
 //! [`Service::try_submit`] fails fast with [`SubmitError::QueueFull`] and
 //! [`Service::submit`] blocks (bounded) for a slot.
@@ -25,14 +26,22 @@
 //!
 //! # Deadlines and FT-aware retries
 //!
-//! A job whose absolute deadline passes while it is still queued (or
-//! between retry attempts) completes with [`JobStatus::DeadlineMissed`]
-//! without running. A run that reports unrecoverable corruption
-//! ([`FtOutcome::failure`](ft_hessenberg::FtOutcome) set) is retried under
-//! [`RetryPolicy`]: capped exponential backoff, protection escalated each
-//! attempt (TimingOnly→Full, `protect_q` on, more recovery attempts,
-//! compensated checksums). Only when the retry budget — or the deadline —
-//! is exhausted does the job fail, and it always carries the last
+//! A worker runs one attempt per pop. A run that reports unrecoverable
+//! corruption ([`FtOutcome::failure`](ft_hessenberg::FtOutcome) set) is
+//! retried under [`RetryPolicy`], with protection escalated each attempt
+//! (TimingOnly→Full, `protect_q` on, more recovery attempts, compensated
+//! checksums): the job goes back to the queue
+//! ([`BoundedQueue::readmit`]) due after the capped exponential backoff,
+//! and the worker pops the next job at once. A due retry joins the back
+//! of its priority lane, behind the jobs already waiting there, so one
+//! job's recovery is not paid by the jobs queued behind it.
+//!
+//! A job whose absolute deadline passes before an attempt starts — while
+//! queued or while its retry waits — completes with
+//! [`JobStatus::DeadlineMissed`] without running (a retry keeps its
+//! attempt count and last report). A retry whose backoff alone would end
+//! past the deadline is not re-admitted: the job fails with its reason.
+//! A failed job always carries the last
 //! [`FtReport`](ft_hessenberg::FtReport) so the caller can see what the
 //! detector saw.
 
@@ -43,7 +52,7 @@ use crate::queue::{BoundedQueue, SubmitError};
 use crate::retry::RetryPolicy;
 use crate::stats::{trace_hooks, ServiceCounters, ServiceStats};
 use ft_blas::Backend;
-use ft_hessenberg::ft_gehrd_hybrid;
+use ft_hessenberg::{ft_gehrd_hybrid, HessFactorization};
 use ft_hybrid::{CostModel, HybridCtx};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,11 +155,13 @@ impl ServiceConfig {
 /// How [`Service::shutdown`] treats queued jobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Shutdown {
-    /// Stop admitting, run everything already queued, then stop.
+    /// Stop admitting, run everything already queued (retries waiting
+    /// out their backoff included), then stop.
     Drain,
     /// Stop admitting, complete queued jobs as
-    /// [`JobStatus::Canceled`] without running them, finish only the jobs
-    /// already executing.
+    /// [`JobStatus::Canceled`] without running them, finish only the
+    /// attempts already executing. A waiting retry, or one handed back
+    /// by an attempt that fails after the abort, is canceled too.
     Abort,
 }
 
@@ -258,6 +269,10 @@ impl Service {
             slot: Arc::new(OneShot::new()),
             submitted: now,
             spec,
+            attempts: 0,
+            queue_us: 0,
+            failed_at: None,
+            report: None,
         };
         let handle = JobHandle {
             id: job.id,
@@ -271,8 +286,7 @@ impl Service {
                     .submitted
                     .fetch_add(1, Ordering::Relaxed);
                 hooks.submitted.incr();
-                hooks.queue_depth.set(self.inner.queue.len() as u64);
-                sync_lane_depths(&self.inner.queue);
+                sync_depths(&self.inner.queue);
                 Ok(handle)
             }
             Err(e) => {
@@ -322,9 +336,10 @@ impl Service {
     }
 
     /// Stops the service and joins every worker. `Drain` runs all queued
-    /// jobs first; `Abort` cancels them (their handles resolve to
-    /// [`JobStatus::Canceled`]). Jobs already executing finish either
-    /// way. Returns the final statistics snapshot.
+    /// jobs first, waiting retries included; `Abort` cancels them (their
+    /// handles resolve to [`JobStatus::Canceled`]). Attempts already
+    /// executing finish either way. Returns the final statistics
+    /// snapshot.
     pub fn shutdown(mut self, mode: Shutdown) -> ServiceStats {
         self.stop(mode);
         let stats = self.stats();
@@ -333,33 +348,21 @@ impl Service {
     }
 
     fn stop(&mut self, mode: Shutdown) {
-        let hooks = trace_hooks();
         match mode {
             Shutdown::Drain => self.inner.queue.close(),
             Shutdown::Abort => {
                 for job in self.inner.queue.close_and_drain() {
-                    let c = &self.inner.counters;
-                    c.canceled.fetch_add(1, Ordering::Relaxed);
-                    hooks.canceled.incr();
-                    let us = elapsed_us(job.submitted);
-                    job.slot.set(JobResult {
-                        id: job.id,
-                        priority: job.spec.priority,
-                        status: JobStatus::Canceled,
-                        attempts: 0,
-                        report: None,
-                        result: None,
-                        queue_us: us,
-                        total_us: us,
-                    });
+                    finish(&self.inner, job, JobStatus::Canceled, None);
                 }
             }
         }
-        hooks.queue_depth.set(0);
-        sync_lane_depths(&self.inner.queue);
+        sync_depths(&self.inner.queue);
         for h in self.workers.drain(..) {
             h.join().expect("ft-serve: executor worker panicked");
         }
+        // Workers refresh the gauges concurrently, so the last write may
+        // be stale; the drained queue is empty now.
+        sync_depths(&self.inner.queue);
         // Final telemetry flush: persist the flight recorder (no-op
         // unless a dump path is configured) and stop the endpoint.
         let _ = ft_trace::recorder::dump("shutdown");
@@ -377,102 +380,125 @@ impl Drop for Service {
     }
 }
 
-fn elapsed_us(since: Instant) -> u64 {
-    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Mirrors the per-lane queue depths into the `serve.queue_depth_*`
-/// gauges (called whenever the queue's composition changes).
-fn sync_lane_depths(queue: &BoundedQueue<QueuedJob>) {
+fn elapsed_us(since: Instant) -> u64 {
+    micros(since.elapsed())
+}
+
+/// Mirrors the queue's total and per-lane depths (waiting retries
+/// included) into the `serve.queue_depth*` gauges; called whenever the
+/// queue's composition changes.
+fn sync_depths(queue: &BoundedQueue<QueuedJob>) {
     let hooks = trace_hooks();
     let lens = queue.lane_lens();
+    hooks.queue_depth.set(lens.iter().sum::<usize>() as u64);
     for (gauge, len) in hooks.lane_depth.iter().zip(lens) {
         gauge.set(len as u64);
     }
 }
 
 // ft-check: worker-loop
-/// Executes one job on the calling worker thread: deadline gate, run,
-/// escalated retries, handle fulfillment, accounting.
-fn run_job(inner: &ServiceInner, backend: Backend, job: QueuedJob) {
+/// Runs one attempt of `job` on the calling worker: the deadline gate,
+/// the FT reduction, then either the job's terminal result or — when the
+/// run failed and retries are left — its re-admission to the queue, due
+/// after the backoff. The worker never sleeps a backoff.
+fn run_job(inner: &ServiceInner, backend: Backend, mut job: QueuedJob) {
     let hooks = trace_hooks();
     let c = &inner.counters;
+    sync_depths(&inner.queue);
+    let lane = job.spec.priority.index();
+    let picked_up = Instant::now();
+    match job.failed_at {
+        None => {
+            job.queue_us = micros(picked_up.duration_since(job.submitted));
+            c.latency[lane].queue_wait.record(job.queue_us);
+            hooks.queue_wait[lane].record(job.queue_us);
+        }
+        Some(failed_at) => {
+            let waited_us = micros(picked_up.duration_since(failed_at));
+            c.latency[lane].backoff.record(waited_us);
+            hooks.backoff[lane].record(waited_us);
+        }
+    }
+    if job.deadline.is_some_and(|d| picked_up >= d) {
+        return finish(inner, job, JobStatus::DeadlineMissed, None);
+    }
+
     let in_flight = c.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
     hooks.in_flight.set(in_flight);
-    hooks.queue_depth.set(inner.queue.len() as u64);
-    sync_lane_depths(&inner.queue);
-
-    let QueuedJob {
-        id,
-        spec,
-        slot,
-        submitted,
-        deadline,
-    } = job;
-    let lane = spec.priority.index();
-    let queue_us = elapsed_us(submitted);
-    c.latency[lane].queue_wait.record(queue_us);
-    hooks.queue_wait[lane].record(queue_us);
-    let mut cfg = spec.cfg;
-    cfg.backend = backend;
-    let mut exec = spec.exec;
-    let mut attempts = 0u32;
-    let mut report = None;
-    let mut result = None;
-
-    let status = loop {
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            break JobStatus::DeadlineMissed;
-        }
-        // Every span, counter delta, and journal record below — on this
-        // thread and on any pool worker it dispatches to — is tagged
-        // with this job's id and the 0-based attempt number.
+    let (out, exec_us) = {
+        // Every span, counter delta, and journal record of the attempt —
+        // on this thread and on any pool worker it dispatches to — is
+        // tagged with this job's id and the 0-based attempt number.
         let _trace_ctx = ft_trace::ctx::push(ft_trace::TraceCtx {
-            job_id: id.0,
-            attempt: attempts,
+            job_id: job.id.0,
+            attempt: job.attempts,
         });
-        let _span = ft_trace::span!("serve.run", attempts as usize);
-        let mut plan = spec.faults.materialize();
-        let mut ctx = HybridCtx::new(inner.cost.clone(), exec, 2);
+        let _span = ft_trace::span!("serve.run", job.attempts as usize);
+        let mut plan = job.spec.faults.materialize();
+        let mut ctx = HybridCtx::new(inner.cost.clone(), job.spec.exec, 2);
         ctx.set_host_parallelism(backend.threads() as f64);
+        let mut cfg = job.spec.cfg;
+        cfg.backend = backend;
         let exec_started = Instant::now();
         let out = ft_blas::with_backend(backend, || {
-            ft_gehrd_hybrid(&spec.matrix, &cfg, &mut ctx, &mut plan)
+            ft_gehrd_hybrid(&job.spec.matrix, &cfg, &mut ctx, &mut plan)
         });
-        let exec_us = elapsed_us(exec_started);
-        c.latency[lane].exec.record(exec_us);
-        hooks.exec[lane].record(exec_us);
-        attempts += 1;
-        report = Some(out.report);
-        let Some(reason) = out.failure else {
-            result = out.result;
-            break JobStatus::Completed;
-        };
-        // attempts counts executed runs; the budget is 1 + max_retries.
-        if attempts > inner.retry.max_retries {
-            break JobStatus::Failed(reason);
-        }
-        let backoff = inner.retry.backoff(attempts);
-        if deadline.is_some_and(|d| Instant::now() + backoff >= d) {
-            break JobStatus::Failed(reason);
-        }
-        c.retries.fetch_add(1, Ordering::Relaxed);
-        hooks.retries.incr();
-        let backoff_us = u64::try_from(backoff.as_micros()).unwrap_or(u64::MAX);
-        c.latency[lane].backoff.record(backoff_us);
-        hooks.backoff[lane].record(backoff_us);
-        std::thread::sleep(backoff);
-        let (next_cfg, next_exec) = RetryPolicy::escalate(&cfg, exec);
-        cfg = next_cfg;
-        cfg.backend = backend;
-        exec = next_exec;
+        (out, elapsed_us(exec_started))
     };
+    c.latency[lane].exec.record(exec_us);
+    hooks.exec[lane].record(exec_us);
+    for (hist, (_, secs)) in hooks.phase[lane].iter().zip(out.report.phases.rows()) {
+        hist.record((secs * 1e6).round() as u64);
+    }
+    let in_flight = c.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
+    hooks.in_flight.set(in_flight);
+    job.attempts += 1;
+    job.report = Some(out.report);
 
-    let total_us = elapsed_us(submitted);
+    let Some(reason) = out.failure else {
+        return finish(inner, job, JobStatus::Completed, out.result);
+    };
+    // attempts counts executed runs; the budget is 1 + max_retries.
+    if job.attempts > inner.retry.max_retries {
+        return finish(inner, job, JobStatus::Failed(reason), None);
+    }
+    let backoff = inner.retry.backoff(job.attempts);
+    let failed_at = Instant::now();
+    if job.deadline.is_some_and(|d| failed_at + backoff >= d) {
+        return finish(inner, job, JobStatus::Failed(reason), None);
+    }
+    (job.spec.cfg, job.spec.exec) = RetryPolicy::escalate(&job.spec.cfg, job.spec.exec);
+    job.failed_at = Some(failed_at);
+    c.retries.fetch_add(1, Ordering::Relaxed);
+    hooks.retries.incr();
+    match inner.queue.readmit(job.spec.priority, job, backoff) {
+        Ok(()) => sync_depths(&inner.queue),
+        // The service aborted while the attempt ran.
+        Err(job) => finish(inner, job, JobStatus::Canceled, None),
+    }
+}
+
+/// Resolves `job` with its terminal `status`: counts it (recording the
+/// end-to-end latency of a completed job) and fulfills the caller's
+/// handle with its attempt count and last report.
+fn finish(
+    inner: &ServiceInner,
+    job: QueuedJob,
+    status: JobStatus,
+    result: Option<HessFactorization>,
+) {
+    let hooks = trace_hooks();
+    let c = &inner.counters;
+    let total_us = elapsed_us(job.submitted);
     match status {
         JobStatus::Completed => {
             c.completed.fetch_add(1, Ordering::Relaxed);
             hooks.completed.incr();
+            let lane = job.spec.priority.index();
             c.latency[lane].total.record(total_us);
             hooks.latency[lane].record(total_us);
         }
@@ -488,20 +514,23 @@ fn run_job(inner: &ServiceInner, backend: Backend, job: QueuedJob) {
             hooks.deadline_missed.incr();
             let _ = ft_trace::recorder::dump("deadline_missed");
         }
-        // Cancellation happens on the shutdown path, never in a worker.
-        JobStatus::Canceled => unreachable!("workers never cancel"),
+        JobStatus::Canceled => {
+            c.canceled.fetch_add(1, Ordering::Relaxed);
+            hooks.canceled.incr();
+        }
     }
-    let in_flight = c.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-    hooks.in_flight.set(in_flight);
-
-    slot.set(JobResult {
-        id,
-        priority: spec.priority,
+    job.slot.set(JobResult {
+        id: job.id,
+        priority: job.spec.priority,
         status,
-        attempts,
-        report,
+        attempts: job.attempts,
+        report: job.report,
         result,
-        queue_us,
+        queue_us: if job.attempts == 0 {
+            total_us
+        } else {
+            job.queue_us
+        },
         total_us,
     });
 }

@@ -7,10 +7,13 @@
 //! Latency is accounted as four HDR histograms per priority lane
 //! (`ft_trace::Histogram`, ≤ 2⁻⁵ relative quantile error): end-to-end
 //! latency plus its three components — queue wait, execution, and retry
-//! backoff wait. Every observation lands twice: in the instance-owned
+//! backoff wait — so that per job `total ≈ queue_wait + Σ exec +
+//! Σ backoff`. Every observation lands twice: in the instance-owned
 //! histogram (the [`ServiceStats`] snapshot source, isolated per
 //! service) and in the registry histogram of the same name (the
-//! process-wide exposition source).
+//! process-wide exposition source). Each attempt's FT phase times
+//! (`FtReport::phases`) go to the registry only, as the per-lane
+//! `serve.phase.<phase>_<lane>` histograms.
 
 use crate::job::Priority;
 use ft_trace::{HistSnapshot, Histogram};
@@ -35,6 +38,9 @@ pub(crate) struct TraceHooks {
     pub queue_wait: [&'static Histogram; 3],
     pub exec: [&'static Histogram; 3],
     pub backoff: [&'static Histogram; 3],
+    /// Per lane, one histogram per `PhaseBreakdown::rows` entry, in that
+    /// order (µs per attempt).
+    pub phase: [[&'static Histogram; 8]; 3],
 }
 
 pub(crate) fn trace_hooks() -> &'static TraceHooks {
@@ -73,6 +79,38 @@ pub(crate) fn trace_hooks() -> &'static TraceHooks {
             ft_trace::histogram("serve.backoff_high"),
             ft_trace::histogram("serve.backoff_normal"),
             ft_trace::histogram("serve.backoff_low"),
+        ],
+        phase: [
+            [
+                ft_trace::histogram("serve.phase.encode_high"),
+                ft_trace::histogram("serve.phase.panel_high"),
+                ft_trace::histogram("serve.phase.trailing_high"),
+                ft_trace::histogram("serve.phase.detect_high"),
+                ft_trace::histogram("serve.phase.reverse_high"),
+                ft_trace::histogram("serve.phase.locate_high"),
+                ft_trace::histogram("serve.phase.correct_high"),
+                ft_trace::histogram("serve.phase.qprotect_high"),
+            ],
+            [
+                ft_trace::histogram("serve.phase.encode_normal"),
+                ft_trace::histogram("serve.phase.panel_normal"),
+                ft_trace::histogram("serve.phase.trailing_normal"),
+                ft_trace::histogram("serve.phase.detect_normal"),
+                ft_trace::histogram("serve.phase.reverse_normal"),
+                ft_trace::histogram("serve.phase.locate_normal"),
+                ft_trace::histogram("serve.phase.correct_normal"),
+                ft_trace::histogram("serve.phase.qprotect_normal"),
+            ],
+            [
+                ft_trace::histogram("serve.phase.encode_low"),
+                ft_trace::histogram("serve.phase.panel_low"),
+                ft_trace::histogram("serve.phase.trailing_low"),
+                ft_trace::histogram("serve.phase.detect_low"),
+                ft_trace::histogram("serve.phase.reverse_low"),
+                ft_trace::histogram("serve.phase.locate_low"),
+                ft_trace::histogram("serve.phase.correct_low"),
+                ft_trace::histogram("serve.phase.qprotect_low"),
+            ],
         ],
     })
 }
@@ -152,12 +190,15 @@ impl PriorityLatency {
 pub struct LaneLatencies {
     /// Submit-to-terminal latency of completed jobs.
     pub total: PriorityLatency,
-    /// Admission-to-pickup wait (one observation per executed job).
+    /// Admission-to-pickup wait (one observation per job a worker picked
+    /// up).
     pub queue_wait: PriorityLatency,
     /// Kernel execution time (one observation per executed run — retries
     /// observe once per attempt).
     pub exec: PriorityLatency,
-    /// Retry backoff sleeps (one observation per backoff wait).
+    /// Retry waits, measured from a failed attempt's end to the retry's
+    /// pickup: the backoff plus any queueing after the retry came due
+    /// (one observation per picked-up retry).
     pub backoff: PriorityLatency,
 }
 
@@ -213,11 +254,14 @@ impl ServiceCounters {
 /// Point-in-time statistics of a running service.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Jobs currently queued (admitted, not yet picked up).
+    /// Jobs currently queued (admitted, not yet picked up), retries
+    /// waiting out their backoff included.
     pub queue_depth: usize,
-    /// Per-lane queued jobs, indexed by [`Priority::index`].
+    /// Per-lane queued jobs (waiting retries included), indexed by
+    /// [`Priority::index`].
     pub lane_depths: [usize; 3],
-    /// Jobs currently executing (including retry backoff waits).
+    /// Attempts currently executing. A retry waiting out its backoff is
+    /// queued, not in flight.
     pub in_flight: u64,
     /// Jobs admitted since start.
     pub submitted: u64,
@@ -227,9 +271,10 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Jobs that reached [`crate::JobStatus::Failed`].
     pub failed: u64,
-    /// Escalated re-runs executed (counts runs, not jobs).
+    /// Escalated retries re-admitted to the queue (counts attempts, not
+    /// jobs; a retry later canceled or expired still counts).
     pub retries: u64,
-    /// Jobs that expired before (or between) runs.
+    /// Jobs that expired before their first attempt or a retry started.
     pub deadline_missed: u64,
     /// Jobs canceled by an abort shutdown.
     pub canceled: u64,
@@ -296,6 +341,16 @@ mod tests {
             assert!(hooks.exec[i].name().starts_with("serve.exec_"));
             assert!(hooks.backoff[i].name().starts_with("serve.backoff_"));
             assert!(hooks.lane_depth[i].name().starts_with("serve.queue_depth_"));
+        }
+    }
+
+    #[test]
+    fn phase_hooks_follow_the_breakdown_rows_per_lane() {
+        let rows = ft_hessenberg::PhaseBreakdown::default().rows();
+        for p in Priority::ALL {
+            for (hist, (phase, _)) in trace_hooks().phase[p.index()].iter().zip(rows) {
+                assert_eq!(hist.name(), format!("serve.phase.{phase}_{}", p.name()));
+            }
         }
     }
 }

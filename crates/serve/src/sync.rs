@@ -11,11 +11,11 @@
 //! timeouts, so deadline rechecks behave identically in both worlds.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex};
+pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(loom)]
 pub(crate) use loom::time::Instant;
 
 #[cfg(not(loom))]
-pub(crate) use std::sync::{Condvar, Mutex};
+pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 #[cfg(not(loom))]
 pub(crate) use std::time::Instant;

@@ -1,5 +1,6 @@
 //! Loom models of [`ft_serve::BoundedQueue`]: racing producers/consumers
-//! with close, FIFO-within-priority, and the timed-push windows. Run with
+//! with close, FIFO-within-priority, the timed-push windows, and delayed
+//! re-admission against pop, close and abort. Run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p ft-serve --test loom_queue`.
 
 #![cfg(loom)]
@@ -7,6 +8,7 @@
 use ft_serve::queue::SubmitError;
 use ft_serve::{BoundedQueue, Priority};
 use loom::sync::Arc;
+use loom::time::Instant;
 use std::time::Duration;
 
 #[test]
@@ -113,5 +115,70 @@ fn close_releases_a_blocked_pusher() {
         );
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), None);
+    });
+}
+
+#[test]
+fn readmitted_item_pops_once_and_never_before_due() {
+    loom::model(|| {
+        let q = Arc::new(BoundedQueue::new(1));
+        let delay = Duration::from_millis(5);
+        let start = Instant::now();
+        let qr = Arc::clone(&q);
+        let r = loom::thread::spawn(move || qr.readmit(Priority::Normal, 7, delay));
+        let qc = Arc::clone(&q);
+        let c = loom::thread::spawn(move || {
+            let v = qc.pop();
+            (v, Instant::now())
+        });
+        assert_eq!(r.join().unwrap(), Ok(()));
+        let (v, popped_at) = c.join().unwrap();
+        assert_eq!(v, Some(7));
+        // The virtual clock starts at zero and only timeouts advance it, so
+        // the re-admission happened at `start` and was due at `start + delay`.
+        assert!(popped_at >= start + delay, "popped before its due time");
+        q.close();
+        assert_eq!(q.pop(), None, "the item popped twice");
+    });
+}
+
+#[test]
+fn close_racing_a_readmission_still_pops_it_before_none() {
+    loom::model(|| {
+        let q = Arc::new(BoundedQueue::new(1));
+        let qw = Arc::clone(&q);
+        // A worker hands its job back, then keeps popping until the queue
+        // reports closed and drained.
+        let w = loom::thread::spawn(move || {
+            qw.readmit(Priority::Low, 7, Duration::from_millis(5))
+                .expect("close must not refuse a re-admission");
+            let mut popped = Vec::new();
+            while let Some(v) = qw.pop() {
+                popped.push(v);
+            }
+            popped
+        });
+        q.close();
+        assert_eq!(w.join().unwrap(), vec![7]);
+        assert_eq!(q.pop(), None);
+    });
+}
+
+#[test]
+fn close_and_drain_racing_a_readmission_surfaces_it_once() {
+    loom::model(|| {
+        let q = Arc::new(BoundedQueue::new(1));
+        let qr = Arc::clone(&q);
+        let r =
+            loom::thread::spawn(move || qr.readmit(Priority::High, 7, Duration::from_millis(5)));
+        let drained = q.close_and_drain();
+        match r.join().unwrap() {
+            Ok(()) => assert_eq!(drained, vec![7], "an accepted re-admission must drain"),
+            Err(v) => {
+                assert_eq!(v, 7);
+                assert!(drained.is_empty(), "handed back and drained: {drained:?}");
+            }
+        }
+        assert_eq!(q.pop(), None, "nothing may pop after an abort");
     });
 }

@@ -8,7 +8,7 @@ use ft_hybrid::ExecMode;
 use ft_serve::{
     FaultSpec, JobSpec, JobStatus, Priority, RetryPolicy, Service, ServiceConfig, Shutdown,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(n: usize, seed: u64) -> JobSpec {
     let mut s = JobSpec::new(ft_matrix::random::uniform(n, n, seed));
@@ -232,4 +232,138 @@ fn stats_conserve_jobs_under_mixed_outcomes() {
     );
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.in_flight, 0);
+}
+
+fn one_worker_with_backoff(backoff: Duration) -> Service {
+    Service::start(ServiceConfig {
+        workers: 1,
+        queue_capacity: 16,
+        retry: RetryPolicy {
+            backoff_base: backoff,
+            backoff_cap: backoff,
+            ..RetryPolicy::default()
+        },
+        ..ServiceConfig::default()
+    })
+}
+
+/// Blocks until the service has re-admitted `n` retries.
+fn wait_for_retries(svc: &Service, n: u64) {
+    let start = Instant::now();
+    while svc.stats().retries < n {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "no retry was scheduled"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Unoptimized builds — the sanitizer run included — reduce matrices
+/// tens of times slower, so timing-based cases stretch their windows.
+const DEBUG_BUILD: bool = cfg!(debug_assertions);
+
+#[test]
+fn retry_backoff_does_not_hold_a_worker() {
+    // The weak job's retry waits 200 ms in the queue; the one worker runs
+    // the clean job queued behind it in the meantime.
+    let backoff = Duration::from_millis(if DEBUG_BUILD { 2000 } else { 200 });
+    let svc = one_worker_with_backoff(backoff);
+    let weak = svc.try_submit(weak_faulted_spec(48, 3)).unwrap();
+    let clean = svc.try_submit(spec(48, 4)).unwrap().wait();
+    assert_eq!(clean.status, JobStatus::Completed);
+    assert!(
+        clean.total_us < backoff.as_micros() as u64,
+        "the clean job waited out the retry backoff: {} us",
+        clean.total_us
+    );
+    let weak = weak.wait();
+    assert_eq!(weak.status, JobStatus::Completed, "{:?}", weak.report);
+    assert_eq!(weak.attempts, 2);
+    svc.shutdown(Shutdown::Drain);
+}
+
+#[test]
+fn abort_cancels_a_waiting_retry() {
+    let svc = one_worker_with_backoff(Duration::from_secs(5));
+    let h = svc.try_submit(weak_faulted_spec(48, 3)).unwrap();
+    wait_for_retries(&svc, 1);
+    let aborted = Instant::now();
+    let stats = svc.shutdown(Shutdown::Abort);
+    assert!(
+        aborted.elapsed() < Duration::from_secs(1),
+        "abort waited out the backoff: {:?}",
+        aborted.elapsed()
+    );
+    let r = h.wait();
+    assert_eq!(r.status, JobStatus::Canceled);
+    assert_eq!(r.attempts, 1);
+    assert!(r.report.is_some_and(|rep| rep.any_unresolved()));
+    assert!(r.result.is_none());
+    assert_eq!(stats.canceled, 1);
+    assert_eq!(stats.terminal(), stats.submitted);
+}
+
+#[test]
+fn deadline_expires_while_a_retry_waits() {
+    // The weak job's first attempt fails in about a millisecond and its
+    // retry is due 5 ms later, well inside the 10 ms deadline. But the one
+    // worker meanwhile runs the clean job queued behind it, for several
+    // times the deadline (n = 512: ~50 ms in a release build), so the
+    // retry starts past the deadline. The clean job's matrix is built
+    // before the weak job is submitted, so it is queued long before the
+    // retry comes due. A debug build uses a 200 ms deadline, a 100 ms
+    // backoff and n = 256 (~0.5 s unoptimized).
+    let (deadline_ms, backoff_ms, n) = if DEBUG_BUILD {
+        (200, 100, 256)
+    } else {
+        (10, 5, 512)
+    };
+    let svc = one_worker_with_backoff(Duration::from_millis(backoff_ms));
+    let blocker = spec(n, 5);
+    let mut weak = weak_faulted_spec(24, 3);
+    weak.deadline = Some(Duration::from_millis(deadline_ms));
+    let weak = svc.try_submit(weak).unwrap();
+    let blocker = svc.try_submit(blocker).unwrap();
+    let r = weak.wait();
+    assert_eq!(r.status, JobStatus::DeadlineMissed, "{:?}", r.report);
+    assert_eq!(r.attempts, 1);
+    assert!(r.report.is_some_and(|rep| rep.any_unresolved()));
+    let b = blocker.wait();
+    assert_eq!(b.status, JobStatus::Completed);
+    let stats = svc.shutdown(Shutdown::Drain);
+    assert_eq!((stats.deadline_missed, stats.retries), (1, 1));
+    assert_eq!(stats.terminal(), stats.submitted);
+}
+
+#[test]
+fn drain_runs_a_waiting_retry() {
+    let svc = one_worker_with_backoff(Duration::from_millis(50));
+    let h = svc.try_submit(weak_faulted_spec(48, 3)).unwrap();
+    wait_for_retries(&svc, 1);
+    let stats = svc.shutdown(Shutdown::Drain);
+    let r = h.wait();
+    assert_eq!(r.status, JobStatus::Completed, "{:?}", r.report);
+    assert_eq!(r.attempts, 2);
+    assert_eq!((stats.completed, stats.canceled), (1, 0));
+}
+
+#[test]
+fn backoff_histogram_measures_the_retry_wait() {
+    let backoff = Duration::from_millis(30);
+    let svc = one_worker_with_backoff(backoff);
+    let r = svc.try_submit(weak_faulted_spec(48, 3)).unwrap().wait();
+    assert_eq!(r.status, JobStatus::Completed, "{:?}", r.report);
+    assert_eq!(r.attempts, 2);
+    let backoff_us = backoff.as_micros() as u64;
+    assert!(
+        r.total_us >= r.queue_us + backoff_us,
+        "total {} us < queue {} us + backoff",
+        r.total_us,
+        r.queue_us
+    );
+    let stats = svc.shutdown(Shutdown::Drain);
+    let lane = &stats.lanes[Priority::Normal.index()];
+    assert_eq!(lane.backoff.count, 1);
+    assert!(lane.backoff.max_us >= backoff_us, "{:?}", lane.backoff);
 }

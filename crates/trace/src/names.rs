@@ -41,9 +41,11 @@ pub const GAUGES: &[&str] = &[
     "trace.recorder.occupancy",
 ];
 
-/// Every histogram name the workspace records: four per priority lane —
-/// end-to-end latency plus its queue-wait / execution / backoff-wait
-/// decomposition (all in µs, recorded by `ft-serve` on job completion).
+/// Every histogram name the workspace records, all in µs and recorded
+/// by `ft-serve`. Four per priority lane — end-to-end latency plus its
+/// queue-wait / execution / backoff-wait decomposition — and, per lane,
+/// one `serve.phase.<phase>_<lane>` histogram for each FT phase of
+/// `PhaseBreakdown` (one observation per attempt).
 pub const HISTOGRAMS: &[&str] = &[
     "serve.backoff_high",
     "serve.backoff_low",
@@ -54,6 +56,30 @@ pub const HISTOGRAMS: &[&str] = &[
     "serve.latency_high",
     "serve.latency_low",
     "serve.latency_normal",
+    "serve.phase.correct_high",
+    "serve.phase.correct_low",
+    "serve.phase.correct_normal",
+    "serve.phase.detect_high",
+    "serve.phase.detect_low",
+    "serve.phase.detect_normal",
+    "serve.phase.encode_high",
+    "serve.phase.encode_low",
+    "serve.phase.encode_normal",
+    "serve.phase.locate_high",
+    "serve.phase.locate_low",
+    "serve.phase.locate_normal",
+    "serve.phase.panel_high",
+    "serve.phase.panel_low",
+    "serve.phase.panel_normal",
+    "serve.phase.qprotect_high",
+    "serve.phase.qprotect_low",
+    "serve.phase.qprotect_normal",
+    "serve.phase.reverse_high",
+    "serve.phase.reverse_low",
+    "serve.phase.reverse_normal",
+    "serve.phase.trailing_high",
+    "serve.phase.trailing_low",
+    "serve.phase.trailing_normal",
     "serve.queue_wait_high",
     "serve.queue_wait_low",
     "serve.queue_wait_normal",
