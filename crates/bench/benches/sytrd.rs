@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ft_fault::FaultPlan;
-use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
+use ft_hessenberg::{ft_sytd2, FtConfig};
 use ft_lapack::sytrd::sytd2;
 
 fn bench_sytrd(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_sytrd(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("ft_unblocked", n), &n, |bench, _| {
             bench.iter(|| {
-                let out = ft_sytd2(&a, &FtTridiagConfig::default(), &mut FaultPlan::none());
+                let out = ft_sytd2(&a, &FtConfig::default(), &mut FaultPlan::none());
                 std::hint::black_box(out.result.d[0]);
             });
         });

@@ -75,20 +75,6 @@ impl ExtMatrix {
         ExtMatrix { data, n, scheme }
     }
 
-    /// Wraps existing `(n+1) × (n+1)` storage (used by reversal tests).
-    pub fn from_raw(data: Matrix) -> Self {
-        assert!(
-            a_square_ext(&data),
-            "from_raw: storage must be square and non-empty"
-        );
-        let n = data.rows() - 1;
-        ExtMatrix {
-            data,
-            n,
-            scheme: SumScheme::Naive,
-        }
-    }
-
     /// The accumulation scheme used for the aggregate sums.
     pub fn scheme(&self) -> SumScheme {
         self.scheme
@@ -246,10 +232,6 @@ impl ExtMatrix {
     pub fn into_packed(self) -> Matrix {
         self.data.sub_matrix(0, 0, self.n, self.n)
     }
-}
-
-fn a_square_ext(data: &Matrix) -> bool {
-    data.is_square() && data.rows() >= 1
 }
 
 /// `out[c] = col(c).iter().sum()` for every `c`, bit for bit: each sum

@@ -3,7 +3,7 @@
 //! downstream user will eventually throw at the library.
 
 use ft_fault::{Fault, FaultPlan};
-use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
+use ft_hessenberg::tridiag::ft_sytd2;
 use ft_hessenberg::{ft_gehrd_hybrid, gehrd_hybrid, FtConfig, HybridConfig, ThresholdPolicy};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
 use ft_matrix::Matrix;
@@ -192,7 +192,7 @@ fn ft_tridiag_tiny_sizes() {
     for n in 0..6usize {
         let base = ft_matrix::random::symmetric(n.max(1), 300 + n as u64);
         let a = base.sub_matrix(0, 0, n, n);
-        let out = ft_sytd2(&a, &FtTridiagConfig::default(), &mut FaultPlan::none());
+        let out = ft_sytd2(&a, &FtConfig::default(), &mut FaultPlan::none());
         assert_eq!(out.result.d.len(), n);
         assert!(out.report.recoveries.is_empty());
     }

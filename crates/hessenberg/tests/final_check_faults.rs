@@ -13,9 +13,9 @@
 //! check repairs those too.
 
 use ft_fault::{Fault, FaultKind, FaultPlan, Phase, ScheduledFault};
-use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
+use ft_hessenberg::tridiag::{ft_sytd2, FtTridiagOutcome};
 use ft_hessenberg::verify::ResidualReport;
-use ft_hessenberg::{ft_gehrd_hybrid, FailureReason, FtConfig, FtOutcome};
+use ft_hessenberg::{ft_gehrd_hybrid, FailureReason, FtConfig, FtOutcome, FtReport};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
 use ft_matrix::Matrix;
 
@@ -42,16 +42,23 @@ fn run(a: &Matrix, faults: Vec<ScheduledFault>) -> FtOutcome {
 
 /// Whether the run flagged itself. The structured failure and the report
 /// must agree on it.
-fn flagged(out: &FtOutcome) -> bool {
-    let unresolved = out.report.any_unresolved();
+fn verdict(failure: Option<FailureReason>, report: &FtReport) -> bool {
+    let unresolved = report.any_unresolved();
     assert_eq!(
-        out.failure.is_some(),
+        failure.is_some(),
         unresolved,
-        "failure {:?} vs recoveries {:?}",
-        out.failure,
-        out.report.recoveries
+        "failure {failure:?} vs recoveries {:?}",
+        report.recoveries
     );
     unresolved
+}
+
+fn flagged(out: &FtOutcome) -> bool {
+    verdict(out.failure, &out.report)
+}
+
+fn tridiag_flagged(out: &FtTridiagOutcome) -> bool {
+    verdict(out.failure, &out.report)
 }
 
 fn acceptable(a: &Matrix, out: &FtOutcome) -> bool {
@@ -160,8 +167,15 @@ fn tridiagonal_final_check_flags_cancelling_pair_and_nan() {
     ];
     for (what, faults) in cases {
         let mut plan = FaultPlan::new(faults);
-        let out = ft_sytd2(&a, &FtTridiagConfig::default(), &mut plan);
+        let out = ft_sytd2(&a, &FtConfig::default(), &mut plan);
         assert!(plan.is_exhausted(), "{what}: every strike must land");
+        assert!(tridiag_flagged(&out), "{what}");
+        let iteration = out.report.iterations;
+        assert_eq!(
+            out.failure,
+            Some(FailureReason::UnresolvedFinalCheck { iteration }),
+            "{what}"
+        );
         let last = out.report.recoveries.last();
         assert!(
             last.is_some_and(|e| !e.resolved && e.iteration == out.report.iterations),
@@ -203,10 +217,7 @@ fn in_flight_panel_q_strikes_are_corrected_at_the_end() {
 fn tridiagonal_in_flight_group_q_strikes_are_corrected_at_the_end() {
     let n = 48;
     let a = ft_matrix::random::symmetric(n, 31);
-    let cfg = FtTridiagConfig {
-        check_every: 32,
-        ..FtTridiagConfig::default()
-    };
+    let cfg = FtConfig::with_nb(32);
     for (row, col) in [(40, 30), (30, 5)] {
         let mut plan = FaultPlan::new(vec![ScheduledFault {
             iteration: 0,
@@ -216,7 +227,7 @@ fn tridiagonal_in_flight_group_q_strikes_are_corrected_at_the_end() {
         let out = ft_sytd2(&a, &cfg, &mut plan);
         assert!(plan.is_exhausted(), "({row},{col}): the strike must land");
         assert!(
-            !out.report.any_unresolved(),
+            !tridiag_flagged(&out),
             "({row},{col}): {:?}",
             out.report.recoveries
         );

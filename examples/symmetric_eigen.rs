@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example symmetric_eigen`
 
 use ft_hess_repro::blas::Trans;
-use ft_hess_repro::hessenberg::tridiag::{ft_sytd2, FtTridiagConfig};
+use ft_hess_repro::hessenberg::tridiag::ft_sytd2;
 use ft_hess_repro::lapack::random_orthogonal;
 use ft_hess_repro::lapack::sytrd::steqr_eigenvalues;
 use ft_hess_repro::prelude::*;
@@ -61,7 +61,7 @@ fn main() {
         },
     ]);
 
-    let out = ft_sytd2(&a, &FtTridiagConfig::default(), &mut plan);
+    let out = ft_sytd2(&a, &FtConfig::default(), &mut plan);
     println!(
         "injected {} faults; {} recovery episodes; {} group re-executions; {} Q fixes",
         out.report.injected.len(),
