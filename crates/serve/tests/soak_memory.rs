@@ -9,22 +9,31 @@
 //! from the end of the first 2,000 jobs to the end of the run. A leak of
 //! 1 KiB per job would add about 8 MiB.
 //!
-//! One client thread keeps a few jobs outstanding: every thread that
-//! records gets a ring for the life of the process, so a loop that spawned
-//! client threads would measure those rings, not the service.
+//! Every thread that records holds a flight-recorder ring while it lives,
+//! and hands it to the next recording thread when it exits. A second test
+//! calls `loadgen::run`, which spawns its client threads anew, again and
+//! again: the ring count stays at the peak number of live recording
+//! threads, and resident memory within the same bound.
+//!
+//! The tests of this binary measure one process's memory, so they take
+//! turns.
 
 #![cfg(target_os = "linux")]
 
-use ft_serve::loadgen::{job_for_index, LoadgenConfig};
+use ft_serve::loadgen::{self, job_for_index, LoadgenConfig};
 use ft_serve::{JobHandle, JobStatus, Service, ServiceConfig, Shutdown};
-use ft_trace::TraceMode;
+use ft_trace::{recorder, TraceMode};
 use std::collections::VecDeque;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 const JOBS: usize = 10_000;
 const WARM_JOBS: usize = 2_000;
 const OUTSTANDING: usize = 8;
+const LOADGEN_RUNS: usize = 24;
 const MAX_GROWTH_KIB: u64 = 4 * 1024;
+
+static TAKE_TURNS: Mutex<()> = Mutex::new(());
 
 /// Resident set size of this process, KiB.
 fn vm_rss_kib() -> u64 {
@@ -38,6 +47,7 @@ fn vm_rss_kib() -> u64 {
 
 #[test]
 fn long_traced_run_keeps_flat_memory() {
+    let _turn = TAKE_TURNS.lock().unwrap_or_else(PoisonError::into_inner);
     ft_trace::set_mode(TraceMode::Summary);
     let mix = LoadgenConfig {
         sizes: (16..=48).collect(),
@@ -96,5 +106,44 @@ fn long_traced_run_keeps_flat_memory() {
         growth <= MAX_GROWTH_KIB,
         "resident memory grew {growth} KiB over {} jobs (limit {MAX_GROWTH_KIB} KiB)",
         JOBS - WARM_JOBS
+    );
+}
+
+#[test]
+fn repeated_loadgen_runs_reuse_the_clients_rings() {
+    let _turn = TAKE_TURNS.lock().unwrap_or_else(PoisonError::into_inner);
+    let cfg = LoadgenConfig {
+        sizes: (16..=48).collect(),
+        ..LoadgenConfig::default()
+    };
+    let svc = Service::start(ServiceConfig {
+        workers: 2,
+        queue_capacity: 16,
+        ..ServiceConfig::default()
+    });
+    loadgen::run(&svc, &cfg);
+    let (warm_rings, warm_rss) = (recorder::stats().rings, vm_rss_kib());
+    for _ in 0..LOADGEN_RUNS {
+        let summary = loadgen::run(&svc, &cfg);
+        assert_eq!(summary.accepted, cfg.jobs);
+    }
+    let (rings, end_rss) = (recorder::stats().rings, vm_rss_kib());
+    svc.shutdown(Shutdown::Drain);
+
+    let growth = end_rss.saturating_sub(warm_rss);
+    eprintln!(
+        "soak: {LOADGEN_RUNS} loadgen runs of {} clients; {warm_rings} rings after the first, \
+         {rings} at the end; VmRSS +{growth} KiB",
+        cfg.clients
+    );
+    // A scoped client's thread-local teardown, which hands its ring back,
+    // may still be running when the next run spawns its clients.
+    assert!(
+        rings <= warm_rings + cfg.clients,
+        "{rings} rings after {LOADGEN_RUNS} runs, {warm_rings} after the first"
+    );
+    assert!(
+        growth <= MAX_GROWTH_KIB,
+        "resident memory grew {growth} KiB over {LOADGEN_RUNS} runs (limit {MAX_GROWTH_KIB} KiB)"
     );
 }
