@@ -22,19 +22,27 @@
 //!
 //! Within that contract the bodies are free to run independent chains
 //! side by side: `gemv` folds eight columns into each pass over `y`, and
-//! `gemv^T` runs eight dot products at once, one per lane. Every body
-//! uses a separate multiply and add (two roundings per term) — the AVX2
-//! bodies `_mm256_add_pd(_mm256_mul_pd(…))`, never a fused
-//! multiply-add — so the portable and AVX2 paths produce the same bits.
-//! The ISA is resolved once per entry point through the same dispatch as
-//! the level-3 microkernel (`FT_BLAS_SIMD`, [`crate::with_simd_path`])
-//! and carried into the pool workers.
+//! `gemv^T` runs eight dot products at once under AVX2 and sixteen under
+//! AVX-512, one per lane. Every body uses a separate multiply and add
+//! (two roundings per term), never a fused multiply-add. The column
+//! updates are written once for both vector widths (4 lanes under AVX2,
+//! 8 under AVX-512, a masked tail for the last `len mod LANES` elements);
+//! the `gemv^T` bodies differ in their transposes, so each width has its
+//! own. So the portable, AVX2 and AVX-512 paths produce the same bits on
+//! every value that is not NaN, and NaN at the same places. The ISA is
+//! resolved once per entry point through the same dispatch as the
+//! level-3 microkernel (`FT_BLAS_SIMD`, [`crate::with_simd_path`]) and
+//! carried into the pool workers.
 
 use crate::backend;
 use crate::flops::{model, record};
 use crate::level3::{resolve_isa, Isa};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::F64Vec;
 use crate::types::{Diag, Trans, Uplo};
 use ft_matrix::{MatView, MatViewMut};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256d, __m512d};
 
 /// General matrix–vector product:
 /// `y ← α·op(A)·x + β·y` with `op(A) = A` or `Aᵀ`.
@@ -120,31 +128,64 @@ fn axpy_col_scalar(s: f64, src: &[f64], dst: &mut [f64]) {
     }
 }
 
-/// AVX2 body of the column update. Uses `mul` then `add` (not `vfmadd`)
-/// so each lane performs the same two roundings as the scalar body;
-/// lanes map to distinct `dst` elements, so no accumulation order
-/// changes — the result is bit-identical to [`axpy_col_scalar`].
+/// Vector body of the column update, for both register widths. Uses
+/// `mul` then `add` (not an fma) so each lane performs the same two
+/// roundings as the scalar body; lanes map to distinct `dst` elements,
+/// so no accumulation order changes — the result is bit-identical to
+/// [`axpy_col_scalar`]. The masked tail loads and stores only the
+/// `len mod LANES` real elements.
+///
+/// # Safety
+///
+/// `V`'s ISA is present (the [`F64Vec`] contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn axpy_col_vec<V: F64Vec>(s: f64, src: &[f64], dst: &mut [f64]) {
+    let len = dst.len().min(src.len());
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    // SAFETY: `V`'s ISA is present (this fn's contract); `i + LANES <=
+    // len` bounds both slices in the loop, and the tail touches only
+    // elements `i..len`. `dst` is uniquely borrowed.
+    unsafe {
+        let sv = V::splat(s);
+        // `s·src + dst` with the product as the first operand, the order
+        // of the compiled scalar loop (it folds the `dst` load into the
+        // second operand), so where two NaNs meet the sum keeps the
+        // product's. The compiler may still commute an add, so paths
+        // agree on NaN only as NaN.
+        let mut i = 0;
+        while i + V::LANES <= len {
+            let d = V::add(V::mul(sv, V::load(sp.add(i))), V::load(dp.add(i)));
+            V::store(dp.add(i), d);
+            i += V::LANES;
+        }
+        if i < len {
+            let n = len - i;
+            let d = V::add(
+                V::mul(sv, V::load_first(sp.add(i), n)),
+                V::load_first(dp.add(i), n),
+            );
+            V::store_first(dp.add(i), d, n);
+        }
+    }
+}
+
+// ft-check: hot
+/// AVX2 entry of [`axpy_col_vec`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn axpy_col_avx2(s: f64, src: &[f64], dst: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let len = dst.len().min(src.len());
-    let sv = _mm256_set1_pd(s);
-    let mut i = 0;
-    while i + 4 <= len {
-        // SAFETY: i + 4 <= len bounds both slices; loadu/storeu have no
-        // alignment requirement and `dst` is uniquely borrowed.
-        unsafe {
-            let a = _mm256_loadu_pd(src.as_ptr().add(i));
-            let d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            _mm256_storeu_pd(
-                dst.as_mut_ptr().add(i),
-                _mm256_add_pd(d, _mm256_mul_pd(sv, a)),
-            );
-        }
-        i += 4;
-    }
-    axpy_col_scalar(s, &src[i..len], &mut dst[i..len]);
+    // SAFETY: this fn is compiled for, and only entered on, AVX2.
+    unsafe { axpy_col_vec::<__m256d>(s, src, dst) }
+}
+
+// ft-check: hot
+/// AVX-512 entry of [`axpy_col_vec`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn axpy_col_avx512(s: f64, src: &[f64], dst: &mut [f64]) {
+    // SAFETY: this fn is compiled for, and only entered on, AVX-512F.
+    unsafe { axpy_col_vec::<__m512d>(s, src, dst) }
 }
 
 // ft-check: hot
@@ -153,6 +194,10 @@ fn axpy_col_avx2(s: f64, src: &[f64], dst: &mut [f64]) {
 #[inline]
 fn axpy_col(isa: Isa, s: f64, src: &[f64], dst: &mut [f64]) {
     match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx512f feature.
+        Isa::Avx512 => unsafe { axpy_col_avx512(s, src, dst) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
         // after runtime detection of the avx2 feature.
@@ -210,30 +255,90 @@ fn axpy_fold_scalar(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
     }
 }
 
-/// AVX2 body of the folded update: per lane the same multiply-then-add
-/// steps as [`axpy_fold_scalar`], in the same order.
+/// Vector body of the folded update, for both register widths: per lane
+/// the same multiply-then-add steps as [`axpy_fold_scalar`], in the same
+/// order, with a masked tail over the last `len mod LANES` elements.
+///
+/// # Safety
+///
+/// `V`'s ISA is present (the [`F64Vec`] contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn axpy_fold_vec<V: F64Vec>(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
+    let len = dst.len();
+    let cols = cols.map(|c| c[..len].as_ptr());
+    let dp = dst.as_mut_ptr();
+    // No closure or array `map` touches a vector here: either would be
+    // compiled outside the `#[target_feature]` entry, where the
+    // intrinsics cannot inline.
+    // SAFETY: `V`'s ISA is present (this fn's contract). `dst` and every
+    // column (each sliced to `len` above) hold `len` elements: `i + LANES
+    // <= len` bounds the loop, and the tail touches only `i..len`. `dst`
+    // is uniquely borrowed.
+    unsafe {
+        let mut sv = [V::splat(0.0); FOLD];
+        for (v, &sq) in sv.iter_mut().zip(s) {
+            *v = V::splat(sq);
+        }
+        let mut x = sv;
+        let mut i = 0;
+        while i + V::LANES <= len {
+            for (xq, c) in x.iter_mut().zip(&cols) {
+                *xq = V::load(c.add(i));
+            }
+            V::store(dp.add(i), fold_lanes(&sv, &x, V::load(dp.add(i))));
+            i += V::LANES;
+        }
+        if i < len {
+            let n = len - i;
+            for (xq, c) in x.iter_mut().zip(&cols) {
+                *xq = V::load_first(c.add(i), n);
+            }
+            let d = fold_lanes(&sv, &x, V::load_first(dp.add(i), n));
+            V::store_first(dp.add(i), d, n);
+        }
+    }
+}
+
+/// `d + Σ_q s_q·x_q` in fold order, a separate multiply and add per term.
+/// The first add takes the product as its first operand, the later ones
+/// the running sum: the order of the compiled scalar loop (it folds the
+/// `dst` load into the second operand of the first add), which decides
+/// whose NaN survives where two meet, unless the compiler commutes an
+/// add.
+///
+/// # Safety
+///
+/// `V`'s ISA is present (the [`F64Vec`] contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn fold_lanes<V: F64Vec>(s: &Fold<V>, x: &Fold<V>, d: V) -> V {
+    // SAFETY: `V`'s ISA is present (this fn's contract).
+    unsafe {
+        let mut d = V::add(V::mul(s[0], x[0]), d);
+        for (&sq, &xq) in s[1..].iter().zip(&x[1..]) {
+            d = V::add(d, V::mul(sq, xq));
+        }
+        d
+    }
+}
+
+// ft-check: hot
+/// AVX2 entry of [`axpy_fold_vec`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn axpy_fold_avx2(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let len = dst.len();
-    let cols = cols.map(|c| &c[..len]);
-    let sv = s.map(|v| _mm256_set1_pd(v));
-    let mut i = 0;
-    while i + 4 <= len {
-        // SAFETY: i + 4 <= len bounds `dst` and every column (each
-        // sliced to `len` above); loadu/storeu have no alignment
-        // requirement and `dst` is uniquely borrowed.
-        unsafe {
-            let mut d = _mm256_loadu_pd(dst.as_ptr().add(i));
-            for (&sq, col) in sv.iter().zip(&cols) {
-                d = _mm256_add_pd(d, _mm256_mul_pd(sq, _mm256_loadu_pd(col.as_ptr().add(i))));
-            }
-            _mm256_storeu_pd(dst.as_mut_ptr().add(i), d);
-        }
-        i += 4;
-    }
-    axpy_fold_scalar(s, &cols.map(|c| &c[i..]), &mut dst[i..]);
+    // SAFETY: this fn is compiled for, and only entered on, AVX2.
+    unsafe { axpy_fold_vec::<__m256d>(s, cols, dst) }
+}
+
+// ft-check: hot
+/// AVX-512 entry of [`axpy_fold_vec`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn axpy_fold_avx512(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
+    // SAFETY: this fn is compiled for, and only entered on, AVX-512F.
+    unsafe { axpy_fold_vec::<__m512d>(s, cols, dst) }
 }
 
 // ft-check: hot
@@ -241,6 +346,10 @@ fn axpy_fold_avx2(s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
 #[inline]
 fn axpy_fold(isa: Isa, s: &Fold<f64>, cols: &Fold<&[f64]>, dst: &mut [f64]) {
     match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx512f feature.
+        Isa::Avx512 => unsafe { axpy_fold_avx512(s, cols, dst) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
         // after runtime detection of the avx2 feature.
@@ -264,6 +373,7 @@ fn dot_cols_scalar(a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &m
     }
 }
 
+// ft-check: hot
 /// AVX2 body of the `gemv^T` dot block: eight *adjacent output columns*
 /// per pass, one dot product per lane in two accumulators. Each step
 /// loads four rows of four columns and transposes them in registers, so
@@ -333,10 +443,121 @@ fn dot_cols_avx2(a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &mut
 }
 
 // ft-check: hot
+/// AVX-512 body of the `gemv^T` dot block: the AVX2 body's contract at
+/// twice the width. Up to sixteen *adjacent output columns* per pass,
+/// eight per accumulator, so twice as many dot products are in flight as
+/// under AVX2 (each lane's adds form one dependent chain). Each step
+/// loads four rows of eight columns as 256-bit halves and transposes
+/// them in registers, so every lane adds its column's terms one row at a
+/// time in ascending order, with `mul`+`add`. The last `m mod 4` rows are
+/// added one real row at a time: padding them with zeros would add
+/// `0·x` terms, which turn a `−0.0` sum into `+0.0` and `0·∞` into NaN.
+/// A last group repeats its final column in the spare lanes, whose
+/// results are discarded; a group of at most eight columns runs one
+/// accumulator.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn dot_cols_avx512(a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &mut [f64]) {
+    let mut jj = 0;
+    while jj < ychunk.len() {
+        let group = &mut ychunk[jj..];
+        // SAFETY: this fn is compiled for, and only entered on, AVX-512F.
+        unsafe {
+            if group.len() > 8 {
+                dot_group_avx512::<2>(a, j0 + jj, x, alpha, group);
+            } else {
+                dot_group_avx512::<1>(a, j0 + jj, x, alpha, group);
+            }
+        }
+        jj += 16;
+    }
+}
+
+/// One pass of [`dot_cols_avx512`] over `8·G` columns from `j0`, of which
+/// the first `min(8·G, y.len())` are real.
+///
+/// # Safety
+///
+/// AVX-512F is present.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_group_avx512<const G: usize>(
+    a: &MatView<'_>,
+    j0: usize,
+    x: &[f64],
+    alpha: f64,
+    y: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let m = x.len();
+    let last = y.len() - 1;
+    let cols: [[&[f64]; 8]; G] =
+        std::array::from_fn(|g| std::array::from_fn(|l| &a.col(j0 + (8 * g + l).min(last))[..m]));
+    // SAFETY: AVX-512F is present (this fn's contract). Every column
+    // holds `m` rows, and the loads read rows `i..i + 4` with `i + 4 <= m`;
+    // `loadu` has no alignment requirement.
+    unsafe {
+        let mut acc = [_mm512_setzero_pd(); G];
+        let mut i = 0;
+        while i + 4 <= m {
+            for (accg, c) in acc.iter_mut().zip(&cols) {
+                // Rows i..i + 4 of columns `k` and `k + 2` (k = 0, 1, 4, 5)
+                // in the low and high halves of `t`.
+                let mut t = [_mm512_setzero_pd(); 4];
+                for (tk, k) in t.iter_mut().zip([0, 1, 4, 5]) {
+                    let lo = _mm512_castpd256_pd512(_mm256_loadu_pd(c[k].as_ptr().add(i)));
+                    *tk = _mm512_insertf64x4::<1>(lo, _mm256_loadu_pd(c[k + 2].as_ptr().add(i)));
+                }
+                // 128-bit chunks of (columns k, k + 1) at rows (0, 2) and
+                // (1, 3), then row q of the block in lane order c0..c7.
+                let (u0, u1) = (
+                    _mm512_unpacklo_pd(t[0], t[1]),
+                    _mm512_unpackhi_pd(t[0], t[1]),
+                );
+                let (u2, u3) = (
+                    _mm512_unpacklo_pd(t[2], t[3]),
+                    _mm512_unpackhi_pd(t[2], t[3]),
+                );
+                let rows = [
+                    _mm512_shuffle_f64x2::<0x88>(u0, u2),
+                    _mm512_shuffle_f64x2::<0x88>(u1, u3),
+                    _mm512_shuffle_f64x2::<0xDD>(u0, u2),
+                    _mm512_shuffle_f64x2::<0xDD>(u1, u3),
+                ];
+                for (q, row) in rows.into_iter().enumerate() {
+                    *accg = _mm512_add_pd(*accg, _mm512_mul_pd(row, _mm512_set1_pd(x[i + q])));
+                }
+            }
+            i += 4;
+        }
+        for (i, &xi) in x.iter().enumerate().skip(i) {
+            let xv = _mm512_set1_pd(xi);
+            for (accg, c) in acc.iter_mut().zip(&cols) {
+                let row = _mm512_setr_pd(
+                    c[0][i], c[1][i], c[2][i], c[3][i], c[4][i], c[5][i], c[6][i], c[7][i],
+                );
+                *accg = _mm512_add_pd(*accg, _mm512_mul_pd(row, xv));
+            }
+        }
+        let mut s = [0.0f64; 16];
+        for (g, &accg) in acc.iter().enumerate() {
+            _mm512_storeu_pd(s.as_mut_ptr().add(8 * g), accg);
+        }
+        for (yj, &sl) in y.iter_mut().zip(&s[..8 * G]) {
+            *yj += alpha * sl;
+        }
+    }
+}
+
+// ft-check: hot
 /// ISA dispatch for the `gemv^T` dot block.
 #[inline]
 fn dot_cols(isa: Isa, a: &MatView<'_>, j0: usize, x: &[f64], alpha: f64, ychunk: &mut [f64]) {
     match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx512f feature.
+        Isa::Avx512 => unsafe { dot_cols_avx512(a, j0, x, alpha, ychunk) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
         // after runtime detection of the avx2 feature.

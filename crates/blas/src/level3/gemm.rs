@@ -5,9 +5,10 @@
 //! `KC`-deep block of the inner dimension (ascending) accumulate a fused
 //! multiply-add chain over `p` ascending and fold it in with
 //! `c = fma(α, acc, c)`. The reference oracle, the packed blocked kernel,
-//! the AVX2 and scalar microkernel paths, and every thread-count of the
-//! tiled parallel path therefore produce **bit-identical** results — the
-//! invariant the FT driver's checksum thresholds rely on.
+//! the AVX-512, AVX2 and scalar microkernel paths, and every thread-count
+//! of the tiled parallel path therefore produce the same results (bit
+//! for bit on every value that is not NaN) — the invariant the FT
+//! driver's checksum thresholds rely on.
 
 use super::microkernel::{self, Isa, MR, NR};
 use crate::backend;
@@ -110,9 +111,9 @@ pub fn gemm_ref(
     let mut acc = workspace::scratch(m);
     match microkernel::resolve_isa() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: both `Avx2` and `ScalarFma` are only resolved after
+        // SAFETY: `Avx512`, `Avx2` and `ScalarFma` are only resolved after
         // runtime detection confirmed the `fma` CPU feature.
-        Isa::Avx2 | Isa::ScalarFma => unsafe {
+        Isa::Avx512 | Isa::Avx2 | Isa::ScalarFma => unsafe {
             ref_body_fma(transa, transb, alpha, a, b, c, m, n, k, &mut acc)
         },
         _ => ref_body(transa, transb, alpha, a, b, c, m, n, k, &mut acc),
@@ -293,7 +294,14 @@ fn gemm_block_serial(
     // this call packs, and their stale contents are never read: packing
     // writes every element the microkernel touches.
     let (mb, nb, kb) = (MC.min(m), NC.min(n), KC.min(k));
-    let mut abuf = workspace::scratch(mb.div_ceil(MR) * MR * kb);
+    // The packed A block starts on a 64-byte boundary, so no A load of a
+    // vector tile splits a cache line (every sliver is a multiple of 64
+    // bytes long). Alignment changes speed only: `min` keeps the slice in
+    // bounds even where `align_offset` cannot answer.
+    let alen = mb.div_ceil(MR) * MR * kb;
+    let mut ascratch = workspace::scratch(alen + 7);
+    let off = ascratch.as_ptr().align_offset(64).min(7);
+    let abuf = &mut ascratch[off..off + alen];
     let mut bbuf = workspace::scratch(nb.div_ceil(NR) * NR * kb);
 
     for jc in (0..n).step_by(NC) {
@@ -303,13 +311,14 @@ fn gemm_block_serial(
             pack_b(transb, b, pc, jc, kc, nc, &mut bbuf);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a(transa, a, ic, pc, mc, kc, &mut abuf);
+                pack_a(transa, a, ic, pc, mc, kc, abuf);
                 for jr in (0..nc).step_by(NR) {
                     let w = NR.min(nc - jr);
                     let bpanel = &bbuf[(jr / NR) * NR * kc..(jr / NR + 1) * NR * kc];
-                    for ir in (0..mc).step_by(MR) {
-                        let h = MR.min(mc - ir);
-                        let apanel = &abuf[(ir / MR) * MR * kc..(ir / MR + 1) * MR * kc];
+                    let mut ir = 0;
+                    while ir < mc {
+                        let h = microkernel::tile_height(isa, mc - ir);
+                        let apanel = &abuf[(ir / MR) * MR * kc..(ir + h).div_ceil(MR) * MR * kc];
                         microkernel::tile(
                             isa,
                             kc,
@@ -322,6 +331,7 @@ fn gemm_block_serial(
                             h,
                             w,
                         );
+                        ir += h;
                     }
                 }
             }

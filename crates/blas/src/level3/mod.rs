@@ -4,7 +4,8 @@
 //! updates are almost entirely GEMM) and comes in three implementations
 //! selected by [`GemmAlgo`]: a reference loop nest (test oracle), a
 //! cache-blocked kernel built on the register-tiled [`microkernel`]
-//! (AVX2+FMA with runtime detection, bit-identical scalar fallback), and
+//! (AVX-512 or AVX2 with FMA by runtime detection, and a scalar fallback
+//! that gives the same bits on every value that is not NaN), and
 //! a threaded variant that splits the result into `jc`/`ic` macro-tiles
 //! over the persistent worker pool ([`crate::pool`]) — data-race free by
 //! construction (each worker owns a disjoint `MatViewMut`) and

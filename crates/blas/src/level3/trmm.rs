@@ -2,18 +2,24 @@
 //! `B ← α·op(T)·B` (left) or `B ← α·B·op(T)` (right).
 //!
 //! `Side::Left` is one `trmv` recurrence per column of `B`, after
-//! scaling the column by `α`. The AVX2 body runs that recurrence for
-//! eight columns at once, one column per lane, so every element keeps
-//! the scalar recurrence's operand order, zero-skip rule and add order,
-//! and the result is bit-identical to the portable per-column body.
+//! scaling the column by `α`. The vector body, written once for both
+//! widths, runs that recurrence for two registers' worth of columns at
+//! once (8 under AVX2, 16 under AVX-512), one column per lane, so every
+//! element keeps the scalar recurrence's operand order, zero-skip rule
+//! (a per-lane select) and add order, and the result matches the
+//! portable per-column body bit for bit on every value that is not NaN.
 
 use super::{resolve_isa, Isa};
 use crate::backend;
 use crate::flops::{model, record};
 use crate::level1::axpy;
 use crate::level2::trmv_body;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::F64Vec;
 use crate::types::{Diag, Side, Trans, Uplo};
 use ft_matrix::{MatView, MatViewMut};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256d, __m512d};
 
 /// Triangular matrix–matrix multiply in place.
 ///
@@ -87,6 +93,10 @@ fn trmm_left(
 ) {
     match isa {
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` is only ever produced by `resolve_isa`
+        // after runtime detection of the avx512f feature.
+        Isa::Avx512 => unsafe { trmm_left_avx512(uplo, trans, diag, alpha, a, b) },
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` is only ever produced by `resolve_isa`
         // after runtime detection of the avx2 feature.
         Isa::Avx2 => unsafe { trmm_left_avx2(uplo, trans, diag, alpha, a, b) },
@@ -116,14 +126,141 @@ fn trmm_left_scalar(
     trmv_body(uplo, trans, diag, a, col);
 }
 
-/// AVX2 body of the left product: the `trmv` recurrence of
-/// [`trmm_left_scalar`] for eight columns of `B` at once, one column per
-/// lane. The columns are copied (and scaled) into a row-major `m × 8`
-/// arena buffer so each row of the group is two vector loads; every lane
-/// then performs its column's scalar operations in the scalar order,
-/// with the `temp != 0` zero-skip of the `Trans::No` forms applied per
-/// lane by a blend. A last group of fewer than eight columns repeats its
-/// final column in the spare lanes, whose results are not written back.
+/// Vector body of the left product, for both register widths: the
+/// `trmv` recurrence of [`trmm_left_scalar`] for `W = 2·LANES` columns
+/// of `B` at once (8 under AVX2, 16 under AVX-512), one column per lane.
+/// The columns are copied (and scaled) into a row-major `m × W` arena
+/// buffer so each row of the group is two vector loads; every lane then
+/// performs its column's scalar operations in the scalar order, with the
+/// `temp != 0` zero-skip of the `Trans::No` forms applied per lane by a
+/// select. A last group of fewer than `W` columns repeats its final
+/// column in the spare lanes, whose results are not written back.
+///
+/// # Safety
+///
+/// `V`'s ISA is present (the [`F64Vec`] contract).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn trmm_left_vec<V: F64Vec>(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: f64,
+    a: &MatView<'_>,
+    b: &mut MatViewMut<'_>,
+) {
+    let lanes = V::LANES;
+    let w = 2 * lanes;
+    let (n, ncols) = (b.rows(), b.cols());
+    let unit = matches!(diag, Diag::Unit);
+    let mut scratch = crate::workspace::scratch(w * n);
+    // All buffer accesses below go through `p`: row `i < n`, lane
+    // `l < w` (or half `h ∈ {0, 1}`) stays inside the w·n elements.
+    let p = scratch.as_mut_ptr();
+    // Half `h` of row `i`. The closure computes an address only: a
+    // closure that touched a vector would be compiled outside the
+    // `#[target_feature]` entry, where the intrinsics cannot inline.
+    let at = |i: usize, h: usize| {
+        debug_assert!(i < n && h < 2);
+        // SAFETY: in bounds by the comment above.
+        unsafe { p.add(w * i + lanes * h) }
+    };
+    // SAFETY: `V`'s ISA is present (this fn's contract); every buffer
+    // access is through `at` or indexed `i < n`, `l < w` (see `p`).
+    unsafe {
+        let (zero, mut j0) = (V::splat(0.0), 0);
+        while j0 < ncols {
+            let have = (ncols - j0).min(w);
+            for l in 0..w {
+                let src = b.col(j0 + l.min(have - 1));
+                for (i, &v) in src.iter().enumerate() {
+                    *p.add(w * i + l) = if alpha != 1.0 { v * alpha } else { v };
+                }
+            }
+            match (uplo, trans) {
+                (Uplo::Upper, Trans::No) => {
+                    for j in 0..n {
+                        let col = a.col(j);
+                        for h in 0..2 {
+                            let temp = V::load(at(j, h));
+                            let live = V::nonzero(temp);
+                            for (i, &c) in col.iter().enumerate().take(j) {
+                                let x = V::load(at(i, h));
+                                let upd = V::add(x, V::mul(temp, V::splat(c)));
+                                V::store(at(i, h), V::select(live, x, upd));
+                            }
+                            if !unit {
+                                let d = V::mul(temp, V::splat(col[j]));
+                                V::store(at(j, h), V::select(live, zero, d));
+                            }
+                        }
+                    }
+                }
+                (Uplo::Upper, Trans::Yes) => {
+                    for j in (0..n).rev() {
+                        let col = a.col(j);
+                        let (mut lo, mut hi) = (V::load(at(j, 0)), V::load(at(j, 1)));
+                        if !unit {
+                            let d = V::splat(col[j]);
+                            lo = V::mul(lo, d);
+                            hi = V::mul(hi, d);
+                        }
+                        for (i, &c) in col.iter().enumerate().take(j) {
+                            let c = V::splat(c);
+                            lo = V::add(lo, V::mul(c, V::load(at(i, 0))));
+                            hi = V::add(hi, V::mul(c, V::load(at(i, 1))));
+                        }
+                        V::store(at(j, 0), lo);
+                        V::store(at(j, 1), hi);
+                    }
+                }
+                (Uplo::Lower, Trans::No) => {
+                    for j in (0..n).rev() {
+                        let col = a.col(j);
+                        for h in 0..2 {
+                            let temp = V::load(at(j, h));
+                            let live = V::nonzero(temp);
+                            for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
+                                let x = V::load(at(i, h));
+                                let upd = V::add(x, V::mul(temp, V::splat(c)));
+                                V::store(at(i, h), V::select(live, x, upd));
+                            }
+                            if !unit {
+                                V::store(at(j, h), V::mul(temp, V::splat(col[j])));
+                            }
+                        }
+                    }
+                }
+                (Uplo::Lower, Trans::Yes) => {
+                    for j in 0..n {
+                        let col = a.col(j);
+                        let (mut lo, mut hi) = (V::load(at(j, 0)), V::load(at(j, 1)));
+                        if !unit {
+                            let d = V::splat(col[j]);
+                            lo = V::mul(lo, d);
+                            hi = V::mul(hi, d);
+                        }
+                        for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
+                            let c = V::splat(c);
+                            lo = V::add(lo, V::mul(c, V::load(at(i, 0))));
+                            hi = V::add(hi, V::mul(c, V::load(at(i, 1))));
+                        }
+                        V::store(at(j, 0), lo);
+                        V::store(at(j, 1), hi);
+                    }
+                }
+            }
+            for l in 0..have {
+                for (i, v) in b.col_mut(j0 + l).iter_mut().enumerate() {
+                    *v = *p.add(w * i + l);
+                }
+            }
+            j0 += w;
+        }
+    }
+}
+
+/// AVX2 entry of [`trmm_left_vec`]: eight columns per group.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn trmm_left_avx2(
@@ -134,118 +271,23 @@ fn trmm_left_avx2(
     a: &MatView<'_>,
     b: &mut MatViewMut<'_>,
 ) {
-    use std::arch::x86_64::*;
-    const W: usize = 8;
-    let (n, ncols) = (b.rows(), b.cols());
-    let unit = matches!(diag, Diag::Unit);
-    let mut scratch = crate::workspace::scratch(W * n);
-    // All buffer accesses below go through `p`: row `i < n`, lane
-    // `l < W` (or half `h ∈ {0, 1}`) stays inside the W·n elements.
-    let p = scratch.as_mut_ptr();
-    let ld = |i: usize, h: usize| {
-        debug_assert!(i < n && h < 2);
-        // SAFETY: in bounds by the comment above; loadu has no
-        // alignment requirement.
-        unsafe { _mm256_loadu_pd(p.add(W * i + 4 * h)) }
-    };
-    let st = |i: usize, h: usize, v: __m256d| {
-        debug_assert!(i < n && h < 2);
-        // SAFETY: as for `ld`; storeu has no alignment requirement.
-        unsafe { _mm256_storeu_pd(p.add(W * i + 4 * h), v) }
-    };
-    let zero = _mm256_setzero_pd();
-    let mut j0 = 0;
-    while j0 < ncols {
-        let have = (ncols - j0).min(W);
-        for l in 0..W {
-            let src = b.col(j0 + l.min(have - 1));
-            for (i, &v) in src.iter().enumerate() {
-                let v = if alpha != 1.0 { v * alpha } else { v };
-                // SAFETY: i < n, l < W (see `p`).
-                unsafe { *p.add(W * i + l) = v };
-            }
-        }
-        match (uplo, trans) {
-            (Uplo::Upper, Trans::No) => {
-                for j in 0..n {
-                    let col = a.col(j);
-                    for h in 0..2 {
-                        let temp = ld(j, h);
-                        let live = _mm256_cmp_pd::<_CMP_NEQ_UQ>(temp, zero);
-                        for (i, &c) in col.iter().enumerate().take(j) {
-                            let x = ld(i, h);
-                            let upd = _mm256_add_pd(x, _mm256_mul_pd(temp, _mm256_set1_pd(c)));
-                            st(i, h, _mm256_blendv_pd(x, upd, live));
-                        }
-                        if !unit {
-                            let d = _mm256_mul_pd(temp, _mm256_set1_pd(col[j]));
-                            st(j, h, _mm256_blendv_pd(zero, d, live));
-                        }
-                    }
-                }
-            }
-            (Uplo::Upper, Trans::Yes) => {
-                for j in (0..n).rev() {
-                    let col = a.col(j);
-                    let (mut lo, mut hi) = (ld(j, 0), ld(j, 1));
-                    if !unit {
-                        let d = _mm256_set1_pd(col[j]);
-                        lo = _mm256_mul_pd(lo, d);
-                        hi = _mm256_mul_pd(hi, d);
-                    }
-                    for (i, &c) in col.iter().enumerate().take(j) {
-                        let c = _mm256_set1_pd(c);
-                        lo = _mm256_add_pd(lo, _mm256_mul_pd(c, ld(i, 0)));
-                        hi = _mm256_add_pd(hi, _mm256_mul_pd(c, ld(i, 1)));
-                    }
-                    st(j, 0, lo);
-                    st(j, 1, hi);
-                }
-            }
-            (Uplo::Lower, Trans::No) => {
-                for j in (0..n).rev() {
-                    let col = a.col(j);
-                    for h in 0..2 {
-                        let temp = ld(j, h);
-                        let live = _mm256_cmp_pd::<_CMP_NEQ_UQ>(temp, zero);
-                        for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
-                            let x = ld(i, h);
-                            let upd = _mm256_add_pd(x, _mm256_mul_pd(temp, _mm256_set1_pd(c)));
-                            st(i, h, _mm256_blendv_pd(x, upd, live));
-                        }
-                        if !unit {
-                            st(j, h, _mm256_mul_pd(temp, _mm256_set1_pd(col[j])));
-                        }
-                    }
-                }
-            }
-            (Uplo::Lower, Trans::Yes) => {
-                for j in 0..n {
-                    let col = a.col(j);
-                    let (mut lo, mut hi) = (ld(j, 0), ld(j, 1));
-                    if !unit {
-                        let d = _mm256_set1_pd(col[j]);
-                        lo = _mm256_mul_pd(lo, d);
-                        hi = _mm256_mul_pd(hi, d);
-                    }
-                    for (i, &c) in col.iter().enumerate().take(n).skip(j + 1) {
-                        let c = _mm256_set1_pd(c);
-                        lo = _mm256_add_pd(lo, _mm256_mul_pd(c, ld(i, 0)));
-                        hi = _mm256_add_pd(hi, _mm256_mul_pd(c, ld(i, 1)));
-                    }
-                    st(j, 0, lo);
-                    st(j, 1, hi);
-                }
-            }
-        }
-        for l in 0..have {
-            for (i, v) in b.col_mut(j0 + l).iter_mut().enumerate() {
-                // SAFETY: i < n, l < W (see `p`).
-                *v = unsafe { *p.add(W * i + l) };
-            }
-        }
-        j0 += W;
-    }
+    // SAFETY: this fn is compiled for, and only entered on, AVX2.
+    unsafe { trmm_left_vec::<__m256d>(uplo, trans, diag, alpha, a, b) }
+}
+
+/// AVX-512 entry of [`trmm_left_vec`]: sixteen columns per group.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn trmm_left_avx512(
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    alpha: f64,
+    a: &MatView<'_>,
+    b: &mut MatViewMut<'_>,
+) {
+    // SAFETY: this fn is compiled for, and only entered on, AVX-512F.
+    unsafe { trmm_left_vec::<__m512d>(uplo, trans, diag, alpha, a, b) }
 }
 
 /// Serial `B ← α·B·op(T)` on (a row slice of) `B`; the sweep structure

@@ -33,6 +33,8 @@ pub mod level1;
 pub mod level2;
 pub mod level3;
 pub mod pool;
+#[cfg(target_arch = "x86_64")]
+mod simd;
 mod sync;
 pub mod types;
 pub mod workspace;

@@ -1,15 +1,16 @@
 //! Property suite for the register-tiled SIMD microkernel.
 //!
-//! The contract pinned here is **bit-identity**: the AVX2 path, the
-//! scalar fallback, and every thread count produce the *same bits* for
-//! every transpose combination, odd/prime shape, strided sub-view, and
-//! alpha/beta edge case. This is what lets the FT driver treat ISA and
+//! The contract pinned here is **bit-identity**: the AVX-512 path, the
+//! AVX2 path, the scalar fallback, and every thread count produce the
+//! *same bits* for every transpose combination, odd/prime shape, strided
+//! sub-view, and alpha/beta edge case, with NaN compared as NaN (see
+//! [`value_bits`]). This is what lets the FT driver treat ISA and
 //! thread count as pure performance knobs: checksums, detection
 //! thresholds, and reversal exactness never depend on them.
 
 use ft_blas::{
-    gemm_blocked, gemm_ref, gemm_threaded, gemv, ger, trmm, trmv, with_backend, with_simd_path,
-    Backend, Diag, Side, SimdPath, Trans, Uplo,
+    active_simd_path, gemm_blocked, gemm_ref, gemm_threaded, gemv, ger, trmm, trmv, with_backend,
+    with_simd_path, Backend, Diag, Side, SimdPath, Trans, Uplo,
 };
 use ft_matrix::Matrix;
 use proptest::prelude::*;
@@ -27,9 +28,11 @@ fn bits(m: &Matrix) -> Vec<u64> {
 }
 
 /// Every (ISA path, backend) pair the level-2 and `trmm` suites compare
-/// against the portable serial baseline. `Avx2` silently falls back to
+/// against the portable serial baseline. `Auto` runs the AVX-512 bodies
+/// on a CPU with `avx512f` (`auto_resolves_to_the_widest_tier` checks
+/// that), and `Avx2` keeps the 256-bit ones; both silently fall back to
 /// the portable path on CPUs without the features.
-const PATHS: [SimdPath; 2] = [SimdPath::Portable, SimdPath::Avx2];
+const PATHS: [SimdPath; 3] = [SimdPath::Portable, SimdPath::Auto, SimdPath::Avx2];
 const BACKENDS: [Backend; 3] = [Backend::Serial, Backend::Threaded(2), Backend::Threaded(4)];
 
 /// The bits of every value, with all NaNs mapped to one pattern. When
@@ -89,9 +92,11 @@ fn sprinkle_specials(v: &mut [f64], seed: u64) {
 }
 
 /// Column counts of the `lahr2` panel GEMVs: every ragged group width of
-/// the 8-column `gemv` fold and `gemv^T` block, plus a few just past a
-/// multiple of eight.
-const PANEL_COLS: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 33, 65];
+/// the 8-column `gemv` fold and `gemv^T` block, one and two groups deep,
+/// plus a few just past a multiple of eight.
+const PANEL_COLS: &[usize] = &[
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 23, 24, 25, 31, 33, 65,
+];
 
 /// `gemv` written as the one-column-at-a-time loops its contract is
 /// stated in: `β` applied first, then per column either the update by
@@ -316,7 +321,7 @@ proptest! {
     /// The level-2 kernels (`gemv`, `gemv^T`, `ger`) dispatch through the
     /// same ISA resolution as the microkernel; every (path, backend)
     /// combination must produce the portable serial bits — including the
-    /// ragged vector tails the 4-wide AVX2 bodies fall back to scalar for.
+    /// ragged vector tails the 4- and 8-wide bodies mask.
     #[test]
     fn level2_bit_identical_across_isa_and_threads(
         mi in 0usize..SIDES.len(),
@@ -406,7 +411,7 @@ proptest! {
 /// Shapes past the fork gates, so `Threaded(2)`/`Threaded(4)` really
 /// split the work: `gemv` rows (no-trans) and output columns (trans)
 /// over workers, and `trmm` columns over workers in chunks that are not
-/// multiples of the 8-column AVX2 group.
+/// multiples of the 8- or 16-column vector group.
 #[test]
 fn level2_and_trmm_above_fork_gate_bit_identical() {
     for trans in [Trans::No, Trans::Yes] {
@@ -442,6 +447,88 @@ fn level2_and_trmm_above_fork_gate_bit_identical() {
                         b.as_slice().to_vec()
                     },
                 );
+            }
+        }
+    }
+}
+
+/// On a CPU with `avx512f`, `Auto` runs the AVX-512 tier, so every sweep
+/// above that includes `Auto` covers it, and `Avx2` keeps the 256-bit
+/// bodies.
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn auto_resolves_to_the_widest_tier() {
+    let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma");
+    let auto = with_simd_path(SimdPath::Auto, active_simd_path);
+    assert_eq!(auto == "avx512+fma", avx512, "Auto resolved to {auto}");
+    let avx2 = with_simd_path(SimdPath::Avx2, active_simd_path);
+    assert_ne!(avx2, "avx512+fma");
+}
+
+/// `gemv` on every row tail of the 4- and 8-lane bodies (`m` of 1–7,
+/// 9–15 and past 16) against ragged column counts, with ±0.0, NaN and
+/// ±Inf operands and without.
+#[test]
+fn gemv_row_and_column_tails_bit_identical() {
+    let rows = (1..=17).chain([23, 31, 33]);
+    for (seed, m) in rows.enumerate() {
+        for n in [1, 3, 7, 8, 9, 12, 15, 16, 17] {
+            for trans in [Trans::No, Trans::Yes] {
+                for specials in [false, true] {
+                    let seed = 1000 + 37 * seed as u64 + n as u64;
+                    check_gemv(m, n, 1, seed, trans, 0.75, 1.0, specials);
+                }
+            }
+        }
+    }
+}
+
+/// The packed GEMM where the AVX-512 tier pairs `MR = 8` slivers: row
+/// counts with an odd number of full slivers (one left over), a ragged
+/// last sliver, and more rows than one `MC` block; with ±0.0, NaN and ±Inf
+/// sprinkled through both operands.
+#[test]
+fn gemm_sliver_pairs_and_special_values_bit_identical() {
+    for (seed, &(m, n, k)) in [
+        (8usize, 6usize, 5usize),
+        (16, 7, 33),
+        (24, 13, 17),
+        (41, 6, 9),
+        (47, 5, 300),
+        (136, 13, 8),
+        (137, 1, 3),
+    ]
+    .iter()
+    .enumerate()
+    {
+        for (ta, tb) in [(Trans::No, Trans::Yes), (Trans::Yes, Trans::No)] {
+            for specials in [false, true] {
+                let seed = 77 + 10 * seed as u64;
+                let (ar, ac) = if ta == Trans::No { (m, k) } else { (k, m) };
+                let (br, bc) = if tb == Trans::No { (k, n) } else { (n, k) };
+                let mut a = mat(ar, ac, seed);
+                let mut b = mat(br, bc, seed ^ 1);
+                if specials {
+                    sprinkle_specials(a.as_mut_slice(), seed ^ 2);
+                    sprinkle_specials(b.as_mut_slice(), seed ^ 3);
+                }
+                let c0 = mat(m, n, seed ^ 4);
+                let label = format!("gemm {m}x{n}x{k} {ta:?}/{tb:?} specials={specials}");
+                let base = assert_same_bits_everywhere(&label, || {
+                    let mut c = c0.clone();
+                    let (av, bv) = (a.as_view(), b.as_view());
+                    gemm_blocked(ta, tb, -0.5, &av, &bv, 1.0, &mut c.as_view_mut());
+                    c.as_slice().to_vec()
+                });
+                let threaded = assert_same_bits_everywhere(&label, || {
+                    let mut c = c0.clone();
+                    let (av, bv) = (a.as_view(), b.as_view());
+                    gemm_threaded(3, ta, tb, -0.5, &av, &bv, 1.0, &mut c.as_view_mut());
+                    c.as_slice().to_vec()
+                });
+                assert_eq!(base, threaded, "{label}: threaded differs from blocked");
             }
         }
     }

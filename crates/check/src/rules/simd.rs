@@ -10,7 +10,7 @@
 //! * **twin**: the tf fn either directly calls a non-tf fn in the same
 //!   file (the shared-body pattern, e.g. `scalar_tile_fma` →
 //!   `scalar_tile`), or a same-file non-tf fn shares its name stem once
-//!   ISA segments (`avx2`, `fma`, `sse`, `neon`, `simd`) and scalar
+//!   ISA segments (`avx512`, `avx2`, `fma`, `sse`, `neon`, `simd`) and scalar
 //!   segments (`scalar`, `portable`, `body`, `ref`, `fallback`) are
 //!   stripped (`avx2_tile` ↔ `scalar_tile`).
 //! * **dispatch**: some non-tf, non-test fn in the same crate calls the
@@ -21,7 +21,9 @@ use super::Analysis;
 use crate::lexer::TokKind;
 use crate::Finding;
 
-const ISA_SEGS: [&str; 8] = ["avx2", "avx", "fma", "sse", "sse2", "sse41", "neon", "simd"];
+const ISA_SEGS: [&str; 9] = [
+    "avx512", "avx2", "avx", "fma", "sse", "sse2", "sse41", "neon", "simd",
+];
 const SCALAR_SEGS: [&str; 6] = ["scalar", "portable", "body", "ref", "fallback", "generic"];
 
 fn strip_segs(name: &str, segs: &[&str]) -> Vec<String> {

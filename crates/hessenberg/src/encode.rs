@@ -228,9 +228,19 @@ impl ExtMatrix {
         self.data[(n, n)] = grand;
     }
 
-    /// Extracts the final packed `n × n` factorization output.
+    /// Extracts the final packed `n × n` factorization output. The real
+    /// part's columns are compacted in place, from stride `n + 1` to `n`,
+    /// so no second `n²` matrix is allocated.
     pub fn into_packed(self) -> Matrix {
-        self.data.sub_matrix(0, 0, self.n, self.n)
+        let n = self.n;
+        let mut data = self.data.into_vec();
+        // Column `j` moves down by `j` slots; every later column still
+        // lies past the slots this one lands on.
+        for j in 1..n {
+            data.copy_within(j * (n + 1)..j * (n + 1) + n, j * n);
+        }
+        data.truncate(n * n);
+        Matrix::from_col_major(n, n, data)
     }
 }
 
@@ -350,6 +360,18 @@ mod tests {
         let e = ExtMatrix::encode(&a);
         assert_eq!(e.real_to_matrix(), a);
         assert_eq!(e.clone().into_packed(), a);
+        // n = 37: the in-place compaction moves every column but the
+        // first, with NaN, ±Inf and −0.0 among the moved values.
+        let mut a = ft_matrix::random::uniform(37, 37, 5);
+        a[(36, 36)] = f64::NAN;
+        a[(0, 20)] = f64::NEG_INFINITY;
+        a[(19, 1)] = -0.0;
+        let e = ExtMatrix::encode(&a);
+        let want = e.raw().sub_matrix(0, 0, 37, 37);
+        let got = e.into_packed();
+        assert_eq!((got.rows(), got.cols()), (37, 37));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Parity of the fault-tolerant driver under the serial and the threaded
 //! backend: clean runs must be bitwise identical, and fault campaigns must
 //! produce the same detection, location, correction and final output on
-//! both — the determinism contract of DESIGN.md §8.
+//! both — the determinism contract of DESIGN.md §8. Across SIMD paths
+//! the contract is stated for NaN: the same bits on every value that is
+//! not NaN, and NaN at the same places (DESIGN.md §8.1).
 
-use ft_fault::{Fault, FaultPlan, Phase, ScheduledFault};
+use ft_blas::{with_simd_path, SimdPath};
+use ft_fault::{Fault, FaultKind, FaultPlan, Phase, ScheduledFault};
 use ft_hessenberg::ft_alg::{ft_gehrd_hybrid, FtConfig, FtOutcome};
+use ft_hessenberg::tridiag::ft_sytd2;
 use ft_hessenberg::verify::ResidualReport;
+use ft_hessenberg::{FailureReason, FtReport};
 use ft_hybrid::{CostModel, ExecMode, HybridCtx};
 use ft_matrix::Matrix;
 
@@ -164,4 +169,136 @@ fn fault_at_iteration_start_recovers_identically() {
         assert_eq!(fs.tau, ft.tau, "{what}: taus differ");
         assert_bitwise_equal(&fs.packed, &ft.packed, &what);
     }
+}
+
+/// The bits of every value, with all NaNs mapped to one pattern: when
+/// two NaNs meet, x86 keeps the first operand's sign and payload, and the
+/// compiler may order the operands of an add, multiply or fma
+/// differently in each SIMD body.
+fn value_bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// One episode: its iteration, whether it resolved, the value bits of its
+/// mismatch and correction deltas, and the corrected positions.
+type Episode = (usize, bool, Vec<u64>, Vec<(usize, usize)>);
+
+/// What one run returns, NaN compared as NaN: the verdict, every episode
+/// and correction, the simulated time, and the outputs.
+#[derive(Debug, PartialEq)]
+struct NanBlindRun {
+    failure: Option<FailureReason>,
+    unresolved: bool,
+    episodes: Vec<Episode>,
+    q_corrections: Vec<(usize, usize, Vec<u64>)>,
+    tau_corrections: Vec<usize>,
+    redone: usize,
+    sim_seconds: u64,
+    outputs: Vec<Vec<u64>>,
+}
+
+impl NanBlindRun {
+    fn new(failure: Option<FailureReason>, report: &FtReport, outputs: &[&[f64]]) -> Self {
+        NanBlindRun {
+            failure,
+            unresolved: report.any_unresolved(),
+            episodes: report
+                .recoveries
+                .iter()
+                .map(|e| {
+                    let deltas: Vec<f64> = e.corrected.iter().map(|c| c.2).collect();
+                    let mut bits = value_bits(&[e.mismatch]);
+                    bits.extend(value_bits(&deltas));
+                    let at = e.corrected.iter().map(|c| (c.0, c.1)).collect();
+                    (e.iteration, e.resolved, bits, at)
+                })
+                .collect(),
+            q_corrections: report
+                .q_corrections
+                .iter()
+                .map(|&(r, c, d)| (r, c, value_bits(&[d])))
+                .collect(),
+            tau_corrections: report.tau_corrections.clone(),
+            redone: report.redone_iterations,
+            sim_seconds: report.sim_seconds.to_bits(),
+            outputs: outputs.iter().map(|v| value_bits(v)).collect(),
+        }
+    }
+}
+
+/// Runs `run` under the portable path, then under `Avx2` and `Auto`
+/// (AVX-512 where the CPU has it), and asserts every run matches the
+/// portable one NaN-blind. Returns whether any output held a NaN.
+fn assert_simd_paths_agree(what: &str, run: impl Fn() -> (NanBlindRun, bool)) -> bool {
+    let (base, any_nan) = with_simd_path(SimdPath::Portable, &run);
+    for path in [SimdPath::Avx2, SimdPath::Auto] {
+        let (got, _) = with_simd_path(path, &run);
+        assert_eq!(got, base, "{what}: {path:?} differs from the portable path");
+    }
+    any_nan
+}
+
+/// `Set(NaN)` strikes poison outputs, and the SIMD paths may then return
+/// NaNs of different sign or payload — but nothing else may differ: the
+/// verdict, every episode, the simulated time, every non-NaN output bit
+/// and the NaN positions. The tridiagonal case is the one that first
+/// showed a NaN sign differ between the AVX2 and portable paths.
+#[test]
+fn nan_strikes_agree_across_simd_paths_nan_blind() {
+    let nan_at = |iteration, phase, row, col| {
+        FaultPlan::new(vec![ScheduledFault {
+            iteration,
+            phase,
+            fault: Fault {
+                row,
+                col,
+                kind: FaultKind::Set(f64::NAN),
+            },
+        }])
+    };
+    let mut saw_nan = false;
+    let a = ft_matrix::random::symmetric(48, 31);
+    for cadence in [8, 32] {
+        for phase in [Phase::IterationStart, Phase::BeforeDetection] {
+            let what =
+                format!("ft_sytd2 Set(NaN) at (35,36), group 0, {phase:?}, cadence {cadence}");
+            saw_nan |= assert_simd_paths_agree(&what, || {
+                let out = ft_sytd2(
+                    &a,
+                    &FtConfig::with_nb(cadence),
+                    &mut nan_at(0, phase, 35, 36),
+                );
+                let r = &out.result;
+                let outputs = [r.packed.as_slice(), &r.d, &r.e, &r.tau];
+                let nan = outputs.iter().any(|v| v.iter().any(|x| x.is_nan()));
+                (NanBlindRun::new(out.failure, &out.report, &outputs), nan)
+            });
+        }
+    }
+    let a = ft_matrix::random::uniform(64, 64, 11);
+    for phase in [Phase::IterationStart, Phase::BeforeDetection] {
+        let what = format!("ft_gehrd_hybrid Set(NaN) at (40,50), iteration 1, {phase:?}");
+        saw_nan |= assert_simd_paths_agree(&what, || {
+            let mut plan = nan_at(1, phase, 40, 50);
+            let out = ft_gehrd_hybrid(
+                &a,
+                &cfg(16, ft_blas::Backend::Serial),
+                &mut full_ctx(),
+                &mut plan,
+            );
+            let r = out
+                .result
+                .as_ref()
+                .expect("Full mode returns the factorization");
+            let outputs = [r.packed.as_slice(), &r.tau];
+            let nan = outputs.iter().any(|v| v.iter().any(|x| x.is_nan()));
+            (NanBlindRun::new(out.failure, &out.report, &outputs), nan)
+        });
+    }
+    assert!(
+        saw_nan,
+        "no run produced a NaN output, so the NaN rule went unexercised"
+    );
 }

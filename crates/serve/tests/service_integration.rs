@@ -307,17 +307,19 @@ fn abort_cancels_a_waiting_retry() {
 #[test]
 fn deadline_expires_while_a_retry_waits() {
     // The weak job's first attempt fails in about a millisecond and its
-    // retry is due 5 ms later, well inside the 10 ms deadline. But the one
-    // worker meanwhile runs the clean job queued behind it, for several
-    // times the deadline (n = 512: ~50 ms in a release build), so the
-    // retry starts past the deadline. The clean job's matrix is built
-    // before the weak job is submitted, so it is queued long before the
-    // retry comes due. A debug build uses a 200 ms deadline, a 100 ms
-    // backoff and n = 256 (~0.5 s unoptimized).
+    // retry is due 50 ms later, well inside the 100 ms deadline. But the
+    // one worker meanwhile runs the clean job queued behind it, for
+    // several times the deadline (n = 1024 at nb = 8: a few hundred ms in
+    // a release build, on any backend), so the retry starts past the
+    // deadline. The clean job's matrix is built before the weak job is
+    // submitted, so it is queued long before the retry comes due. The
+    // margins leave the first attempt 50 ms to finish, so a loaded box
+    // still re-admits the retry before its deadline. A debug build uses a
+    // 200 ms deadline, a 100 ms backoff and n = 256 (~0.5 s unoptimized).
     let (deadline_ms, backoff_ms, n) = if DEBUG_BUILD {
         (200, 100, 256)
     } else {
-        (10, 5, 512)
+        (100, 50, 1024)
     };
     let svc = one_worker_with_backoff(Duration::from_millis(backoff_ms));
     let blocker = spec(n, 5);
